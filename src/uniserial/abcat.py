@@ -598,12 +598,16 @@ class SocleResult:
     multiplicities: tuple  # ((label, count), ...) over the supplied family
 
 
+def _maps_from(family, x):
+    """((label, basis of Hom(simple, x)), ...) over the family (label, simple) pairs."""
+    return [(label, hom_basis(simple, x)) for label, simple in family]
+
+
 def socle(x, family) -> SocleResult:
     """Largest semisimple subobject over the family (label, simple) pairs."""
     spans = {s: [] for s in x.slot_ids()}
     mults = []
-    for label, simple in family:
-        homs = hom_basis(simple, x)
+    for label, homs in _maps_from(family, x):
         mults.append((label, len(homs)))
         for phi in homs:
             for s in x.slot_ids():
@@ -633,27 +637,30 @@ class CompositionSeries:
         return out
 
 
+def _peel(x, family):
+    """Peel x one simple subobject at a time: yields (SeriesStep, socle is simple).
+
+    Each stage lists every basis map simple -> stage over the family and
+    quotients by the image of the first one.  The socle is simple exactly
+    when one map was found, and then its span is that image.
+    """
+    current = x
+    while total_dim(current) > 0:
+        found = [(label, phi) for label, homs in _maps_from(family, current) for phi in homs]
+        if not found:
+            raise NotFiniteLengthError("nonzero object admits no simple subobject from the family")
+        label, phi = found[0]
+        spaces = {s: column_space_basis(phi.mats[s].columns(), current.slot_dim(s)) for s in current.slot_ids()}
+        quot, proj = quotient_object(current, spaces)
+        yield SeriesStep(label, phi, proj, current), len(found) == 1
+        current = quot
+
+
 def composition_series(x, family) -> CompositionSeries:
     """Peel simple subobjects repeatedly; factors come back in
     cofiltration order (the last-peeled top factor first)."""
-    steps = []
-    current = x
-    while total_dim(current) > 0:
-        found = None
-        for label, simple in family:
-            homs = hom_basis(simple, current)
-            if homs:
-                found = (label, homs[0])
-                break
-        if found is None:
-            raise NotFiniteLengthError("nonzero object admits no simple subobject from the family")
-        label, phi = found
-        spaces = {s: column_space_basis(phi.mats[s].columns(), current.slot_dim(s)) for s in current.slot_ids()}
-        quot, proj = quotient_object(current, spaces)
-        steps.append(SeriesStep(label, phi, proj, current))
-        current = quot
-    factors = tuple(step.label for step in reversed(steps))
-    return CompositionSeries(factors, tuple(steps))
+    steps = tuple(step for step, _ in _peel(x, family))
+    return CompositionSeries(tuple(step.label for step in reversed(steps)), steps)
 
 
 def _slot_trace(x, a, b):
@@ -682,36 +689,34 @@ def is_indecomposable(x):
 
 
 def are_isomorphic(x, y) -> bool:
-    """Decide isomorphism of indecomposables by the trace pairing.
+    """Decide y ≅ x for an indecomposable x by the trace pairing.
 
-    End(x) is local with End(x)/rad = k, so g∘f = λ·1 + nilpotent has
-    trace λ·dim x: x ≅ y iff tr(g∘f) ≠ 0 for some basis maps f: x -> y
-    and g: y -> x (Auslander–Reiten–Smalø, Representation Theory of Artin
-    Algebras, §II).
+    End(x) is local with End(x)/rad = k, so for f: x -> y and g: y -> x,
+    g∘f = λ·1 + nilpotent has trace λ·dim x.  A nonzero tr(g∘f) for some
+    basis maps f, g makes g∘f an automorphism of x, so x is a summand of
+    y, and equal total dimension then forces y ≅ x; conversely an
+    isomorphism gives tr(f⁻¹∘f) = dim x ≠ 0 (Auslander–Reiten–Smalø,
+    Representation Theory of Artin Algebras, §II).  Only x is certified:
+    y may be any object on the same backend.
     """
-    ok_x, _ = is_indecomposable(x)
-    ok_y, _ = is_indecomposable(y)
-    if not ok_x or not ok_y:
-        raise ValueError("are_isomorphic requires indecomposable inputs")
+    _check_pair(x, y)
+    ok, _ = is_indecomposable(x)
+    if not ok:
+        raise ValueError("are_isomorphic requires an indecomposable first argument")
+    if total_dim(x) != total_dim(y):
+        return False
     back = hom_basis(y, x)
     return any(_slot_trace(x, g, f) for f in hom_basis(x, y) for g in back)
 
 
 def is_uniserial(x, family):
-    """(verdict, series) where series lists factor labels top-first."""
+    """(verdict, series) where series lists factor labels top-first.
+
+    Stops at the first stage whose socle over the family is not simple.
+    """
     series = []
-    current = x
-    while total_dim(current) > 0:
-        soc = socle(current, family)
-        count = sum(c for _, c in soc.multiplicities)
-        if count == 0:
-            raise NotFiniteLengthError("nonzero object admits no simple subobject from the family")
-        if count > 1:
+    for step, simple_socle in _peel(x, family):
+        if not simple_socle:
             return False, None
-        label = next(lbl for lbl, c in soc.multiplicities if c)
-        series.append(label)
-        spaces = {
-            s: column_space_basis(soc.inclusion.mats[s].columns(), current.slot_dim(s)) for s in current.slot_ids()
-        }
-        current, _ = quotient_object(current, spaces)
+        series.append(step.label)
     return True, tuple(reversed(series))

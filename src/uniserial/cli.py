@@ -21,7 +21,6 @@ import sys
 from . import abcat, species as species_mod
 from .gradedrep import (
     from_text as gradedrep_from_text,
-    in_alpha_range,
     to_text as gradedrep_to_text,
     validate,
 )
@@ -458,6 +457,21 @@ def cmd_deform(args):
 # -- argument parsing ------------------------------------------------------------
 
 
+def _int_at_least(low):
+    """argparse type: an integer no smaller than low."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+        return value
+
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="uniserial",
@@ -481,13 +495,13 @@ def build_parser():
     p.add_argument("--quiver", help="quiver presentation file (classify over its node simples)")
     p.add_argument("--start", help="starting label: exact literal, 0, or inf (graded backend)")
     p.add_argument("--twist", type=int, default=0)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--normalize-alpha", action="store_true", help="shift the label into range, recording the twist")
     common(p)
 
     p = sub.add_parser("ext-table", help="extension dimensions between the graded simples")
     p.add_argument("--labels", help="comma-separated interior labels (default 1/2)")
-    p.add_argument("--max-offset", type=int, default=2)
+    p.add_argument("--max-offset", type=_int_at_least(0), default=2)
     p.add_argument("--emit-species", help="also write the table as a species file")
     common(p)
 
@@ -495,13 +509,13 @@ def build_parser():
     p.add_argument("--kind", choices=["euler", "word"], required=True)
     p.add_argument("--alpha", help="exact label for euler keys")
     p.add_argument("--beta", help="0 or inf for word keys")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--twist", type=int, default=0)
     p.add_argument("--normalize-alpha", action="store_true")
     common(p)
 
     p = sub.add_parser("verify-weyl", help="verify the classification pipeline up to a length bound")
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_int_at_least(1), required=True)
     p.add_argument("--alphas", help="comma-separated interior labels (default 1/2)")
     common(p)
 
@@ -512,7 +526,7 @@ def build_parser():
     p.add_argument("--kind", choices=["euler", "word"])
     p.add_argument("--alpha")
     p.add_argument("--beta")
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=_int_at_least(1), default=1)
     p.add_argument("--twist", type=int, default=0)
     p.add_argument("--normalize-alpha", action="store_true")
     common(p)

@@ -301,10 +301,19 @@ def from_text(text: str) -> GradedRep:
             dims[int(w)] = int(d)
         elif key == "map":
             kind, w, rest = parts[1].split(None, 2)
+            if kind not in ("t", "p"):
+                raise ValueError("unknown map kind %r in graded module file" % kind)
             mat = parse_matrix(rest)
             (tm if kind == "t" else pm)[int(w)] = mat
         else:
             raise ValueError("unknown line %r in graded module file" % ln)
     if window is None:
         raise ValueError("graded module file has no window line")
+    wmin, wmax = window
+    # GradedRep keeps only these weights: t raises w -> w+1, p lowers w -> w-1
+    ranges = (("dim", dims, wmin, wmax), ("map t", tm, wmin, wmax - 1), ("map p", pm, wmin + 1, wmax))
+    for what, weights, lo, hi in ranges:
+        for w in weights:
+            if not lo <= w <= hi:
+                raise ValueError("%s at weight %d lies outside the window %d %d" % (what, w, wmin, wmax))
     return GradedRep(window, dims, tm, pm)

@@ -267,10 +267,6 @@ class ExtensionType:
     nodes: tuple  # distinct labels by first occurrence
     edges: tuple  # (position i, source label, target label) for i = 2..n
 
-    @property
-    def base_node(self):
-        return self.order_vector[0]
-
 
 def extension_type(e) -> ExtensionType:
     """Extension type of an iterated extension or a bare order vector."""
@@ -324,14 +320,6 @@ class PathAlgebra:
         _, i2, j2 = b2
         return ("run", i, j2) if i2 == j + 1 else None
 
-    def component_dims(self):
-        """dim k[Gamma]_{lm} for node pairs (l, m)."""
-        out = {}
-        for b in self.basis:
-            key = (self.source(b), self.target(b))
-            out[key] = out.get(key, 0) + 1
-        return out
-
     def radical_power_zero(self, n) -> bool:
         """Whether products of n runs all vanish."""
         runs = [b for b in self.basis if b[0] == "run"]
@@ -347,51 +335,6 @@ class PathAlgebra:
             if not frontier:
                 return True
         return not frontier
-
-
-class PathAlgebraElement:
-    """Finitely supported combination of path-basis elements."""
-
-    def __init__(self, algebra: PathAlgebra, coeffs=None):
-        self.algebra = algebra
-        self.coeffs = {b: c for b, c in (coeffs or {}).items() if c}
-
-    @staticmethod
-    def unit(algebra: PathAlgebra):
-        return PathAlgebraElement(algebra, {("e", lbl): ONE for lbl in algebra.gamma.nodes})
-
-    @staticmethod
-    def basis_element(algebra: PathAlgebra, b):
-        if b not in algebra.index:
-            raise KeyError(b)
-        return PathAlgebraElement(algebra, {b: ONE})
-
-    def __eq__(self, other):
-        return isinstance(other, PathAlgebraElement) and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for b, c in other.coeffs.items():
-            prev = out.get(b)
-            out[b] = c if prev is None else prev + c
-        return PathAlgebraElement(self.algebra, out)
-
-    def __mul__(self, other):
-        out = {}
-        for b1, c1 in self.coeffs.items():
-            for b2, c2 in other.coeffs.items():
-                b = self.algebra.product(b1, b2)
-                if b is not None:
-                    prev = out.get(b)
-                    add = c1 * c2
-                    out[b] = add if prev is None else prev + add
-        return PathAlgebraElement(self.algebra, out)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __repr__(self):
-        return "PathAlgebraElement(%r)" % (self.coeffs,)
 
 
 def path_algebra(gamma: ExtensionType) -> PathAlgebra:

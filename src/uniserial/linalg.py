@@ -76,9 +76,6 @@ class Scalar:
     def conjugate(self):
         return Scalar(self.re, -self.im)
 
-    def is_rational(self):
-        return not self.im
-
     def __repr__(self):
         return "Scalar(%s)" % format_scalar(self)
 
@@ -92,24 +89,20 @@ ONE = Scalar(1)
 I = Scalar(0, 1)
 
 
-def _format_q(q) -> str:
-    return str(q)
-
-
 def format_scalar(s: Scalar) -> str:
     """Canonical text form: 0, 1/2, -2, i, -i, 1/3*i, 1/2-1/3*i."""
     if not s.im:
-        return _format_q(s.re)
+        return str(s.re)
     if s.im == 1:
         imtxt = "i"
     elif s.im == -1:
         imtxt = "-i"
     else:
-        imtxt = "%s*i" % _format_q(s.im)
+        imtxt = "%s*i" % s.im
     if not s.re:
         return imtxt
     sign = "+" if not imtxt.startswith("-") else ""
-    return "%s%s%s" % (_format_q(s.re), sign, imtxt)
+    return "%s%s%s" % (s.re, sign, imtxt)
 
 
 def parse_scalar(text: str) -> Scalar:

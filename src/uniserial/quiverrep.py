@@ -192,11 +192,6 @@ class QuiverRep:
         return "QuiverRep(dims=%r)" % (self.dims,)
 
 
-def rep(pres: QuiverPresentation, dims, mats) -> QuiverRep:
-    """Build and validate a representation; raises RelationViolation."""
-    return QuiverRep(pres, dims, mats)
-
-
 def simple_at(pres: QuiverPresentation, node) -> QuiverRep:
     """One-dimensional at the node, zero elsewhere, all arrows zero."""
     node = str(node)

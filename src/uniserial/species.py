@@ -255,6 +255,8 @@ def species_from_text(text: str) -> Species:
     for ln in lines[1:]:
         parts = ln.split()
         if parts[0] == "label" and len(parts) == 2:
+            if parts[1] in labels:
+                raise ValueError("duplicate label %r in species file" % parts[1])
             labels.append(parts[1])
         elif parts[0] == "ext" and len(parts) == 4:
             a, b, d = parts[1], parts[2], int(parts[3])

@@ -315,12 +315,6 @@ class EulerPolynomial:
             rem.pop()
         return EulerPolynomial(rem)
 
-    def evaluate(self, x: Scalar) -> Scalar:
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def to_weyl(self) -> WeylElement:
         """Expand g(E) as a normal-form Weyl element."""
         e = euler()

@@ -240,10 +240,11 @@ def verify_key(key: CatalogKey, window, margin: int = DEFAULT_MARGIN) -> KeyResu
     classified = species_mod.classify(spec, family, key.n, start=key.start_label())
     checks.append(("unique class", len(classified) == 1, "found %d" % len(classified)))
     cat = catalog_module(key, window, margin)
-    checks.append(("catalog validates", validate(cat) == [], "; ".join(validate(cat))))
+    problems = validate(cat)
+    checks.append(("catalog validates", not problems, "; ".join(problems)))
     if len(classified) == 1:
-        built = classified[0].obj
-        same = abcat.are_isomorphic(built, cat)
+        # classify certified the built object; are_isomorphic certifies only cat
+        same = abcat.are_isomorphic(cat, classified[0].obj)
         checks.append(("isomorphic to catalog", same, ""))
         uni, series = abcat.is_uniserial(cat, family)
         checks.append(("catalog uniserial", uni, ""))

@@ -28,7 +28,7 @@ from uniserial.abcat import (
 )
 from uniserial.gradedrep import ideal_quotient_rep, simple_rep, validate
 from uniserial.linalg import ZERO, Matrix, ONE, Scalar, algebra_radical, inverse, parse_scalar
-from uniserial.quiverrep import KRONECKER, QuiverPresentation, rep, simple_at
+from uniserial.quiverrep import KRONECKER, QuiverPresentation, QuiverRep, simple_at
 from uniserial.weyl import euler_power
 
 HALF = parse_scalar("1/2")
@@ -291,6 +291,17 @@ def test_are_isomorphic_rejects_decomposable():
         are_isomorphic(ds.obj, S1)
 
 
+def test_are_isomorphic_decomposable_second_argument():
+    # equal total dimension, so the check reaches the trace pairing
+    nonsplit = realize_extension(ext1_basis(S1, S2)[0])[0]
+    split = direct_sum(S1, S2).obj
+    assert total_dim(nonsplit) == total_dim(split)
+    assert not is_indecomposable(split)[0]
+    assert not are_isomorphic(nonsplit, split)
+    # S1 is a summand of the split sum, so only the dimension count rules it out
+    assert not are_isomorphic(S1, split)
+
+
 def test_uniserial_simple_and_length_two():
     assert is_uniserial(S1, KRONECKER_FAMILY) == (True, ("1",))
     z = ideal_quotient_rep(euler_power(HALF, 3), WINDOW)
@@ -392,7 +403,7 @@ def random_hereditary_pairs():
                 mats[a] = Matrix(
                     dims[t], dims[s], [[Scalar(rng.randint(-2, 2)) for _ in range(dims[s])] for _ in range(dims[t])]
                 )
-            return rep(pres, dims, mats)
+            return QuiverRep(pres, dims, mats)
 
         x = random_rep()
         y = random_rep()
@@ -501,6 +512,74 @@ def test_trace_pairing_matches_radical_basis():
                 assert same == radical_isomorphic(x, y)
                 verdicts[same] += 1
     assert verdicts[True] >= 20 and verdicts[False] >= 20, verdicts
+
+
+def peel_by_socle(x, family):
+    """is_uniserial by the public socle: each stage's socle must be simple,
+    then the stage is divided by it."""
+    series = []
+    current = x
+    while total_dim(current):
+        soc = socle(current, family)
+        labels = [label for label, count in soc.multiplicities for _ in range(count)]
+        if not labels:
+            raise abcat.NotFiniteLengthError("no simple subobject")
+        if len(labels) > 1:
+            return False, None
+        series.append(labels[0])
+        spaces = {s: soc.inclusion.mats[s].columns() for s in current.slot_ids()}
+        current, _ = abcat.quotient_object(current, spaces)
+    return True, tuple(reversed(series))
+
+
+def _outcome(peel, x, family):
+    try:
+        return peel(x, family)
+    except abcat.NotFiniteLengthError:
+        return "not finite length"
+
+
+def test_peeling_loop_matches_socle_peeling():
+    cases = []
+    for nodes, _, x, y in random_hereditary_pairs():
+        family = tuple((v, simple_at(x.pres, v)) for v in nodes)
+        cases += [(x, family), (y, family)]
+    u_cls, v_cls = ext1_basis(S1, S2)
+    for x in (S1, S2, realize_extension(u_cls)[0], realize_extension(v_cls)[0], kronecker_double_extension(),
+              direct_sum(S1, S2).obj):
+        cases.append((x, KRONECKER_FAMILY))
+    from uniserial.weyl import alternating_word
+
+    m = simple_rep(HALF, 0, WINDOW)
+    for x in (
+        m,
+        ideal_quotient_rep(euler_power(HALF, 2), WINDOW),
+        ideal_quotient_rep(euler_power(HALF, 3), WINDOW),
+        realize_extension(ext1_basis(m, m)[0])[0],
+        direct_sum(m, m).obj,
+        ideal_quotient_rep(alternating_word("0", 3), WINDOW),
+        ideal_quotient_rep(alternating_word("inf", 3), WINDOW),
+    ):
+        cases.append((x, weyl_family()))
+    seen = {True: 0, False: 0, "not finite length": 0}
+    for x, family in cases:
+        want = _outcome(peel_by_socle, x, family)
+        assert _outcome(is_uniserial, x, family) == want
+        verdict = want if isinstance(want, str) else want[0]
+        seen[verdict] += 1
+        try:
+            series = composition_series(x, family)
+        except abcat.NotFiniteLengthError:
+            assert verdict is not True
+            continue
+        if verdict is True:
+            assert series.factors == want[1]
+        # every step peels the first basis map of the first simple that maps in
+        for step in series.steps:
+            label = next(lbl for lbl, count in socle(step.stage, family).multiplicities if count)
+            assert step.label == label
+            assert step.mono == hom_basis(dict(family)[label], step.stage)[0]
+    assert all(seen.values()), seen
 
 
 def test_composition_series_multiset_independent_of_family_order():

@@ -1,3 +1,5 @@
+import pytest
+
 from uniserial.cli import main, parse_report
 from uniserial.gradedrep import from_text as gradedrep_from_text
 from uniserial.species import Species, species_to_text
@@ -305,3 +307,42 @@ def test_output_flag(tmp_path, capsys):
 
 def test_unknown_command(capsys):
     assert main(["bogus"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--start", "0", "--n", "0"],
+        ["weyl-module", "--kind", "word", "--beta", "inf", "--n", "0"],
+        ["ext-table", "--labels", "1/2", "--max-offset", "-1"],
+        ["verify-weyl", "--n-max", "0", "--alphas", "1/2"],
+        ["deform", "--kind", "word", "--beta", "0", "--n", "0"],
+    ],
+    ids=["classify-n0", "weyl-module-n0", "ext-table-negative-offset", "verify-weyl-n-max0", "deform-n0"],
+)
+def test_rejects_empty_lengths_and_negative_offsets(capsys, argv):
+    status, out, err = run(capsys, *argv)
+    assert status == 2
+    assert out == ""
+    assert "error" in err
+
+
+MALFORMED_FILES = {
+    "map-kind": ("gradedrep", "specfile gradedrep v1\nwindow -1 1\ndim 0 1\ndim 1 1\nmap q 0 1x1 1\n"),
+    "weight-outside-window": ("gradedrep", "specfile gradedrep v1\nwindow -1 1\ndim 2 1\n"),
+    "duplicate-label": ("species", "specfile species v1\nlabel a\nlabel a\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_object_and_species_files_exit_2(tmp_path, capsys, case):
+    kind, text = MALFORMED_FILES[case]
+    path = tmp_path / ("input." + kind)
+    path.write_text(text)
+    if kind == "species":
+        argv = ["check-uc", str(path)]
+    else:
+        argv = ["deform", "--object", str(path), "--labels", "1/2@0"]
+    status, _, err = run(capsys, *argv)
+    assert status == 2
+    assert "error" in err

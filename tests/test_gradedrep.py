@@ -159,3 +159,19 @@ def test_serialization_roundtrip():
 def test_from_text_rejects_untagged():
     with pytest.raises(ValueError):
         from_text("window -1 1\n")
+
+
+def test_from_text_rejects_unknown_map_kind():
+    text = "specfile gradedrep v1\nwindow -1 1\ndim 0 1\ndim 1 1\nmap q 0 1x1 1\n"
+    with pytest.raises(ValueError, match="map kind"):
+        from_text(text)
+    assert from_text(text.replace("map q", "map t")).tmat[0] == Matrix.from_rows([[ONE]])
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["dim 2 1", "dim -2 1", "map t 1 0x0", "map t -2 0x0", "map p -1 0x0", "map p 2 0x0"],
+)
+def test_from_text_rejects_weights_outside_window(line):
+    with pytest.raises(ValueError, match="outside the window"):
+        from_text("specfile gradedrep v1\nwindow -1 1\n%s\n" % line)

@@ -4,9 +4,9 @@ from uniserial.linalg import Matrix, Scalar
 from uniserial.quiverrep import (
     KRONECKER,
     QuiverPresentation,
+    QuiverRep,
     RelationViolation,
     parse_presentation,
-    rep,
     simple_at,
     to_text,
 )
@@ -20,27 +20,27 @@ LOOP = QuiverPresentation(["1"], [("x", "1", "1")], [("1", "1", ((Scalar(1), ("x
 
 
 def test_zero_maps_always_valid():
-    r = rep(LOOP, {"1": 2}, {})
+    r = QuiverRep(LOOP, {"1": 2}, {})
     assert r.dims == {"1": 2}
     assert r.mats["x"].is_zero()
 
 
 def test_kronecker_rep():
-    r = rep(KRONECKER, {"1": 1, "2": 1}, {"a": M([[1]]), "b": M([[0]])})
+    r = QuiverRep(KRONECKER, {"1": 1, "2": 1}, {"a": M([[1]]), "b": M([[0]])})
     assert r.slot_dim("1") == 1
     assert r.edge_matrix("a") == M([[1]])
 
 
 def test_loop_relation_enforced():
-    good = rep(LOOP, {"1": 2}, {"x": M([[0, 1], [0, 0]])})
+    good = QuiverRep(LOOP, {"1": 2}, {"x": M([[0, 1], [0, 0]])})
     assert good.mats["x"][0, 1] == Scalar(1)
     with pytest.raises(RelationViolation):
-        rep(LOOP, {"1": 2}, {"x": Matrix.identity(2)})
+        QuiverRep(LOOP, {"1": 2}, {"x": Matrix.identity(2)})
 
 
 def test_shape_check():
     with pytest.raises(ValueError):
-        rep(KRONECKER, {"1": 1, "2": 2}, {"a": M([[1]])})
+        QuiverRep(KRONECKER, {"1": 1, "2": 2}, {"a": M([[1]])})
 
 
 def test_simple_at():
@@ -69,9 +69,9 @@ def test_identity_terms():
         [("x", "1", "1")],
         [("1", "1", ((Scalar(1), ("x", "x")), (Scalar(-1), ("x",))))],
     )
-    rep(pres, {"1": 2}, {"x": M([[1, 0], [0, 0]])})
+    QuiverRep(pres, {"1": 2}, {"x": M([[1, 0], [0, 0]])})
     with pytest.raises(RelationViolation):
-        rep(pres, {"1": 2}, {"x": M([[0, 1], [0, 0]])})
+        QuiverRep(pres, {"1": 2}, {"x": M([[0, 1], [0, 0]])})
 
 
 def test_text_roundtrip_presentation_only():
@@ -88,7 +88,7 @@ def test_text_roundtrip_presentation_only():
 
 
 def test_text_roundtrip_with_rep():
-    r = rep(KRONECKER, {"1": 1, "2": 2}, {"a": M([[1], [0]]), "b": M([[0], [1]])})
+    r = QuiverRep(KRONECKER, {"1": 1, "2": 2}, {"a": M([[1], [0]]), "b": M([[0], [1]])})
     text = to_text(KRONECKER, r)
     parsed, parsed_rep = parse_presentation(text)
     assert parsed == KRONECKER
@@ -117,7 +117,7 @@ def test_relation_with_gaussian_coefficient_roundtrips():
 
 def test_relation_violation_reports_culprit():
     try:
-        rep(LOOP, {"1": 2}, {"x": Matrix.identity(2)})
+        QuiverRep(LOOP, {"1": 2}, {"x": Matrix.identity(2)})
     except RelationViolation as exc:
         assert "x.x" in str(exc)
     else:

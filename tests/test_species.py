@@ -264,3 +264,8 @@ def test_species_text_rejects():
         species_from_text("label a\n")
     with pytest.raises(ValueError):
         species_from_text("specfile species v1\next a b 1\n")
+
+
+def test_species_text_rejects_duplicate_label():
+    with pytest.raises(ValueError, match="duplicate label"):
+        species_from_text("specfile species v1\nlabel a\nlabel b\nlabel a\next a b 1\n")
