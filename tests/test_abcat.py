@@ -310,6 +310,22 @@ def test_uniserial_simple_and_length_two():
     assert series == ((str(HALF), 0),) * 3
 
 
+def test_sub_and_quotient_reject_non_invariant_and_dependent_spans():
+    z, _, _ = realize_extension(ext1_basis(S1, S2)[0])
+    # node 1 carries the quotient S1; the nonsplit arrows leave its span
+    top = {"1": [(ONE,)]}
+    with pytest.raises(ValueError, match="not invariant"):
+        abcat.sub_object(z, top)
+    with pytest.raises(ValueError, match="not invariant"):
+        abcat.quotient_object(z, top)
+    with pytest.raises(ValueError, match="dependent"):
+        abcat.quotient_object(z, {"2": [(ONE,), (ONE + ONE,)]})
+    # the sub S2 itself is invariant, and both constructions accept it
+    bottom = {"2": [(ONE,)]}
+    assert total_dim(abcat.sub_object(z, bottom)[0]) == 1
+    assert total_dim(abcat.quotient_object(z, bottom)[0]) == 1
+
+
 # -- the three length-3 counterexample shapes ----------------------------------
 
 
