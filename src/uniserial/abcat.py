@@ -23,10 +23,10 @@ from .linalg import (
     ONE,
     ZERO,
     column_space_basis,
+    extend_basis,
     inverse,
     kernel_basis,
     rank,
-    rref,
     solve,
     solve_matrix,
     trace_product,
@@ -118,10 +118,10 @@ class Morphism:
         return all(m.is_zero() for m in self.mats.values())
 
     def is_injective(self) -> bool:
-        return all(not kernel_basis(m) for m in self.mats.values())
+        return all(rank(m) == m.cols for m in self.mats.values())
 
     def is_surjective(self) -> bool:
-        return all(len(rref(m)[1]) == self.dst.slot_dim(s) for s, m in self.mats.items())
+        return all(rank(m) == m.rows for m in self.mats.values())
 
     def __repr__(self):
         return "Morphism(%r -> %r)" % (self.src, self.dst)
@@ -195,13 +195,12 @@ def hom_basis(x, y):
     return out
 
 
+def find_isomorphism(x, y):
+    """The first hom_basis(x, y) map that is invertible, or None."""
+    return next((h for h in hom_basis(x, y) if h.is_injective() and h.is_surjective()), None)
+
+
 # -- direct sums, subobjects, quotients --------------------------------------
-
-
-def _block2(a, b, c, d):
-    top = [list(a.row(i)) + list(b.row(i)) for i in range(a.rows)]
-    bot = [list(c.row(i)) + list(d.row(i)) for i in range(c.rows)]
-    return Matrix(a.rows + c.rows, a.cols + b.cols, top + bot)
 
 
 @dataclass(frozen=True)
@@ -219,11 +218,10 @@ def direct_sum(x, y) -> DirectSum:
     mats = {}
     for e in x.edge_ids():
         u, v = x.edge_ends(e)
-        mats[e] = _block2(
-            x.edge_matrix(e),
-            Matrix.zero(x.slot_dim(v), y.slot_dim(u)),
-            Matrix.zero(y.slot_dim(v), x.slot_dim(u)),
-            y.edge_matrix(e),
+        mats[e] = Matrix.block(
+            [[x.edge_matrix(e), None], [None, y.edge_matrix(e)]],
+            [x.slot_dim(v), y.slot_dim(v)],
+            [x.slot_dim(u), y.slot_dim(u)],
         )
     z = x.with_matrices(dims, mats)
     inj1 = {}
@@ -231,13 +229,12 @@ def direct_sum(x, y) -> DirectSum:
     proj1 = {}
     proj2 = {}
     for s in x.slot_ids():
-        dx, dy = x.slot_dim(s), y.slot_dim(s)
-        ix = Matrix.identity(dx)
-        iy = Matrix.identity(dy)
-        inj1[s] = _block2(ix, Matrix.zero(dx, 0), Matrix.zero(dy, dx), Matrix.zero(dy, 0))
-        inj2[s] = _block2(Matrix.zero(dx, dy), Matrix.zero(dx, 0), iy, Matrix.zero(dy, 0))
-        proj1[s] = _block2(ix, Matrix.zero(dx, dy), Matrix.zero(0, dx), Matrix.zero(0, dy))
-        proj2[s] = _block2(Matrix.zero(dy, dx), iy, Matrix.zero(0, dx), Matrix.zero(0, dy))
+        dx, d = x.slot_dim(s), dims[s]
+        one = Matrix.identity(d)
+        inj1[s] = one.submatrix(0, d, 0, dx)
+        inj2[s] = one.submatrix(0, d, dx, d)
+        proj1[s] = one.submatrix(0, dx, 0, d)
+        proj2[s] = one.submatrix(dx, d, 0, d)
     return DirectSum(
         z,
         Morphism(x, z, inj1, check=False),
@@ -275,8 +272,8 @@ def sub_object(x, subspaces):
 def quotient_object(x, subspaces):
     """Quotient by the span of per-slot columns; returns (object, projection).
 
-    The complement basis is chosen deterministically by rref pivoting
-    over [basis | identity] columns.
+    The complement basis is extend_basis of the given columns by the
+    identity columns.
     """
     us = {}
     ks = {}
@@ -284,12 +281,10 @@ def quotient_object(x, subspaces):
         d = x.slot_dim(s)
         cols = list(subspaces.get(s, ()))
         k = len(cols)
-        stacked = Matrix.from_columns(cols, d).hstack(Matrix.identity(d))
-        _, pivots = rref(stacked)
-        if len([p for p in pivots if p < k]) != k:
+        comp = extend_basis(cols, Matrix.identity(d).columns(), d)
+        if len(comp) != d - k:
             raise ValueError("subspace basis at slot %r is dependent" % (s,))
-        comp = [p - k for p in pivots if p >= k]
-        u = Matrix.from_columns(cols + [tuple(ONE if i == j else ZERO for i in range(d)) for j in comp], d)
+        u = Matrix.from_columns(cols + comp, d)
         us[s] = (u, inverse(u), k)
         ks[s] = d - k
     mats = {}
@@ -299,16 +294,14 @@ def quotient_object(x, subspaces):
         _, vinv, kv = us[v_slot]
         w = vinv * x.edge_matrix(e) * uu
         # invariance: the sub block must not leak into the quotient rows
-        for i in range(kv, w.rows):
-            for j in range(ku):
-                if w[i, j]:
-                    raise ValueError("subspaces are not invariant under edge %r" % (e,))
-        mats[e] = Matrix(w.rows - kv, w.cols - ku, [[w[i, j] for j in range(ku, w.cols)] for i in range(kv, w.rows)])
+        if not w.submatrix(kv, w.rows, 0, ku).is_zero():
+            raise ValueError("subspaces are not invariant under edge %r" % (e,))
+        mats[e] = w.submatrix(kv, w.rows, ku, w.cols)
     quot = x.with_matrices(ks, mats)
     proj = {}
     for s in x.slot_ids():
         _, uinv, k = us[s]
-        proj[s] = Matrix(uinv.rows - k, uinv.cols, [list(uinv.row(i)) for i in range(k, uinv.rows)])
+        proj[s] = uinv.submatrix(k, uinv.rows, 0, uinv.cols)
     return quot, Morphism(x, quot, proj, check=False)
 
 
@@ -428,15 +421,8 @@ class ExtSpace:
                                     vec[self.index[(e, i, cidx)]] = vec[self.index[(e, i, cidx)]] + c
                     if any(vec):
                         cobounds.append(tuple(vec))
-        cobounds = column_space_basis(cobounds, self.nvars)
-        stacked = list(cobounds) + list(cocycles)
-        if stacked:
-            _, pivots = rref(Matrix.from_columns(stacked, self.nvars))
-        else:
-            pivots = []
-        reps = [cocycles[p - len(cobounds)] for p in pivots if p >= len(cobounds)]
-        self.cobounds = list(cobounds)
-        self.reps = reps
+        self.cobounds = column_space_basis(cobounds, self.nvars)
+        self.reps = extend_basis(self.cobounds, cocycles, self.nvars)
 
     def dim(self) -> int:
         return len(self.reps)
@@ -450,6 +436,13 @@ class ExtSpace:
         if sol is None:
             raise ValueError("vector is not a cocycle for this extension space")
         return tuple(sol[len(self.cobounds) :])
+
+    def cocycle_vector(self, blocks):
+        """The vector whose correction block at each edge is blocks[edge]."""
+        vec = [ZERO] * self.nvars
+        for (e, i, j), k in self.index.items():
+            vec[k] = blocks[e][i, j]
+        return tuple(vec)
 
     def class_from_coords(self, coords) -> "ExtClass":
         vec = [ZERO] * self.nvars
@@ -502,19 +495,19 @@ def realize_extension(xi: ExtClass):
     mats = {}
     for e in x.edge_ids():
         u, v = x.edge_ends(e)
-        mats[e] = _block2(
-            y.edge_matrix(e),
-            xi.correction_matrix(e),
-            Matrix.zero(x.slot_dim(v), y.slot_dim(u)),
-            x.edge_matrix(e),
+        mats[e] = Matrix.block(
+            [[y.edge_matrix(e), xi.correction_matrix(e)], [None, x.edge_matrix(e)]],
+            [y.slot_dim(v), x.slot_dim(v)],
+            [y.slot_dim(u), x.slot_dim(u)],
         )
     z = y.with_matrices(dims, mats)
     inj = {}
     surj = {}
     for s in x.slot_ids():
-        dy, dx = y.slot_dim(s), x.slot_dim(s)
-        inj[s] = _block2(Matrix.identity(dy), Matrix.zero(dy, 0), Matrix.zero(dx, dy), Matrix.zero(dx, 0))
-        surj[s] = _block2(Matrix.zero(dx, dy), Matrix.identity(dx), Matrix.zero(0, dy), Matrix.zero(0, dx))
+        dy, d = y.slot_dim(s), dims[s]
+        one = Matrix.identity(d)
+        inj[s] = one.submatrix(0, d, 0, dy)
+        surj[s] = one.submatrix(dy, d, 0, d)
     return z, Morphism(y, z, inj, check=False), Morphism(z, x, surj, check=False)
 
 
@@ -550,23 +543,18 @@ def extract_class(inj: Morphism, surj: Morphism) -> ExtClass:
         us[s] = u
         uinvs[s] = uinv
     space = ExtSpace(x, y)
-    vec = [ZERO] * space.nvars
+    blocks = {}
     for e in z.edge_ids():
         u_slot, v_slot = z.edge_ends(e)
         w = uinvs[v_slot] * z.edge_matrix(e) * us[u_slot]
         dy = y.slot_dim(v_slot)
         ky = y.slot_dim(u_slot)
-        for i in range(dy):
-            for j in range(x.slot_dim(u_slot)):
-                c = w[i, ky + j]
-                if c:
-                    vec[space.index[(e, i, j)]] = c
-        # sanity: lower-left block must vanish and diagonal blocks must match
-        for i in range(dy, w.rows):
-            for j in range(ky):
-                if w[i, j]:
-                    raise ValueError("inclusion image is not invariant under edge %r" % (e,))
-    return ExtClass(space, tuple(vec), space.class_coords(vec))
+        # sanity: lower-left block must vanish
+        if not w.submatrix(dy, w.rows, 0, ky).is_zero():
+            raise ValueError("inclusion image is not invariant under edge %r" % (e,))
+        blocks[e] = w.submatrix(0, dy, ky, w.cols)
+    vec = space.cocycle_vector(blocks)
+    return ExtClass(space, vec, space.class_coords(vec))
 
 
 def pullback_extension(xi: ExtClass, mono: Morphism) -> ExtClass:
@@ -577,15 +565,10 @@ def pullback_extension(xi: ExtClass, mono: Morphism) -> ExtClass:
         raise ValueError("mono does not land in the extension base")
     x2 = mono.src
     space2 = ExtSpace(x2, xi.space.y)
-    vec = [ZERO] * space2.nvars
-    for e in xi.space.x.edge_ids():
-        u, _ = xi.space.x.edge_ends(e)
-        c = xi.correction_matrix(e) * mono.mats[u]
-        for i in range(c.rows):
-            for j in range(c.cols):
-                if c[i, j]:
-                    vec[space2.index[(e, i, j)]] = c[i, j]
-    return ExtClass(space2, tuple(vec), space2.class_coords(vec))
+    x = xi.space.x
+    blocks = {e: xi.correction_matrix(e) * mono.mats[x.edge_ends(e)[0]] for e in x.edge_ids()}
+    vec = space2.cocycle_vector(blocks)
+    return ExtClass(space2, vec, space2.class_coords(vec))
 
 
 # -- socle, series, indecomposability ----------------------------------------

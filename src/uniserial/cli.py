@@ -483,8 +483,8 @@ def build_parser():
     def common(p, window=True):
         p.add_argument("--format", choices=["human", "machine"], default="human")
         p.add_argument("--output", help="write the report to this path instead of stdout")
-        p.add_argument("--margin", type=int, default=DEFAULT_MARGIN, help="window safety margin")
         if window:
+            p.add_argument("--margin", type=_int_at_least(0), default=DEFAULT_MARGIN, help="window safety margin")
             p.add_argument("--window", nargs=2, metavar=("LO", "HI"), help="weight window bounds")
 
     p = sub.add_parser("check-uc", help="decide the uniseriality criterion for a species file")

@@ -15,10 +15,11 @@ vector, so the base node of the deformation data is always the first one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import abcat
 from .abcat import Morphism, total_dim
-from .linalg import Matrix, ONE, ZERO, column_space_basis, inverse, kernel_basis, rref, solve_matrix
+from .linalg import Matrix, column_space_basis, extend_basis, inverse, kernel_basis, solve_matrix
 
 
 class IteratedExtension:
@@ -180,9 +181,7 @@ def cofiltration_from_filtration(filt: Filtration) -> IteratedExtension:
         f = Morphism(cs[i], cs[i - 1], mats)
         fs.append(f)
         ker_obj, ker_incl = abcat.kernel(f)
-        simple = fam[filt.order_vector[i - 1]]
-        isos = abcat.hom_basis(simple, ker_obj)
-        iso = next((h for h in isos if h.is_injective() and h.is_surjective()), None)
+        iso = abcat.find_isomorphism(fam[filt.order_vector[i - 1]], ker_obj)
         if iso is None:
             raise ValueError("kernel at level %d is not the expected simple" % i)
         monos.append(ker_incl * iso)
@@ -378,41 +377,19 @@ def _flag_adapted_basis(x, spaces):
 
     spaces is F_0 .. F_n (F_0 the whole space, F_n zero); the returned
     per-slot data is (U, U_inverse, block sizes of V_1..V_n) where V_i
-    complements F_i inside F_{i-1}, chosen by rref pivoting.
+    complements F_i inside F_{i-1}, chosen by extend_basis.
     """
     n = len(spaces) - 1
     out = {}
     for s in x.slot_ids():
         d = x.slot_dim(s)
-        blocks = []
-        sizes = []
-        for i in range(n, 0, -1):
-            inner = list(spaces[i][s])
-            outer = list(spaces[i - 1][s])
-            stacked = Matrix.from_columns(inner + outer, d)
-            _, pivots = rref(stacked)
-            chosen = [outer[p - len(inner)] for p in pivots if p >= len(inner)]
-            blocks.append(chosen)
-            sizes.append(len(chosen))
-        blocks.reverse()
-        sizes.reverse()
-        cols = [v for blk in blocks for v in blk]
-        u = Matrix.from_columns(cols, d)
+        blocks = [extend_basis(spaces[i][s], spaces[i - 1][s], d) for i in range(1, n + 1)]
+        u = Matrix.from_columns([v for blk in blocks for v in blk], d)
         uinv = inverse(u)
         if uinv is None:
             raise ValueError("filtration levels do not assemble to a basis at slot %r" % (s,))
-        out[s] = (u, uinv, sizes)
+        out[s] = (u, uinv, [len(blk) for blk in blocks])
     return out
-
-
-def _block_of(w, sizes_r, sizes_c, bi, bj):
-    r0 = sum(sizes_r[:bi])
-    c0 = sum(sizes_c[:bj])
-    return Matrix(
-        sizes_r[bi],
-        sizes_c[bj],
-        [[w[r0 + i, c0 + j] for j in range(sizes_c[bj])] for i in range(sizes_r[bi])],
-    )
 
 
 def to_deformation(e: IteratedExtension) -> DeformationModule:
@@ -440,22 +417,23 @@ def _deformation_with_conjugation(e: IteratedExtension):
         uu, _, su = adapted[u]
         _, vinv, sv = adapted[v]
         w = vinv * x.edge_matrix(edge) * uu
-        for i in range(n):
-            diag_mats[i][edge] = _block_of(w, sv, su, i, i)
-            for j in range(i + 1, n):
-                low_mats[(edge, i, j)] = _block_of(w, sv, su, j, i)
-        for i in range(n):
-            for j in range(i + 1, n):
-                upper = _block_of(w, sv, su, i, j)
-                if not upper.is_zero():
-                    raise ValueError("filtration is not invariant under edge %r" % (edge,))
+        ro = list(accumulate(sv, initial=0))
+        co = list(accumulate(su, initial=0))
+        for j in range(n):
+            # the flag is invariant: nothing above block row j in block column j
+            if not w.submatrix(0, ro[j], co[j], co[j + 1]).is_zero():
+                raise ValueError("filtration is not invariant under edge %r" % (edge,))
+            for i in range(j + 1):
+                block = w.submatrix(ro[j], ro[j + 1], co[i], co[i + 1])
+                if i == j:
+                    diag_mats[i][edge] = block
+                else:
+                    low_mats[(edge, i, j)] = block
     isos = []
     for i in range(n):
         dims = {s: adapted[s][2][i] for s in x.slot_ids()}
         block_obj = x.with_matrices(dims, {edge: diag_mats[i][edge] for edge in x.edge_ids()})
-        simple = fam[e.order_vector[i]]
-        candidates = abcat.hom_basis(block_obj, simple)
-        iso = next((h for h in candidates if h.is_injective() and h.is_surjective()), None)
+        iso = abcat.find_isomorphism(block_obj, fam[e.order_vector[i]])
         if iso is None:
             raise ValueError("factor %d is not isomorphic to its labelled simple" % (i + 1,))
         inv_mats = {s: inverse(iso.mats[s]) for s in x.slot_ids()}
@@ -477,17 +455,8 @@ def _deformation_with_conjugation(e: IteratedExtension):
     conj = {}
     for s in x.slot_ids():
         _, uinv, sizes = adapted[s]
-        diag = [isos[i][0].mats[s] for i in range(n)]
-        total = sum(sizes)
-        data = [[ZERO] * total for _ in range(total)]
-        off = 0
-        for i in range(n):
-            m = diag[i]
-            for r in range(m.rows):
-                for c in range(m.cols):
-                    data[off + r][off + c] = m[r, c]
-            off += sizes[i]
-        conj[s] = Matrix(total, total, data) * uinv
+        grid = [[isos[i][0].mats[s] if i == j else None for j in range(n)] for i in range(n)]
+        conj[s] = Matrix.block(grid, sizes, sizes) * uinv
     return d, conj
 
 
@@ -515,26 +484,10 @@ def _assemble_block_object(d: DeformationModule, positions):
     mats = {}
     for edge in template.edge_ids():
         u, v = template.edge_ends(edge)
-        rows = sum(sp.slot_dim(v) for sp in simples)
-        cols = sum(sp.slot_dim(u) for sp in simples)
-        data = [[ZERO] * cols for _ in range(rows)]
-        r0 = 0
-        for bi, pi in enumerate(positions):
-            c0 = 0
-            for bj, pj in enumerate(positions):
-                if pi == pj:
-                    block = simples[bi].edge_matrix(edge)
-                elif pj < pi:
-                    block = d.psi_matrix(pj, pi, edge)
-                else:
-                    block = None
-                if block is not None:
-                    for i in range(block.rows):
-                        for j in range(block.cols):
-                            data[r0 + i][c0 + j] = block[i, j]
-                c0 += simples[bj].slot_dim(u)
-            r0 += simples[bi].slot_dim(v)
-        mats[edge] = Matrix(rows, cols, data)
+        grid = [[d.psi_matrix(pj, pi, edge) if pj < pi else None for pj in positions] for pi in positions]
+        for bi, sp in enumerate(simples):
+            grid[bi][bi] = sp.edge_matrix(edge)
+        mats[edge] = Matrix.block(grid, [sp.slot_dim(v) for sp in simples], [sp.slot_dim(u) for sp in simples])
     obj = template.with_matrices(dims, mats)
     bad = obj.validate_report()
     if bad:
@@ -558,25 +511,16 @@ def from_deformation(d: DeformationModule) -> IteratedExtension:
     for m in range(1, n + 1):
         obj, simples = _assemble_block_object(d, list(range(1, m + 1)))
         cs.append(obj)
+        # the surjection keeps the leading blocks; the last block is the kernel
+        ones = {s: Matrix.identity(obj.slot_dim(s)) for s in obj.slot_ids()}
         if m == 1:
             fs.append(abcat.zero_morphism(obj, abcat.zero_like(obj)))
         else:
-            mats = {}
-            for s in obj.slot_ids():
-                rows = prev.slot_dim(s)
-                cols = obj.slot_dim(s)
-                data = [[ONE if i == j else ZERO for j in range(cols)] for i in range(rows)]
-                mats[s] = Matrix(rows, cols, data)
-            fs.append(Morphism(obj, prev, mats))
+            keep = {s: one.submatrix(0, prev.slot_dim(s), 0, one.cols) for s, one in ones.items()}
+            fs.append(Morphism(obj, prev, keep))
         simple = simples[-1]
-        mono_mats = {}
-        for s in obj.slot_ids():
-            rows = obj.slot_dim(s)
-            cols = simple.slot_dim(s)
-            off = rows - cols
-            data = [[ONE if i == off + j else ZERO for j in range(cols)] for i in range(rows)]
-            mono_mats[s] = Matrix(rows, cols, data)
-        monos.append(Morphism(simple, obj, mono_mats))
+        last = {s: one.submatrix(0, one.rows, one.cols - simple.slot_dim(s), one.cols) for s, one in ones.items()}
+        monos.append(Morphism(simple, obj, last))
         prev = obj
     family = d.factor_objects
     return IteratedExtension(family, order, cs, fs, monos)
@@ -613,28 +557,12 @@ def deformation_total_object(d: DeformationModule):
     mats = {}
     for edge in template.edge_ids():
         u, v = template.edge_ends(edge)
-        rows = sum(sp.slot_dim(v) for sp in comp_simple)
-        cols = sum(sp.slot_dim(u) for sp in comp_simple)
-        data = [[ZERO] * cols for _ in range(rows)]
-        row_off = [0]
-        for sp in comp_simple:
-            row_off.append(row_off[-1] + sp.slot_dim(v))
-        col_off = [0]
-        for sp in comp_simple:
-            col_off.append(col_off[-1] + sp.slot_dim(u))
+        grid = [[None] * len(comps) for _ in comps]
         for bi, b in enumerate(comps):
-            diag = comp_simple[bi].edge_matrix(edge)
-            for i in range(diag.rows):
-                for j in range(diag.cols):
-                    data[row_off[bi] + i][col_off[bi] + j] = diag[i, j]
+            grid[bi][bi] = comp_simple[bi].edge_matrix(edge)
             for (i, j, tgt_idx) in corrections(b):
-                m = d.psi_matrix(i, j, edge)
-                if m is None or m.is_zero():
-                    continue
-                for r in range(m.rows):
-                    for c in range(m.cols):
-                        data[row_off[tgt_idx] + r][col_off[bi] + c] = m[r, c]
-        mats[edge] = Matrix(rows, cols, data)
+                grid[tgt_idx][bi] = d.psi_matrix(i, j, edge)
+        mats[edge] = Matrix.block(grid, [sp.slot_dim(v) for sp in comp_simple], [sp.slot_dim(u) for sp in comp_simple])
     total = template.with_matrices(dims, mats)
     bad = total.validate_report()
     if bad:

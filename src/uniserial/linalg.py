@@ -202,6 +202,27 @@ class Matrix:
         cols = list(cols)
         return Matrix(rows, len(cols), [[c[i] for c in cols] for i in range(rows)])
 
+    @staticmethod
+    def block(grid, row_sizes, col_sizes) -> "Matrix":
+        """Block matrix from a grid of Matrix blocks; None is a zero block.
+
+        Block (i, j) must be row_sizes[i] x col_sizes[j]; sizes may be 0.
+        """
+        data = []
+        for blocks, h in zip(grid, row_sizes, strict=True):
+            rows = [[] for _ in range(h)]
+            for b, w in zip(blocks, col_sizes, strict=True):
+                if b is None:
+                    for r in rows:
+                        r.extend([ZERO] * w)
+                    continue
+                if b.rows != h or b.cols != w:
+                    raise ValueError("block is %dx%d, its grid cell %dx%d" % (b.rows, b.cols, h, w))
+                for r, src in zip(rows, b._data):
+                    r.extend(src)
+            data.extend(rows)
+        return Matrix(sum(row_sizes), sum(col_sizes), data)
+
     def __getitem__(self, ij):
         i, j = ij
         return self._data[i][j]
@@ -295,6 +316,12 @@ class Matrix:
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
         return Matrix(self.rows, self.cols + other.cols, [ra + rb for ra, rb in zip(self._data, other._data)])
+
+    def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
+        """Rows r0..r1-1 and columns c0..c1-1; either range may be empty."""
+        if not (0 <= r0 <= r1 <= self.rows and 0 <= c0 <= c1 <= self.cols):
+            raise ValueError("submatrix [%d:%d, %d:%d] outside %dx%d" % (r0, r1, c0, c1, self.rows, self.cols))
+        return Matrix(r1 - r0, c1 - c0, [r[c0:c1] for r in self._data[r0:r1]])
 
     def _check_shape(self, other, same=False):
         if not isinstance(other, Matrix):
@@ -416,6 +443,17 @@ def column_space_basis(vectors, dim: int):
         return []
     pivots = _rref_rows(vecs, dim)
     return [tuple(vecs[i]) for i in range(len(pivots))]
+
+
+def extend_basis(inner, outer, dim: int):
+    """The outer columns, in order, that rref pivoting over [inner | outer] picks.
+
+    Together with an independent inner list they form a basis of the span
+    of both; this is the one canonical complement choice of the package.
+    """
+    inner, outer = list(inner), list(outer)
+    _, pivots = rref(Matrix.from_columns(inner + outer, dim))
+    return [outer[p - len(inner)] for p in pivots if p >= len(inner)]
 
 
 def in_span(vectors, v) -> bool:

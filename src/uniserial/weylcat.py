@@ -169,22 +169,17 @@ def euler_tower_class(alpha: Scalar, n: int, window, margin: int = DEFAULT_MARGI
     mats = {}
     for w in big.slot_ids():
         rows = small.slot_dim(w)
-        cols = big.slot_dim(w)
-        # the residue basis E^j maps along polynomial reduction; only the
-        # top power reduces nontrivially
-        data = [[ONE if i == j else ZERO for j in range(cols)] for i in range(rows)]
-        rem = EulerPolynomial([ZERO] * (cols - 1) + [ONE]).mod(qpoly)
-        for i in range(rows):
-            data[i][cols - 1] = rem.coeffs[i] if i < len(rem.coeffs) else ZERO
-        mats[w] = Matrix(rows, cols, data)
+        # the residue basis E^j (j <= rows, one more than the quotient's) maps
+        # along polynomial reduction; only the top power reduces nontrivially
+        rem = EulerPolynomial([ZERO] * rows + [ONE]).mod(qpoly)
+        top = tuple(rem.coeffs[i] if i < len(rem.coeffs) else ZERO for i in range(rows))
+        mats[w] = Matrix.identity(rows).hstack(Matrix.from_columns([top], rows))
     surj = abcat.Morphism(big, small, mats)
     ker_obj, ker_incl = abcat.kernel(surj)
-    simple = simple_rep(alpha, 0, window)
-    isos = [h for h in abcat.hom_basis(simple, ker_obj) if h.is_injective() and h.is_surjective()]
-    if not isos:
+    iso = abcat.find_isomorphism(simple_rep(alpha, 0, window), ker_obj)
+    if iso is None:
         raise RuntimeError("tower kernel is not the expected simple")
-    mono = ker_incl * isos[0]
-    return abcat.extract_class(mono, surj)
+    return abcat.extract_class(ker_incl * iso, surj)
 
 
 # -- theorem verification -------------------------------------------------------

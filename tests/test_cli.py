@@ -56,6 +56,15 @@ def test_check_uc_missing_file(capsys):
     assert status == 2
 
 
+def test_check_uc_takes_no_margin(tmp_path, capsys):
+    p = write_species(tmp_path / "s.species", CHAIN_SPECIES)
+    assert run(capsys, "check-uc", p)[0] == 0
+    status, out, err = run(capsys, "check-uc", "--margin", "2", p)
+    assert status == 2
+    assert out == ""
+    assert "error" in err
+
+
 def test_check_uc_machine_roundtrip(tmp_path, capsys):
     p = write_species(tmp_path / "s.species", KRONECKER_SPECIES)
     status, out, _ = run(capsys, "check-uc", p, "--format", "machine")
@@ -317,8 +326,16 @@ def test_unknown_command(capsys):
         ["ext-table", "--labels", "1/2", "--max-offset", "-1"],
         ["verify-weyl", "--n-max", "0", "--alphas", "1/2"],
         ["deform", "--kind", "word", "--beta", "0", "--n", "0"],
+        ["classify", "--start", "1/2", "--n", "3", "--window", "-1", "1", "--margin", "-3"],
     ],
-    ids=["classify-n0", "weyl-module-n0", "ext-table-negative-offset", "verify-weyl-n-max0", "deform-n0"],
+    ids=[
+        "classify-n0",
+        "weyl-module-n0",
+        "ext-table-negative-offset",
+        "verify-weyl-n-max0",
+        "deform-n0",
+        "classify-negative-margin",
+    ],
 )
 def test_rejects_empty_lengths_and_negative_offsets(capsys, argv):
     status, out, err = run(capsys, *argv)

@@ -1,0 +1,64 @@
+"""Source hygiene of src/uniserial, checked with the standard library only.
+
+No import may go unused, and every private (single-underscore) function
+or class must be referenced somewhere in the package, its tests or the
+benchmark.  Deletions tend to leave exactly these behind.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "uniserial"
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def referenced_names(tree):
+    """Bare names a module reads, plus every attribute name it looks up."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def imported_names(tree):
+    """(bound name, line) for every import statement in the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = parse(path)
+        used = referenced_names(tree)
+        for name, line in imported_names(tree):
+            if name not in used:
+                unused.append("%s:%d %s" % (path.name, line, name))
+    assert not unused, "unused imports: %s" % ", ".join(unused)
+
+
+def test_no_unreferenced_private_definitions():
+    used = set()
+    for folder in (PACKAGE, ROOT / "tests", ROOT / "bench"):
+        for path in folder.glob("*.py"):
+            used |= referenced_names(parse(path))
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                name = node.name
+                if name.startswith("_") and not name.startswith("__") and name not in used:
+                    dead.append("%s:%d %s" % (path.name, node.lineno, name))
+    assert not dead, "private definitions nothing references: %s" % ", ".join(dead)

@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -10,6 +11,7 @@ from uniserial.linalg import (
     Scalar,
     algebra_radical,
     column_space_basis,
+    extend_basis,
     format_scalar,
     in_span,
     inverse,
@@ -192,3 +194,65 @@ def test_gaussian_entries_in_elimination():
     assert rank(m) == 1
     (v,) = kernel_basis(m)
     assert m.apply(v) == (ZERO, ZERO)
+
+
+def random_matrix(rng, rows, cols):
+    data = [[S(rng.randint(-2, 2), rng.choice((0, 0, 1))) for _ in range(cols)] for _ in range(rows)]
+    return Matrix(rows, cols, data)
+
+
+def test_block_and_submatrix_split_and_reassemble():
+    rng = random.Random(5)
+    for _ in range(40):
+        row_sizes = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        col_sizes = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        m = random_matrix(rng, sum(row_sizes), sum(col_sizes))
+        ro = list(accumulate(row_sizes, initial=0))
+        co = list(accumulate(col_sizes, initial=0))
+        grid = [
+            [m.submatrix(ro[i], ro[i + 1], co[j], co[j + 1]) for j in range(len(col_sizes))]
+            for i in range(len(row_sizes))
+        ]
+        assert Matrix.block(grid, row_sizes, col_sizes) == m
+        for i, row in enumerate(grid):
+            for j, b in enumerate(row):
+                assert (b.rows, b.cols) == (row_sizes[i], col_sizes[j])
+                assert all(b[r, c] == m[ro[i] + r, co[j] + c] for r in range(b.rows) for c in range(b.cols))
+        # None is a zero block
+        checker = [[None if (i + j) % 2 else b for j, b in enumerate(row)] for i, row in enumerate(grid)]
+        z = Matrix.block(checker, row_sizes, col_sizes)
+        for i in range(len(row_sizes)):
+            for j in range(len(col_sizes)):
+                b = z.submatrix(ro[i], ro[i + 1], co[j], co[j + 1])
+                assert b.is_zero() if (i + j) % 2 else b == grid[i][j]
+
+
+def test_block_and_submatrix_reject_bad_shapes():
+    m = M([[1, 2], [3, 4]])
+    with pytest.raises(ValueError):
+        Matrix.block([[m, None]], [2], [1, 2])
+    with pytest.raises(ValueError):
+        Matrix.block([[m]], [2, 1], [2])
+    with pytest.raises(ValueError):
+        m.submatrix(0, 3, 0, 1)
+    with pytest.raises(ValueError):
+        m.submatrix(1, 0, 0, 1)
+    assert m.submatrix(2, 2, 0, 2) == Matrix.zero(0, 2)
+
+
+def test_extend_basis_matches_inline_pivot_selection():
+    rng = random.Random(9)
+
+    def vec(dim):
+        return tuple(S(rng.choice((0, 0, 1, -1, 2))) for _ in range(dim))
+
+    for _ in range(60):
+        dim = rng.randint(0, 4)
+        inner = column_space_basis([vec(dim) for _ in range(rng.randint(0, 3))], dim)
+        outer = [vec(dim) for _ in range(rng.randint(0, 4))]
+        _, pivots = rref(Matrix.from_columns(inner + outer, dim))
+        expected = [outer[p - len(inner)] for p in pivots if p >= len(inner)]
+        chosen = extend_basis(inner, outer, dim)
+        assert chosen == expected
+        # inner plus the chosen columns is a basis of the joint span
+        assert rank(Matrix.from_columns(inner + chosen, dim)) == len(inner) + len(chosen) == len(pivots)
