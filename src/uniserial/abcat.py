@@ -196,8 +196,21 @@ def hom_basis(x, y):
 
 
 def find_isomorphism(x, y):
-    """The first hom_basis(x, y) map that is invertible, or None."""
-    return next((h for h in hom_basis(x, y) if h.is_injective() and h.is_surjective()), None)
+    """The first hom_basis(x, y) map that is invertible, or None.
+
+    A map is invertible when every slot matrix is square of full rank.
+    When x or y is indecomposable this decides x ≅ y: an isomorphism
+    carries the basis onto a basis of the local algebra End, whose
+    members cannot all lie in its radical, so some basis map is a unit.
+    """
+    _check_pair(x, y)
+    slots = x.slot_ids()
+    if any(x.slot_dim(s) != y.slot_dim(s) for s in slots):
+        return None
+    for h in hom_basis(x, y):
+        if all(rank(h.mats[s]) == x.slot_dim(s) for s in slots):
+            return h
+    return None
 
 
 # -- direct sums, subobjects, quotients --------------------------------------
@@ -647,7 +660,7 @@ def composition_series(x, family) -> CompositionSeries:
 
 
 def _slot_trace(x, a, b):
-    """Slot-summed tr(a∘b) for morphisms b: x -> y and a: y -> x."""
+    """Slot-summed tr(a∘b) for endomorphisms a, b of x."""
     return sum((trace_product(a.mats[s], b.mats[s]) for s in x.slot_ids()), ZERO)
 
 
@@ -672,13 +685,13 @@ def is_indecomposable(x):
 
 
 def are_isomorphic(x, y) -> bool:
-    """Decide y ≅ x for an indecomposable x by the trace pairing.
+    """Decide y ≅ x for an indecomposable x by the Hom-basis search.
 
-    End(x) is local with End(x)/rad = k, so for f: x -> y and g: y -> x,
-    g∘f = λ·1 + nilpotent has trace λ·dim x.  A nonzero tr(g∘f) for some
-    basis maps f, g makes g∘f an automorphism of x, so x is a summand of
-    y, and equal total dimension then forces y ≅ x; conversely an
-    isomorphism gives tr(f⁻¹∘f) = dim x ≠ 0 (Auslander–Reiten–Smalø,
+    End(x) is local (Fitting's lemma), so if y ≅ x some map in the
+    hom_basis(x, y) basis is invertible: composing with an isomorphism
+    turns that basis into a basis of End(x), and not every member of a
+    basis lies in rad End(x).  Conversely an invertible map is an
+    isomorphism.  This holds over any field (Auslander–Reiten–Smalø,
     Representation Theory of Artin Algebras, §II).  Only x is certified:
     y may be any object on the same backend.
     """
@@ -686,10 +699,7 @@ def are_isomorphic(x, y) -> bool:
     ok, _ = is_indecomposable(x)
     if not ok:
         raise ValueError("are_isomorphic requires an indecomposable first argument")
-    if total_dim(x) != total_dim(y):
-        return False
-    back = hom_basis(y, x)
-    return any(_slot_trace(x, g, f) for f in hom_basis(x, y) for g in back)
+    return find_isomorphism(x, y) is not None
 
 
 def is_uniserial(x, family):

@@ -97,7 +97,7 @@ def _read(path: str) -> str:
 def _parse_window(values, fallback):
     if values is None:
         return fallback
-    lo, hi = int(values[0]), int(values[1])
+    lo, hi = values
     if lo > hi:
         raise InputError("window bounds out of order")
     return (lo, hi)
@@ -110,7 +110,10 @@ def _parse_alpha(text: str, normalize: bool):
         raise InputError(str(exc)) from exc
     twist_delta = 0
     if normalize:
-        alpha, twist_delta = normalize_alpha(alpha)
+        try:
+            alpha, twist_delta = normalize_alpha(alpha)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
     elif not in_alpha_range(alpha):
         raise InputError(
             "label %s outside the range 0 <= re < 1 (rerun with --normalize-alpha to shift it)" % text
@@ -169,10 +172,11 @@ def _serialize_object(obj):
 def cmd_classify(args):
     n = args.n
     if args.quiver:
-        pres, _ = _parse_quiver(args.quiver)
-        family = tuple((node, simple_at(pres, node)) for node in pres.nodes)
+        pres, _, family = _parse_quiver(args.quiver)
         window = None
         start = args.start
+        if start is not None and start not in pres.nodes:
+            raise InputError("--start %s is not a node of the quiver" % start)
         margin = args.margin
     else:
         if args.start is None:
@@ -236,10 +240,13 @@ def cmd_classify(args):
 
 
 def _parse_quiver(path):
+    """(presentation, representation or None, the simples at its nodes)."""
     try:
-        return parse_presentation(_read(path))
+        pres, rep_obj = parse_presentation(_read(path))
+        family = tuple((node, simple_at(pres, node)) for node in pres.nodes)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    return pres, rep_obj, family
 
 
 def cmd_ext_table(args):
@@ -367,38 +374,38 @@ def cmd_deform(args):
             raise InputError("--object needs --labels with the candidate simple labels")
         try:
             obj = gradedrep_from_text(text)
+            labels = [parse_weyl_label(lbl.strip()) for lbl in args.labels.split(",")]
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-        bases = []
-        twists = set()
-        for lbl in args.labels.split(","):
-            base, twist = parse_weyl_label(lbl.strip())
-            bases.append(base)
-            twists.add(twist)
+        problems = validate(obj)
+        if problems:
+            raise InputError("graded module file: %s" % "; ".join(problems))
         seen = []
-        for b in bases:
-            if b not in seen:
-                seen.append(b)
-        family = weyl_simple_family(seen, sorted(twists), obj.window)
-        ext = canonical_iterated_extension(obj, family)
+        for base, _ in labels:
+            if base not in seen:
+                seen.append(base)
+        family = weyl_simple_family(seen, sorted({twist for _, twist in labels}), obj.window)
     elif args.quiver:
-        pres, rep_obj = _parse_quiver(args.quiver)
-        if rep_obj is None:
+        _, obj, family = _parse_quiver(args.quiver)
+        if obj is None:
             raise InputError("quiver file carries no representation block")
-        family = tuple((node, simple_at(pres, node)) for node in pres.nodes)
-        ext = canonical_iterated_extension(rep_obj, family)
     elif args.kind is None:
         raise InputError("deform needs --object, --quiver, or a catalog key via --kind")
     else:
         key = _catalog_key(args)
         window = _parse_window(args.window, tuple(w + key.twist for w in default_window(args.n)))
-        mod = catalog_module(key, window, args.margin)
+        obj = catalog_module(key, window, args.margin)
         if key.kind == "euler":
             bases = [key.alpha]
         else:
             bases = ["0", "inf"]
         family = weyl_simple_family(bases, [key.twist], window)
-        ext = canonical_iterated_extension(mod, family)
+    if abcat.total_dim(obj) == 0:
+        raise InputError("the object is zero")
+    try:
+        ext = canonical_iterated_extension(obj, family)
+    except abcat.NotFiniteLengthError as exc:
+        raise InputError("the simples of the family do not cover the object: %s" % exc) from exc
     d, back, _ = deformation_roundtrip(ext)
     gamma = d.gamma
     alg = path_algebra(gamma)
@@ -485,7 +492,7 @@ def build_parser():
         p.add_argument("--output", help="write the report to this path instead of stdout")
         if window:
             p.add_argument("--margin", type=_int_at_least(0), default=DEFAULT_MARGIN, help="window safety margin")
-            p.add_argument("--window", nargs=2, metavar=("LO", "HI"), help="weight window bounds")
+            p.add_argument("--window", type=int, nargs=2, metavar=("LO", "HI"), help="weight window bounds")
 
     p = sub.add_parser("check-uc", help="decide the uniseriality criterion for a species file")
     p.add_argument("species", help="path to a species table file")

@@ -34,6 +34,8 @@ class GradedRep:
         if wmin > wmax:
             raise ValueError("degenerate window %r" % (window,))
         self_dims = {w: int(dims.get(w, 0)) for w in range(wmin, wmax + 1)}
+        if any(d < 0 for d in self_dims.values()):
+            raise ValueError("negative dimension in %r" % (self_dims,))
         object.__setattr__(self, "window", (wmin, wmax))
         object.__setattr__(self, "dims", self_dims)
         tm = {}
@@ -260,6 +262,8 @@ def parse_matrix(text: str) -> Matrix:
     rows_s, _, cols_s = head.partition("x")
     rows, cols = int(rows_s), int(cols_s)
     if rows == 0 or cols == 0:
+        if body:
+            raise ValueError("empty %s matrix has entries %r" % (head, body))
         return Matrix.zero(rows, cols)
     data = [[parse_scalar(e) for e in line.split(",")] for line in body.split(";")]
     return Matrix(rows, cols, data)
@@ -291,20 +295,17 @@ def from_text(text: str) -> GradedRep:
     tm = {}
     pm = {}
     for ln in lines[1:]:
-        parts = ln.split(None, 1)
+        parts = ln.split()
         key = parts[0]
-        if key == "window":
-            a, b = parts[1].split()
-            window = (int(a), int(b))
-        elif key == "dim":
-            w, d = parts[1].split()
-            dims[int(w)] = int(d)
-        elif key == "map":
-            kind, w, rest = parts[1].split(None, 2)
+        if key == "window" and len(parts) == 3:
+            window = (int(parts[1]), int(parts[2]))
+        elif key == "dim" and len(parts) == 3:
+            dims[int(parts[1])] = int(parts[2])
+        elif key == "map" and len(parts) in (4, 5):
+            kind = parts[1]
             if kind not in ("t", "p"):
                 raise ValueError("unknown map kind %r in graded module file" % kind)
-            mat = parse_matrix(rest)
-            (tm if kind == "t" else pm)[int(w)] = mat
+            (tm if kind == "t" else pm)[int(parts[2])] = parse_matrix(" ".join(parts[3:]))
         else:
             raise ValueError("unknown line %r in graded module file" % ln)
     if window is None:

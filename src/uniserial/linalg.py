@@ -164,7 +164,10 @@ def _parse_imag_term(term: str, orig: str):
     if term.endswith("*i"):
         return sign * _parse_q(term[:-2], orig)
     if term.startswith("i/"):
-        return sign / _parse_q(term[2:], orig)
+        den = _parse_q(term[2:], orig)
+        if not den:
+            raise ValueError("bad imaginary literal %r in %r" % (term, orig))
+        return sign / den
     raise ValueError("bad imaginary literal %r in %r" % (term, orig))
 
 
@@ -419,16 +422,22 @@ def solve(a: Matrix, b):
 
 
 def solve_matrix(a: Matrix, b: Matrix):
-    """Some X with a*X = b, or None if any column is inconsistent."""
+    """Some X with a*X = b, or None if any column is inconsistent.
+
+    One elimination of [a | b] serves every column: a pivot in the b part
+    means an inconsistent column, and otherwise X is read off the b part
+    of the pivot rows.
+    """
     if a.rows != b.rows:
         raise ValueError("row mismatch in solve_matrix")
-    cols = []
-    for j in range(b.cols):
-        x = solve(a, b.column(j))
-        if x is None:
-            return None
-        cols.append(x)
-    return Matrix.from_columns(cols, a.cols)
+    rows = [list(r) + list(br) for r, br in zip(a._data, b._data)]
+    pivots = _rref_rows(rows, a.cols + b.cols)
+    if pivots and pivots[-1] >= a.cols:
+        return None
+    x = [[ZERO] * b.cols for _ in range(a.cols)]
+    for i, p in enumerate(pivots):
+        x[p] = rows[i][a.cols :]
+    return Matrix(a.cols, b.cols, x)
 
 
 def column_space_basis(vectors, dim: int):

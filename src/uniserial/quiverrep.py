@@ -59,6 +59,8 @@ class QuiverPresentation:
     def _check_relation(self, rel):
         """A relation is (src, tgt, terms) with terms ((coef, path), ...)."""
         src, tgt, terms = rel
+        if src not in self.nodes or tgt not in self.nodes:
+            raise ValueError("relation from %s to %s names an unknown node" % (src, tgt))
         out_terms = []
         for coef, path in terms:
             path = tuple(path)
@@ -114,6 +116,8 @@ class QuiverRep:
 
     def __init__(self, pres: QuiverPresentation, dims, mats):
         self_dims = {n: int(dims.get(n, 0)) for n in pres.nodes}
+        if any(d < 0 for d in self_dims.values()):
+            raise ValueError("negative dimension in %r" % (self_dims,))
         self_mats = {}
         for a, s, t in pres.arrows:
             m = mats.get(a)
@@ -300,32 +304,28 @@ def parse_presentation(text: str):
     rep_mats_raw = {}
     has_rep = False
     for ln in lines[1:]:
-        parts = ln.split(None, 1)
+        parts = ln.split()
         key = parts[0]
-        rest = parts[1] if len(parts) > 1 else ""
-        if key == "node":
-            nodes.append(rest.strip())
-        elif key == "arrow":
-            name, src, tgt = rest.split()
-            arrows.append((name, src, tgt))
-        elif key == "relation":
-            relation_texts.append(rest)
-        elif key == "rep":
+        if key == "node" and len(parts) == 2:
+            nodes.append(parts[1])
+        elif key == "arrow" and len(parts) == 4:
+            arrows.append(tuple(parts[1:]))
+        elif key == "relation" and len(parts) > 1:
+            relation_texts.append(ln.split(None, 1)[1])
+        elif key == "rep" and len(parts) == 4 and parts[1] == "dim":
             has_rep = True
-            sub = rest.split(None, 1)
-            if sub[0] == "dim":
-                node, d = sub[1].split()
-                rep_dims[node] = int(d)
-            elif sub[0] == "map":
-                arrow, mat_text = sub[1].split(None, 1)
-                rep_mats_raw[arrow] = parse_matrix(mat_text)
-            else:
-                raise ValueError("unknown rep line %r" % ln)
+            rep_dims[parts[2]] = int(parts[3])
+        elif key == "rep" and len(parts) in (4, 5) and parts[1] == "map":
+            has_rep = True
+            rep_mats_raw[parts[2]] = parse_matrix(" ".join(parts[3:]))
         else:
             raise ValueError("unknown line %r in quiver file" % ln)
     arrow_ends = {a: (s, t) for a, s, t in arrows}
     relations = [_parse_relation_text(t, nodes, arrow_ends) for t in relation_texts]
     pres = QuiverPresentation(nodes, arrows, relations)
+    unknown = sorted(set(rep_dims) - set(pres.nodes)) + sorted(set(rep_mats_raw) - set(arrow_ends))
+    if unknown:
+        raise ValueError("rep lines name unknown nodes or arrows: %s" % ", ".join(unknown))
     the_rep = QuiverRep(pres, rep_dims, rep_mats_raw) if has_rep else None
     return pres, the_rep
 

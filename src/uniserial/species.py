@@ -207,7 +207,8 @@ def classify(s: Species, family, n: int, start=None):
     Realizes each admissible path (optionally the ones with a fixed first
     label), certifies indecomposability and uniseriality, checks the
     factor sequence, and verifies the results are pairwise
-    non-isomorphic.
+    non-isomorphic (each object is certified once; the isomorphism search
+    relies on that certificate).
     """
     family = tuple(family)
     paths = admissible_paths(s, n)
@@ -229,7 +230,7 @@ def classify(s: Species, family, n: int, start=None):
         out.append(ClassifiedObject(p, ext, cert, series, True))
     for i in range(len(out)):
         for j in range(i + 1, len(out)):
-            if abcat.are_isomorphic(out[i].obj, out[j].obj):
+            if abcat.find_isomorphism(out[i].obj, out[j].obj) is not None:
                 raise CertificateError(
                     "paths %r and %r realized isomorphic objects" % (out[i].order_vector, out[j].order_vector)
                 )

@@ -6,6 +6,7 @@ from uniserial import abcat
 from uniserial.abcat import (
     BackendMismatchError,
     ExtSpace,
+    Morphism,
     amalgamated_sum,
     are_isomorphic,
     change_basis,
@@ -292,13 +293,13 @@ def test_are_isomorphic_rejects_decomposable():
 
 
 def test_are_isomorphic_decomposable_second_argument():
-    # equal total dimension, so the check reaches the trace pairing
+    # equal slot dimensions, so the check reaches the Hom-basis search
     nonsplit = realize_extension(ext1_basis(S1, S2)[0])[0]
     split = direct_sum(S1, S2).obj
     assert total_dim(nonsplit) == total_dim(split)
     assert not is_indecomposable(split)[0]
     assert not are_isomorphic(nonsplit, split)
-    # S1 is a summand of the split sum, so only the dimension count rules it out
+    # S1 is a summand of the split sum, so only the slot dimensions rule it out
     assert not are_isomorphic(S1, split)
 
 
@@ -437,7 +438,7 @@ def test_euler_form_identity_on_random_hereditary_quivers():
         assert hom_dim - ext_dim == form, (trial, hom_dim, ext_dim, form)
 
 
-# -- trace-pairing certificates against the radical-basis construction ---------
+# -- certificates against the radical-basis construction ----------------------
 
 
 def _end_block(x, y, mats, rows_in_y, cols_in_y):
@@ -497,12 +498,17 @@ def test_trace_pairing_matches_radical_basis():
     groups.append([S1, S2, realize_extension(u_cls)[0], realize_extension(v_cls)[0], kronecker_double_extension()])
     m = simple_rep(HALF, 0, WINDOW)
     e2 = ideal_quotient_rep(euler_power(HALF, 2), WINDOW)
+    # a basis change whose first Hom(e2, late) basis map is nilpotent, so the
+    # search must go past it
+    late = random_basis_change(e2, random.Random(36))
+    assert any(inverse(a) is None for a in hom_basis(e2, late)[0].mats.values())
     groups.append(
         [
             m,
             simple_rep(HALF, 1, WINDOW),
             e2,
             random_basis_change(e2, rng),
+            late,
             realize_extension(ext1_basis(m, m)[0])[0],
             direct_sum(m, m).obj,
         ]
@@ -510,6 +516,7 @@ def test_trace_pairing_matches_radical_basis():
     verdicts = {True: 0, False: 0}
     for group in groups:
         indecomposables = []
+        decomposables = []
         for x in group:
             if total_dim(x) == 0:
                 continue
@@ -520,12 +527,17 @@ def test_trace_pairing_matches_radical_basis():
             if ok:
                 indecomposables.append(x)
             else:
+                decomposables.append(x)
                 with pytest.raises(ValueError):
                     are_isomorphic(x, x)
         for x in indecomposables:
-            for y in indecomposables:
+            for y in indecomposables + decomposables:
                 same = are_isomorphic(x, y)
-                assert same == radical_isomorphic(x, y)
+                assert same == (y in indecomposables and radical_isomorphic(x, y))
+                if same:
+                    iso = abcat.find_isomorphism(x, y)
+                    Morphism(x, y, iso.mats, check=True)
+                    assert all(a.rows == a.cols and inverse(a) is not None for a in iso.mats.values())
                 verdicts[same] += 1
     assert verdicts[True] >= 20 and verdicts[False] >= 20, verdicts
 

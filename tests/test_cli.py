@@ -1,8 +1,10 @@
 import pytest
 
 from uniserial.cli import main, parse_report
-from uniserial.gradedrep import from_text as gradedrep_from_text
+from uniserial.gradedrep import from_text as gradedrep_from_text, ideal_quotient_rep, to_text as gradedrep_to_text
+from uniserial.linalg import parse_scalar
 from uniserial.species import Species, species_to_text
+from uniserial.weyl import euler_power
 
 
 def run(capsys, *argv):
@@ -327,6 +329,18 @@ def test_unknown_command(capsys):
         ["verify-weyl", "--n-max", "0", "--alphas", "1/2"],
         ["deform", "--kind", "word", "--beta", "0", "--n", "0"],
         ["classify", "--start", "1/2", "--n", "3", "--window", "-1", "1", "--margin", "-3"],
+        ["classify", "--start", "1/2", "--n", "1", "--window", "a", "3"],
+        ["ext-table", "--max-offset", "0", "--window", "-8", "b"],
+        ["weyl-module", "--kind", "word", "--beta", "0", "--n", "1", "--window", "x", "5"],
+        ["verify-weyl", "--n-max", "1", "--window", "-5", "5.0"],
+        ["deform", "--kind", "word", "--beta", "0", "--n", "1", "--window", "1/2", "6"],
+        ["deform", "--object", "{module}", "--labels", "1/2"],
+        ["deform", "--object", "{module}", "--labels", "1/2@x"],
+        ["deform", "--object", "{module}", "--labels", "5@0"],
+        ["deform", "--object", "{module}", "--labels", "0@0"],
+        ["weyl-module", "--kind", "euler", "--alpha", "1", "--n", "1", "--normalize-alpha"],
+        ["weyl-module", "--kind", "euler", "--alpha", "i/0", "--n", "1"],
+        ["classify", "--quiver", "{quiver}", "--n", "1", "--start", "7"],
     ],
     ids=[
         "classify-n0",
@@ -335,10 +349,26 @@ def test_unknown_command(capsys):
         "verify-weyl-n-max0",
         "deform-n0",
         "classify-negative-margin",
+        "classify-window-not-int",
+        "ext-table-window-not-int",
+        "weyl-module-window-not-int",
+        "verify-weyl-window-not-int",
+        "deform-window-not-int",
+        "deform-label-without-twist",
+        "deform-label-bad-twist",
+        "deform-label-out-of-range",
+        "deform-labels-do-not-cover",
+        "normalize-integer-label",
+        "imaginary-over-zero",
+        "classify-quiver-unknown-start",
     ],
 )
-def test_rejects_empty_lengths_and_negative_offsets(capsys, argv):
-    status, out, err = run(capsys, *argv)
+def test_rejects_empty_lengths_and_negative_offsets(tmp_path, capsys, argv):
+    module = tmp_path / "e2.gradedrep"
+    module.write_text(gradedrep_to_text(ideal_quotient_rep(euler_power(parse_scalar("1/2"), 2), (-4, 4))))
+    quiver = tmp_path / "a3.quiver"
+    quiver.write_text(A3_FILE)
+    status, out, err = run(capsys, *[a.format(module=module, quiver=quiver) for a in argv])
     assert status == 2
     assert out == ""
     assert "error" in err
@@ -348,6 +378,15 @@ MALFORMED_FILES = {
     "map-kind": ("gradedrep", "specfile gradedrep v1\nwindow -1 1\ndim 0 1\ndim 1 1\nmap q 0 1x1 1\n"),
     "weight-outside-window": ("gradedrep", "specfile gradedrep v1\nwindow -1 1\ndim 2 1\n"),
     "duplicate-label": ("species", "specfile species v1\nlabel a\nlabel a\n"),
+    "window-without-bounds": ("gradedrep", "specfile gradedrep v1\nwindow\n"),
+    "commutation-fails": ("gradedrep", "specfile gradedrep v1\nwindow -1 1\ndim 0 1\n"),
+    "zero-object": ("gradedrep", "specfile gradedrep v1\nwindow -1 1\n"),
+    "empty-matrix-with-entries": ("gradedrep", "specfile gradedrep v1\nwindow -1 1\nmap t 0 0x0 5\n"),
+    "negative-rep-dim": ("quiver", A3_FILE + "rep dim 1 -1\n"),
+    "rep-dim-without-value": ("quiver", A3_FILE + "rep dim\n"),
+    "rep-map-unknown-arrow": ("quiver", A3_FILE + "rep dim 1 1\nrep map c 1x1 1\n"),
+    "relation-unknown-node": ("quiver", A3_FILE + "relation e(4)\nrep dim 1 1\n"),
+    "relation-kills-a-simple": ("quiver", A3_FILE + "relation e(3)\nrep dim 1 1\n"),
 }
 
 
@@ -358,6 +397,8 @@ def test_malformed_object_and_species_files_exit_2(tmp_path, capsys, case):
     path.write_text(text)
     if kind == "species":
         argv = ["check-uc", str(path)]
+    elif kind == "quiver":
+        argv = ["deform", "--quiver", str(path)]
     else:
         argv = ["deform", "--object", str(path), "--labels", "1/2@0"]
     status, _, err = run(capsys, *argv)

@@ -20,6 +20,7 @@ from uniserial.linalg import (
     rank,
     rref,
     solve,
+    solve_matrix,
 )
 
 
@@ -256,3 +257,26 @@ def test_extend_basis_matches_inline_pivot_selection():
         assert chosen == expected
         # inner plus the chosen columns is a basis of the joint span
         assert rank(Matrix.from_columns(inner + chosen, dim)) == len(inner) + len(chosen) == len(pivots)
+
+
+def test_solve_matrix_matches_per_column_solve():
+    rng = random.Random(13)
+
+    def mat(rows, cols):
+        return Matrix(rows, cols, [[S(rng.choice((0, 0, 1, -1, 2))) for _ in range(cols)] for _ in range(rows)])
+
+    seen = {True: 0, False: 0}
+    for trial in range(120):
+        rows, cols, rhs = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 3)
+        a = mat(rows, cols)
+        b = a * mat(cols, rhs) if trial % 2 else mat(rows, rhs)
+        sols = [solve(a, b.column(j)) for j in range(rhs)]
+        expected = None if None in sols else Matrix.from_columns(sols, cols)
+        got = solve_matrix(a, b)
+        assert got == expected, trial
+        if got is not None:
+            assert a * got == b
+        seen[got is not None] += 1
+    assert seen[True] >= 20 and seen[False] >= 20, seen
+    with pytest.raises(ValueError):
+        solve_matrix(mat(2, 2), mat(3, 1))

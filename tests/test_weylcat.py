@@ -1,8 +1,9 @@
 import pytest
 
-from uniserial import abcat
+from uniserial import abcat, species as species_mod
 from uniserial.gradedrep import simple_rep, twist_rep, validate
 from uniserial.linalg import Scalar, parse_scalar
+from uniserial.quiverrep import QuiverPresentation, simple_at
 from uniserial.weylcat import (
     CatalogKey,
     WindowTooSmallError,
@@ -185,3 +186,24 @@ def test_negative_control_wrong_catalog_detected():
     (item,) = classify(s, fam, 2, start="1/2@0")
     wrong = catalog_module(CatalogKey("euler", HALF, None, 2, twist=1), win)
     assert not abcat.are_isomorphic(item.obj, wrong)
+
+
+def test_each_object_is_certified_once(monkeypatch):
+    certified = []
+    real = abcat.end_algebra_dims
+
+    def counting(x):
+        certified.append(x)
+        return real(x)
+
+    monkeypatch.setattr(abcat, "end_algebra_dims", counting)
+    assert verify_key(CatalogKey("euler", HALF, None, 2), default_window(2)).ok
+    # the classified object only: the catalog module is matched to it, not certified
+    assert len(certified) == 1
+    certified.clear()
+    a4 = QuiverPresentation(["1", "2", "3", "4"], [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")])
+    family = tuple((v, simple_at(a4, v)) for v in a4.nodes)
+    out = species_mod.classify(species_mod.species_of(family), family, 1)
+    assert len(out) == 4
+    # the pairwise non-isomorphism check certifies nothing again
+    assert certified == [item.obj for item in out]
