@@ -31,7 +31,7 @@ from .itext import (
     deformation_roundtrip,
     path_algebra,
 )
-from .linalg import format_scalar, parse_scalar
+from .linalg import format_scalar, parse_int, parse_scalar
 from .quiverrep import parse_presentation, to_text as quiver_to_text
 from .species import CriterionError, classify, species_from_text, species_of, species_to_text, uc_check
 from .weylcat import (
@@ -464,14 +464,19 @@ def cmd_deform(args):
 # -- argument parsing ------------------------------------------------------------
 
 
+def _int(text):
+    """argparse type: a strict integer literal (linalg.parse_int)."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+
+
 def _int_at_least(low):
     """argparse type: an integer no smaller than low."""
 
     def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+        value = _int(text)
         if value < low:
             raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
         return value
@@ -492,7 +497,7 @@ def build_parser():
         p.add_argument("--output", help="write the report to this path instead of stdout")
         if window:
             p.add_argument("--margin", type=_int_at_least(0), default=DEFAULT_MARGIN, help="window safety margin")
-            p.add_argument("--window", type=int, nargs=2, metavar=("LO", "HI"), help="weight window bounds")
+            p.add_argument("--window", type=_int, nargs=2, metavar=("LO", "HI"), help="weight window bounds")
 
     p = sub.add_parser("check-uc", help="decide the uniseriality criterion for a species file")
     p.add_argument("species", help="path to a species table file")
@@ -501,7 +506,7 @@ def build_parser():
     p = sub.add_parser("classify", help="classify indecomposables of a given length")
     p.add_argument("--quiver", help="quiver presentation file (classify over its node simples)")
     p.add_argument("--start", help="starting label: exact literal, 0, or inf (graded backend)")
-    p.add_argument("--twist", type=int, default=0)
+    p.add_argument("--twist", type=_int, default=0)
     p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--normalize-alpha", action="store_true", help="shift the label into range, recording the twist")
     common(p)
@@ -517,7 +522,7 @@ def build_parser():
     p.add_argument("--alpha", help="exact label for euler keys")
     p.add_argument("--beta", help="0 or inf for word keys")
     p.add_argument("--n", type=_int_at_least(1), required=True)
-    p.add_argument("--twist", type=int, default=0)
+    p.add_argument("--twist", type=_int, default=0)
     p.add_argument("--normalize-alpha", action="store_true")
     common(p)
 
@@ -534,7 +539,7 @@ def build_parser():
     p.add_argument("--alpha")
     p.add_argument("--beta")
     p.add_argument("--n", type=_int_at_least(1), default=1)
-    p.add_argument("--twist", type=int, default=0)
+    p.add_argument("--twist", type=_int, default=0)
     p.add_argument("--normalize-alpha", action="store_true")
     common(p)
 

@@ -18,7 +18,7 @@ generator at weight 0 (support w >= 0).
 
 from __future__ import annotations
 
-from .linalg import Matrix, ONE, Scalar, ZERO, format_scalar, parse_scalar
+from .linalg import Matrix, ONE, Scalar, ZERO, format_scalar, parse_int, parse_scalar
 from .weyl import EulerPolynomial, WeylElement, theta, to_theta_form
 
 GRADEDREP_TAG = "specfile gradedrep v1"
@@ -260,7 +260,7 @@ def format_matrix(m: Matrix) -> str:
 def parse_matrix(text: str) -> Matrix:
     head, _, body = text.strip().partition(" ")
     rows_s, _, cols_s = head.partition("x")
-    rows, cols = int(rows_s), int(cols_s)
+    rows, cols = parse_int(rows_s), parse_int(cols_s)
     if rows == 0 or cols == 0:
         if body:
             raise ValueError("empty %s matrix has entries %r" % (head, body))
@@ -298,14 +298,14 @@ def from_text(text: str) -> GradedRep:
         parts = ln.split()
         key = parts[0]
         if key == "window" and len(parts) == 3:
-            window = (int(parts[1]), int(parts[2]))
+            window = (parse_int(parts[1]), parse_int(parts[2]))
         elif key == "dim" and len(parts) == 3:
-            dims[int(parts[1])] = int(parts[2])
+            dims[parse_int(parts[1])] = parse_int(parts[2])
         elif key == "map" and len(parts) in (4, 5):
             kind = parts[1]
             if kind not in ("t", "p"):
                 raise ValueError("unknown map kind %r in graded module file" % kind)
-            (tm if kind == "t" else pm)[int(parts[2])] = parse_matrix(" ".join(parts[3:]))
+            (tm if kind == "t" else pm)[parse_int(parts[2])] = parse_matrix(" ".join(parts[3:]))
         else:
             raise ValueError("unknown line %r in graded module file" % ln)
     if window is None:

@@ -1,12 +1,17 @@
-"""Exact dense linear algebra over Gaussian rationals.
+"""Exact linear algebra over Gaussian rationals.
 
 Every computation in the package reduces to the primitives here: reduced
 row echelon form, kernel bases, linear solves and the trace-form radical
-of a matrix algebra.  No floating point anywhere; scalars are pairs of
-exact rationals (gmpy2.mpq when available, fractions.Fraction otherwise).
+of a matrix algebra.  Matrices are dense and immutable; the one
+elimination kernel, _rref_rows, takes and returns dense row lists and
+eliminates sparsely inside, choosing pivot rows by Markowitz's rule.  No
+floating point anywhere; scalars are pairs of exact rationals (gmpy2.mpq
+when available, fractions.Fraction otherwise).
 """
 
 from __future__ import annotations
+
+import re
 
 try:
     from gmpy2 import mpq as _Q
@@ -142,12 +147,24 @@ def parse_scalar(text: str) -> Scalar:
     return Scalar(re_q, im_q)
 
 
+_INT_LITERAL = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """Parse a strict integer literal: an optional sign, then ASCII digits.
+
+    The one integer lexer of every parser and option.  Unlike int(), it
+    rejects '_' separators, surrounding whitespace and non-ASCII digits.
+    """
+    if not _INT_LITERAL.fullmatch(text):
+        raise ValueError("bad integer literal %r" % text)
+    return int(text)
+
+
 def _parse_q(term: str, orig: str):
+    num, sep, den = term.partition("/")
     try:
-        if "/" in term:
-            num, den = term.split("/")
-            return _Q(int(num), int(den))
-        return _Q(int(term))
+        return _Q(parse_int(num), parse_int(den)) if sep else _Q(parse_int(num))
     except (ValueError, ZeroDivisionError):
         raise ValueError("bad rational literal %r in %r" % (term, orig)) from None
 
@@ -341,41 +358,70 @@ class Matrix:
 
 
 def _rref_rows(rows, cols):
-    """In-place rref of a list of row lists; returns pivot column list.
+    """In-place rref of a list of dense row lists; returns the pivot column list.
 
-    Skips zero multipliers and only touches the nonzero tail of the pivot
-    row, which keeps elimination fast on the banded systems produced by
-    intertwining and cocycle constraints.
+    On return the list holds the rref rows in pivot order, then the zero
+    rows, every row a dense list of length cols.
+
+    The work is sparse: each row is a {column: Scalar} dict, and an index
+    maps each column to the rows with a nonzero there.  Pivot columns are
+    taken left to right; for each, the pivot row is the unused row with
+    the fewest nonzeros there (Markowitz's rule, ties to the lowest index),
+    and every other row with a nonzero in that column is reduced, dropping
+    entries that cancel.  The rref and its pivots are unique for a fixed
+    column order, so the row choice changes the work and not the result.
     """
-    m = len(rows)
-    piv = 0
+    # most zero cells are the shared ZERO; the identity test skips Scalar.__bool__
+    sparse = [{j: x for j, x in enumerate(r) if x is not ZERO and x} for r in rows]
+    where = [set() for _ in range(cols)]
+    for i, r in enumerate(sparse):
+        for j in r:
+            where[j].add(i)
+    used = [False] * len(rows)
     pivots = []
+    order = []
     for c in range(cols):
-        target = None
-        for i in range(piv, m):
-            if rows[i][c]:
-                target = i
-                break
-        if target is None:
+        here = where[c]
+        candidates = [i for i in here if not used[i]]
+        if not candidates:
             continue
-        rows[piv], rows[target] = rows[target], rows[piv]
-        pr = rows[piv]
+        p = min(candidates, key=lambda i: (len(sparse[i]), i))
+        used[p] = True
+        pr = sparse[p]
         inv = ONE / pr[c]
-        nz = [j for j in range(c, cols) if pr[j]]
         if inv != ONE:
-            for j in nz:
-                pr[j] = inv * pr[j]
-        for i in range(m):
-            if i != piv:
-                f = rows[i][c]
-                if f:
-                    ri = rows[i]
-                    for j in nz:
-                        ri[j] = ri[j] - f * pr[j]
+            for j, x in pr.items():
+                pr[j] = inv * x
+        tail = [(j, x) for j, x in pr.items() if j != c]
+        for i in here:
+            if i == p:
+                continue
+            ri = sparse[i]
+            g = -ri.pop(c)
+            for j, x in tail:
+                y = ri.get(j)
+                if y is None:
+                    ri[j] = g * x
+                    where[j].add(i)
+                else:
+                    y = y + g * x
+                    if y:
+                        ri[j] = y
+                    else:
+                        del ri[j]
+                        where[j].discard(i)
         pivots.append(c)
-        piv += 1
-        if piv == m:
+        order.append(p)
+        if len(order) == len(rows):
             break
+    dense = []
+    for p in order:
+        row = [ZERO] * cols
+        for j, x in sparse[p].items():
+            row[j] = x
+        dense.append(row)
+    dense.extend([ZERO] * cols for _ in range(len(rows) - len(order)))
+    rows[:] = dense
     return pivots
 
 
@@ -392,7 +438,8 @@ def rank(m: Matrix) -> int:
 
 def kernel_basis(m: Matrix):
     """Basis of the null space as a list of column vectors."""
-    r, pivots = rref(m)
+    rows = [list(r) for r in m._data]
+    pivots = _rref_rows(rows, m.cols)
     pivot_set = set(pivots)
     free = [j for j in range(m.cols) if j not in pivot_set]
     basis = []
@@ -400,7 +447,7 @@ def kernel_basis(m: Matrix):
         v = [ZERO] * m.cols
         v[f] = ONE
         for i, p in enumerate(pivots):
-            v[p] = -r[i, f]
+            v[p] = -rows[i][f]
         basis.append(tuple(v))
     return basis
 

@@ -20,7 +20,7 @@ that consume concrete objects.
 from __future__ import annotations
 
 from .gradedrep import format_matrix, parse_matrix
-from .linalg import Matrix, ONE, Scalar, format_scalar, parse_scalar
+from .linalg import Matrix, ONE, Scalar, format_scalar, parse_int, parse_scalar
 
 QUIVER_TAG = "specfile quiver v1"
 
@@ -314,7 +314,7 @@ def parse_presentation(text: str):
             relation_texts.append(ln.split(None, 1)[1])
         elif key == "rep" and len(parts) == 4 and parts[1] == "dim":
             has_rep = True
-            rep_dims[parts[2]] = int(parts[3])
+            rep_dims[parts[2]] = parse_int(parts[3])
         elif key == "rep" and len(parts) in (4, 5) and parts[1] == "map":
             has_rep = True
             rep_mats_raw[parts[2]] = parse_matrix(" ".join(parts[3:]))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from . import abcat
 from .abcat import ExtSpace, pullback_extension, realize_extension
 from .itext import IteratedExtension
-from .linalg import ONE
+from .linalg import ONE, parse_int
 
 SPECIES_TAG = "specfile species v1"
 
@@ -260,7 +260,7 @@ def species_from_text(text: str) -> Species:
                 raise ValueError("duplicate label %r in species file" % parts[1])
             labels.append(parts[1])
         elif parts[0] == "ext" and len(parts) == 4:
-            a, b, d = parts[1], parts[2], int(parts[3])
+            a, b, d = parts[1], parts[2], parse_int(parts[3])
             if d < 0:
                 raise ValueError("negative Ext dimension in %r" % ln)
             if d:

@@ -10,7 +10,7 @@ computations downstream.
 
 from __future__ import annotations
 
-from .linalg import ONE, ZERO, Scalar, format_scalar, parse_scalar
+from .linalg import ONE, ZERO, Scalar, format_scalar, parse_int, parse_scalar
 
 
 def _binomial(n: int, k: int) -> int:
@@ -457,7 +457,7 @@ def _parse_exponent(factor: str, orig: str) -> int:
     if factor[1] != "^":
         raise ValueError("bad generator factor %r in %r" % (factor, orig))
     try:
-        e = int(factor[2:])
+        e = parse_int(factor[2:])
     except ValueError:
         raise ValueError("bad exponent in %r" % orig) from None
     if e < 0:

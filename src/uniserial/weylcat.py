@@ -15,11 +15,11 @@ between "0@w" and "inf@w" for boundary starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import abcat, species as species_mod
 from .gradedrep import GradedRep, ideal_quotient_rep, in_alpha_range, simple_rep, twist_rep, validate
-from .linalg import Matrix, Scalar, ZERO, ONE, format_scalar, parse_scalar
+from .linalg import Matrix, Scalar, ZERO, ONE, format_scalar, parse_int, parse_scalar
 from .weyl import EulerPolynomial, alternating_word, euler_power, to_theta_form
 
 DEFAULT_MARGIN = 2
@@ -62,7 +62,7 @@ def parse_weyl_label(text: str):
     body, sep, twist_s = text.rpartition("@")
     if not sep:
         raise ValueError("label %r has no twist part" % text)
-    twist = int(twist_s)
+    twist = parse_int(twist_s)
     if body in ("0", "inf"):
         return body, twist
     alpha = parse_scalar(body)
@@ -161,10 +161,14 @@ def euler_tower_class(alpha: Scalar, n: int, window, margin: int = DEFAULT_MARGI
     """
     if n < 2:
         raise ValueError("tower needs n >= 2")
-    check_window(window, [0], n, margin)
-    big = catalog_module(CatalogKey("euler", alpha, None, n), window, margin)
-    small = catalog_module(CatalogKey("euler", alpha, None, n - 1), window, margin)
-    _, qpoly = to_theta_form(euler_power(alpha, n - 1))
+    key = CatalogKey("euler", alpha, None, n)
+    return _tower_class(key, catalog_module(key, window, margin), window, margin)
+
+
+def _tower_class(key: CatalogKey, big: GradedRep, window, margin: int):
+    """Tower class of an Euler key (n >= 2) at its twist, given its catalog module big."""
+    small = catalog_module(replace(key, n=key.n - 1), window, margin)
+    _, qpoly = to_theta_form(euler_power(key.alpha, key.n - 1))
     qpoly = qpoly.monic()
     mats = {}
     for w in big.slot_ids():
@@ -176,7 +180,7 @@ def euler_tower_class(alpha: Scalar, n: int, window, margin: int = DEFAULT_MARGI
         mats[w] = Matrix.identity(rows).hstack(Matrix.from_columns([top], rows))
     surj = abcat.Morphism(big, small, mats)
     ker_obj, ker_incl = abcat.kernel(surj)
-    iso = abcat.find_isomorphism(simple_rep(alpha, 0, window), ker_obj)
+    iso = abcat.find_isomorphism(simple_rep(key.alpha, key.twist, window), ker_obj)
     if iso is None:
         raise RuntimeError("tower kernel is not the expected simple")
     return abcat.extract_class(ker_incl * iso, surj)
@@ -251,7 +255,7 @@ def verify_key(key: CatalogKey, window, margin: int = DEFAULT_MARGIN) -> KeyResu
             ("classifier factors", classified[0].uniserial_series == expected, "")
         )
     if key.kind == "euler" and key.n >= 2:
-        cls = euler_tower_class(key.alpha, key.n, window, margin)
+        cls = _tower_class(key, cat, window, margin)
         checks.append(("tower non-split", not cls.is_zero(), ""))
     return KeyResult(key, tuple(checks))
 

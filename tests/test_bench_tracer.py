@@ -43,3 +43,29 @@ def test_install_and_uninstall_restore_the_package():
         tracer.uninstall()
     assert {name: dict(vars(mod)) for name, mod in mods.items()} == before
     assert mods["abcat"].ExtSpace.__init__ is ext_init
+
+
+def test_tracer_counts_the_kernel_input_rows():
+    # the tracer counts nonzeros by iterating each row handed to _rref_rows;
+    # a {column: value} row would count its nonzero column indices instead
+    mods = {home: importlib.import_module("uniserial." + home) for home, _ in TRACER.LAYERS.values()}
+    linalg = mods["linalg"]
+    one, two = linalg.ONE, linalg.Scalar(2)
+    zero = linalg.ZERO
+    m = linalg.Matrix.from_rows([
+        [one, zero, two, zero],
+        [two, zero, linalg.Scalar(4), zero],
+        [zero, zero, zero, one],
+    ])
+    tracer = TRACER.Tracer(mods)
+    try:
+        tracer.install()
+        basis = linalg.kernel_basis(m)
+    finally:
+        tracer.uninstall()
+    # 3x4, nonzeros 2 + 2 + 1, rank 2 (row 2 is twice row 1)
+    assert [system[:4] for system in tracer.systems] == [(3, 4, 5, 2)]
+    metrics = tracer.summary()
+    assert (metrics["linalg.nnz_in"], metrics["linalg.cells_in"], metrics["linalg.rank_sum"]) == (5, 12, 2)
+    assert metrics["linalg.density"] == 5 / 12
+    assert len(basis) == 2

@@ -4,7 +4,9 @@ Mutates the argv of the cheap commands (n <= 2, --max-offset <= 1,
 windows of width <= 14) and the lines of small species, graded module
 and quiver files.  No exception may escape cli.main, and a mutant that
 is malformed by construction (an unknown keyword, a non-numeric
-dimension, a truncated matrix, an unknown flag) must exit 2.
+dimension, a truncated matrix, an unknown flag, an integer that only
+Python's int() reads: with a '_' separator or non-ASCII digits) must
+exit 2.
 """
 
 import contextlib
@@ -70,6 +72,12 @@ TYPED_VALUES = {
     "--kind": ["euler", "word"],
     "--format": ["human", "machine"],
 }
+INT_FLAGS = ("--n", "--n-max", "--max-offset", "--twist", "--margin", "--window")
+# integer literals that int() reads and the strict lexer rejects
+BAD_INTEGERS = {
+    "underscore digit": lambda token: token + "_0",
+    "non-ASCII digit": lambda token: token.translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")),
+}
 ENTRIES = ["0", "1", "-1", "2", "1/2", "i", "1-i", "i/0"]
 LINE_TOKENS = [
     "-1", "0", "1", "2", "x", "1/2", "i", "a", "b", "c", "e(1)", "e(4)", "a.b", "x.x", "0x0", "1x1", "2x2",
@@ -118,13 +126,22 @@ def mutated_argv(draw):
 
 
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
-@given(mutated_argv(), st.sampled_from((False, False, False, True)))
-def test_mutated_argv_keeps_exit_contract(argv, unknown_flag):
-    if unknown_flag:
+@given(mutated_argv(), st.sampled_from((None, None, None, None, None, "unknown flag", *sorted(BAD_INTEGERS))))
+def test_mutated_argv_keeps_exit_contract(argv, malformation):
+    if malformation == "unknown flag":
         argv = argv + ["--no-such-flag"]
+    elif malformation:
+        spots = [
+            i for i, a in enumerate(argv)
+            if i and re.fullmatch("-?[0-9]+", a) and (argv[i - 1] in INT_FLAGS or argv[i - 2 : i - 1] == ["--window"])
+        ]
+        if spots:
+            argv[spots[-1]] = BAD_INTEGERS[malformation](argv[spots[-1]])
+        else:
+            malformation = None
     status, err = run(argv, FILES)
-    if unknown_flag:
-        assert status == 2 and "error" in err
+    if malformation:
+        assert status == 2 and "error" in err, malformation
 
 
 def _full_matrix(line):
@@ -145,10 +162,16 @@ def _truncate_matrix(line):
     return line[:cut] if cut > line.rfind(" ") else line.rsplit(None, 1)[0]
 
 
+def _ends_in_integer(line):
+    """Whether a window, dimension or Ext line ends in an ASCII integer."""
+    return line.startswith(("window ", "dim ", "rep dim ", "ext ")) and re.fullmatch("-?[0-9]+", line.split()[-1])
+
+
 MALFORMATIONS = {
     "unknown keyword": lambda line: True,
     "non-numeric dimension": lambda line: line.startswith(("dim ", "rep dim ", "ext ")),
     "truncated matrix": _full_matrix,
+    **{name: _ends_in_integer for name in BAD_INTEGERS},
 }
 
 
@@ -187,6 +210,9 @@ def mutated_file(draw):
             lines.insert(pos + 1, "bogus 1 2")
         elif malformation == "non-numeric dimension":
             lines[pos] = " ".join(lines[pos].split()[:-1] + ["x"])
+        elif malformation in BAD_INTEGERS:
+            words = lines[pos].split()
+            lines[pos] = " ".join(words[:-1] + [BAD_INTEGERS[malformation](words[-1])])
         else:
             lines[pos] = _truncate_matrix(lines[pos])
     else:

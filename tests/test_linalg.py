@@ -2,6 +2,7 @@ import random
 from itertools import accumulate
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from uniserial.linalg import (
     I,
@@ -9,6 +10,7 @@ from uniserial.linalg import (
     ZERO,
     Matrix,
     Scalar,
+    _rref_rows,
     algebra_radical,
     column_space_basis,
     extend_basis,
@@ -16,6 +18,7 @@ from uniserial.linalg import (
     in_span,
     inverse,
     kernel_basis,
+    parse_int,
     parse_scalar,
     rank,
     rref,
@@ -51,10 +54,20 @@ def test_scalar_parse_format_roundtrip(text):
     assert parse_scalar(format_scalar(s)) == s
 
 
-@pytest.mark.parametrize("bad", ["", "1.5", "x", "i+i", "1+2", "1/0", "++1"])
+@pytest.mark.parametrize(
+    "bad", ["", "1.5", "x", "i+i", "1+2", "1/0", "++1", "1_0/3", "1_0", "2*i_1", "\u0661/2", "i/\u0662", "1/2/3"]
+)
 def test_scalar_parse_rejects(bad):
     with pytest.raises(ValueError):
         parse_scalar(bad)
+
+
+def test_parse_int_takes_only_signed_ascii_digits():
+    assert [parse_int(t) for t in ("0", "7", "-12", "+3", "007")] == [0, 7, -12, 3, 7]
+    # each of these is an int() literal
+    for bad in ("1_0", "-1_0", " 3", "3 ", "\u0661", "-\u0667", "\uff11", "", "-", "+", "1e3", "0x10"):
+        with pytest.raises(ValueError):
+            parse_int(bad)
 
 
 def test_rref_identity():
@@ -280,3 +293,76 @@ def test_solve_matrix_matches_per_column_solve():
     assert seen[True] >= 20 and seen[False] >= 20, seen
     with pytest.raises(ValueError):
         solve_matrix(mat(2, 2), mat(3, 1))
+
+
+def dense_rref_rows(rows, cols):
+    """Plain dense Gauss-Jordan: the first row with a nonzero in each column pivots.
+
+    The reference for the sparse kernel; it reduces in place and returns
+    the pivot columns, leaving the rref rows first and the zero rows last.
+    """
+    m = len(rows)
+    piv = 0
+    pivots = []
+    for c in range(cols):
+        target = next((i for i in range(piv, m) if rows[i][c]), None)
+        if target is None:
+            continue
+        rows[piv], rows[target] = rows[target], rows[piv]
+        pr = rows[piv]
+        inv = ONE / pr[c]
+        nz = [j for j in range(c, cols) if pr[j]]
+        for j in nz:
+            pr[j] = inv * pr[j]
+        for i in range(m):
+            f = rows[i][c]
+            if i != piv and f:
+                for j in nz:
+                    rows[i][j] = rows[i][j] - f * pr[j]
+        pivots.append(c)
+        piv += 1
+    return pivots
+
+
+@st.composite
+def elimination_systems(draw):
+    """Random Gaussian-rational systems in the shapes the package eliminates.
+
+    Plain, rank-deficient (extra rows that combine drawn ones), [A | B] as
+    solve_matrix builds it and [A | I] as inverse builds it; entries are
+    mostly zero, and either all real or complex.
+    """
+    q = st.fractions(-3, 3, max_denominator=4)
+    nonzero = st.builds(Scalar, q, st.just(0) if draw(st.booleans()) else q)
+    cell = st.one_of(st.just(ZERO), st.just(ZERO), nonzero)
+    shape = draw(st.sampled_from(("plain", "deficient", "solve", "inverse")))
+    m = draw(st.integers(0, 6))
+    n = m if shape == "inverse" else draw(st.integers(0, 6))
+    rows = [[draw(cell) for _ in range(n)] for _ in range(m)]
+    if shape == "deficient" and rows:
+        for _ in range(draw(st.integers(1, 3))):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(nonzero), draw(cell)
+            rows.insert(draw(st.integers(0, len(rows))), [s * x + t * y for x, y in zip(a, b)])
+    elif shape == "solve":
+        k = draw(st.integers(0, 3))
+        rows = [r + [draw(cell) for _ in range(k)] for r in rows]
+    elif shape == "inverse":
+        rows = [r + [ONE if i == j else ZERO for j in range(m)] for i, r in enumerate(rows)]
+    return rows, len(rows[0]) if rows else n
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(elimination_systems())
+@example(([], 0))
+@example(([], 3))
+@example(([[], [], []], 0))
+@example(([[ZERO] * 4 for _ in range(3)], 4))
+def test_sparse_kernel_matches_dense_gauss_jordan(system):
+    rows, cols = system
+    expected = [list(r) for r in rows]
+    got = [list(r) for r in rows]
+    assert _rref_rows(got, cols) == dense_rref_rows(expected, cols)
+    # the whole list: rref rows in pivot order, then the zero rows, all dense
+    assert got == expected
+    assert all(type(r) is list and len(r) == cols for r in got)

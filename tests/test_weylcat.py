@@ -1,6 +1,6 @@
 import pytest
 
-from uniserial import abcat, species as species_mod
+from uniserial import abcat, species as species_mod, weylcat
 from uniserial.gradedrep import simple_rep, twist_rep, validate
 from uniserial.linalg import Scalar, parse_scalar
 from uniserial.quiverrep import QuiverPresentation, simple_at
@@ -207,3 +207,21 @@ def test_each_object_is_certified_once(monkeypatch):
     assert len(out) == 4
     # the pairwise non-isomorphism check certifies nothing again
     assert certified == [item.obj for item in out]
+
+
+def test_catalog_module_is_built_once_per_key(monkeypatch):
+    built = []
+    real = weylcat.ideal_quotient_rep
+
+    def counting(p, window):
+        built.append((p, window))
+        return real(p, window)
+
+    monkeypatch.setattr(weylcat, "ideal_quotient_rep", counting)
+    assert verify_key(CatalogKey("euler", HALF, None, 3), default_window(3)).ok
+    # the catalog module, which the tower reuses, and the length-2 quotient
+    assert len(built) == len(set(built)) == 2
+    # the tower of a twisted key is built on that key's catalog module
+    built.clear()
+    assert verify_key(CatalogKey("euler", MIXED, None, 2, twist=1), (-5, 7)).ok
+    assert len(built) == 2
