@@ -126,7 +126,7 @@ def mutated_argv(draw):
 
 
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
-@given(mutated_argv(), st.sampled_from((None, None, None, None, None, "unknown flag", *sorted(BAD_INTEGERS))))
+@given(mutated_argv(), st.sampled_from((None, None, None, None, "unknown flag", "unknown flag", *sorted(BAD_INTEGERS))))
 def test_mutated_argv_keeps_exit_contract(argv, malformation):
     if malformation == "unknown flag":
         argv = argv + ["--no-such-flag"]

@@ -64,7 +64,7 @@ def test_scalar_parse_rejects(bad):
 
 def test_parse_int_takes_only_signed_ascii_digits():
     assert [parse_int(t) for t in ("0", "7", "-12", "+3", "007")] == [0, 7, -12, 3, 7]
-    # each of these is an int() literal
+    # int() reads the first seven of these
     for bad in ("1_0", "-1_0", " 3", "3 ", "\u0661", "-\u0667", "\uff11", "", "-", "+", "1e3", "0x10"):
         with pytest.raises(ValueError):
             parse_int(bad)
