@@ -11,12 +11,16 @@ the data of upper-triangular edge matrices [[Y_e, c_e], [0, X_e]], the
 backend relations impose linear constraints on the correction blocks c_e
 (cocycles), and conjugation by [[1, h], [0, 1]] for per-slot h produces
 the split-equivalent corrections (coboundaries).  No projective
-resolutions are needed at this scale.
+resolutions are needed at this scale.  Every coboundary is a cocycle:
+conjugating a split extension keeps every relation.  So B lies inside Z
+and dim Ext^1 = dim Z - dim B, which ExtSpace.dim reads off the two
+eliminations without choosing class representatives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .linalg import (
     Matrix,
@@ -359,7 +363,16 @@ def amalgamated_sum(f1: Morphism, f2: Morphism):
 
 
 class ExtSpace:
-    """The space of extensions of x by y, with a chosen cocycle basis."""
+    """The space of extensions of x by y, with a chosen cocycle basis.
+
+    The constructor eliminates twice: the relation constraints give the
+    cocycles Z, and the conjugation vectors give the canonical coboundary
+    basis B.  Conjugating the split extension by [[1, h], [0, 1]] keeps
+    every relation, so B lies inside Z and dim() is dim Z - dim B.  The
+    class representatives `reps` (the cocycles that complete B, picked by
+    extend_basis) are built on first use, by basis, class_coords or
+    class_from_coords.
+    """
 
     def __init__(self, x, y):
         _check_pair(x, y)
@@ -412,7 +425,7 @@ class ExtSpace:
                             row[k] = c
                         if any(row):
                             rows.append(row)
-        cocycles = kernel_basis(Matrix(len(rows), self.nvars, rows))
+        self._cocycles = kernel_basis(Matrix(len(rows), self.nvars, rows))
         cobounds = []
         for s in self.x.slot_ids():
             for i in range(self.y.slot_dim(s)):
@@ -435,15 +448,19 @@ class ExtSpace:
                     if any(vec):
                         cobounds.append(tuple(vec))
         self.cobounds = column_space_basis(cobounds, self.nvars)
-        self.reps = extend_basis(self.cobounds, cocycles, self.nvars)
+
+    @cached_property
+    def reps(self):
+        """The cocycles, in order, that complete the coboundary basis: one per class."""
+        return extend_basis(self.cobounds, self._cocycles, self.nvars)
 
     def dim(self) -> int:
-        return len(self.reps)
+        return len(self._cocycles) - len(self.cobounds)
 
     def class_coords(self, vector):
         """Coordinates of a cocycle vector in the chosen Ext basis."""
         if not any(vector):
-            return tuple([ZERO] * len(self.reps))
+            return tuple([ZERO] * self.dim())
         aug = Matrix.from_columns(list(self.cobounds) + list(self.reps), self.nvars)
         sol = solve(aug, tuple(vector))
         if sol is None:

@@ -298,14 +298,23 @@ def from_text(text: str) -> GradedRep:
         parts = ln.split()
         key = parts[0]
         if key == "window" and len(parts) == 3:
+            if window is not None:
+                raise ValueError("duplicate window line %r in graded module file" % ln)
             window = (parse_int(parts[1]), parse_int(parts[2]))
         elif key == "dim" and len(parts) == 3:
-            dims[parse_int(parts[1])] = parse_int(parts[2])
+            w = parse_int(parts[1])
+            if w in dims:
+                raise ValueError("duplicate dim line for weight %d in graded module file" % w)
+            dims[w] = parse_int(parts[2])
         elif key == "map" and len(parts) in (4, 5):
             kind = parts[1]
             if kind not in ("t", "p"):
                 raise ValueError("unknown map kind %r in graded module file" % kind)
-            (tm if kind == "t" else pm)[parse_int(parts[2])] = parse_matrix(" ".join(parts[3:]))
+            maps = tm if kind == "t" else pm
+            w = parse_int(parts[2])
+            if w in maps:
+                raise ValueError("duplicate map %s line for weight %d in graded module file" % (kind, w))
+            maps[w] = parse_matrix(" ".join(parts[3:]))
         else:
             raise ValueError("unknown line %r in graded module file" % ln)
     if window is None:

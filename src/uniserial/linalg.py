@@ -433,7 +433,7 @@ def rref(m: Matrix):
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return len(_rref_rows([list(r) for r in m._data], m.cols))
 
 
 def kernel_basis(m: Matrix):
@@ -508,7 +508,8 @@ def extend_basis(inner, outer, dim: int):
     of both; this is the one canonical complement choice of the package.
     """
     inner, outer = list(inner), list(outer)
-    _, pivots = rref(Matrix.from_columns(inner + outer, dim))
+    cols = inner + outer
+    pivots = _rref_rows([[c[i] for c in cols] for i in range(dim)], len(cols))
     return [outer[p - len(inner)] for p in pivots if p >= len(inner)]
 
 

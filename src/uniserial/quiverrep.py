@@ -313,9 +313,13 @@ def parse_presentation(text: str):
         elif key == "relation" and len(parts) > 1:
             relation_texts.append(ln.split(None, 1)[1])
         elif key == "rep" and len(parts) == 4 and parts[1] == "dim":
+            if parts[2] in rep_dims:
+                raise ValueError("duplicate rep dim line for node %r in quiver file" % parts[2])
             has_rep = True
             rep_dims[parts[2]] = parse_int(parts[3])
         elif key == "rep" and len(parts) in (4, 5) and parts[1] == "map":
+            if parts[2] in rep_mats_raw:
+                raise ValueError("duplicate rep map line for arrow %r in quiver file" % parts[2])
             has_rep = True
             rep_mats_raw[parts[2]] = parse_matrix(" ".join(parts[3:]))
         else:

@@ -253,6 +253,7 @@ def species_from_text(text: str) -> Species:
         raise ValueError("missing format tag %r" % SPECIES_TAG)
     labels = []
     entries = []
+    pairs = set()
     for ln in lines[1:]:
         parts = ln.split()
         if parts[0] == "label" and len(parts) == 2:
@@ -261,6 +262,9 @@ def species_from_text(text: str) -> Species:
             labels.append(parts[1])
         elif parts[0] == "ext" and len(parts) == 4:
             a, b, d = parts[1], parts[2], parse_int(parts[3])
+            if (a, b) in pairs:
+                raise ValueError("duplicate ext line for %s -> %s in species file" % (a, b))
+            pairs.add((a, b))
             if d < 0:
                 raise ValueError("negative Ext dimension in %r" % ln)
             if d:

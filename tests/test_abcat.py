@@ -31,6 +31,7 @@ from uniserial.gradedrep import ideal_quotient_rep, simple_rep, validate
 from uniserial.linalg import ZERO, Matrix, ONE, Scalar, algebra_radical, inverse, parse_scalar
 from uniserial.quiverrep import KRONECKER, QuiverPresentation, QuiverRep, simple_at
 from uniserial.weyl import euler_power
+from uniserial.weylcat import weyl_simple_family
 
 HALF = parse_scalar("1/2")
 WINDOW = (-4, 4)
@@ -436,6 +437,49 @@ def test_euler_form_identity_on_random_hereditary_quivers():
         hom_dim = len(hom_basis(x, y))
         ext_dim = ExtSpace(x, y).dim()
         assert hom_dim - ext_dim == form, (trial, hom_dim, ext_dim, form)
+
+
+# -- Ext dimension by dim Z - dim B ---------------------------------------------
+
+
+def _dim_matches_class_basis(x, y):
+    space = ExtSpace(x, y)
+    d = space.dim()
+    # dim() reads the two eliminations only; the class basis waits for a caller
+    assert "reps" not in vars(space)
+    assert d == len(space.basis())
+    return d
+
+
+def test_ext_dim_by_rank_matches_class_basis_on_hereditary_quivers():
+    for _, _, x, y in random_hereditary_pairs():
+        for a, b in ((x, y), (y, x), (x, x)):
+            _dim_matches_class_basis(a, b)
+
+
+@pytest.mark.parametrize("window", [(-8, 8), (-10, 10)])
+def test_ext_dim_by_rank_matches_class_basis_on_weyl_table(window):
+    bases = [HALF, parse_scalar("1/3+1/2*i"), "0", "inf"]
+    sources = weyl_simple_family(bases, [0], window)
+    targets = weyl_simple_family(bases, range(-2, 3), window)
+    dims = [_dim_matches_class_basis(a, b) for _, a in sources for _, b in targets]
+    assert sum(dims) == 4
+
+
+def test_ext_dim_by_rank_matches_class_basis_under_a_monomial_relation():
+    # k[x]/(x^2): the relation constrains the cocycles of every pair with the
+    # free module, which is projective and injective, so both its Ext rows vanish
+    loop = QuiverPresentation(["1"], [("x", "1", "1")], [("1", "1", ((ONE, ("x", "x")),))])
+    simple = QuiverRep(loop, {"1": 1}, {"x": Matrix(1, 1, [[ZERO]])})
+    free = QuiverRep(loop, {"1": 2}, {"x": Matrix(2, 2, [[ZERO, ZERO], [ONE, ZERO]])})
+    pair = QuiverRep(loop, {"1": 2}, {"x": Matrix(2, 2, [[ZERO, ZERO], [ZERO, ZERO]])})
+    objs = {"S": simple, "F": free, "S+S": pair}
+    got = {(a, b): _dim_matches_class_basis(objs[a], objs[b]) for a in objs for b in objs}
+    assert got == {
+        ("S", "S"): 1, ("S", "F"): 0, ("S", "S+S"): 2,
+        ("F", "S"): 0, ("F", "F"): 0, ("F", "S+S"): 0,
+        ("S+S", "S"): 2, ("S+S", "F"): 0, ("S+S", "S+S"): 4,
+    }
 
 
 # -- certificates against the radical-basis construction ----------------------

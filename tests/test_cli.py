@@ -374,6 +374,12 @@ def test_rejects_empty_lengths_and_negative_offsets(tmp_path, capsys, argv):
     assert "error" in err
 
 
+# the simple 1/2 at twist 0 on the window (-2, 2)
+SIMPLE_MODULE = (
+    "specfile gradedrep v1\nwindow -2 2\ndim -2 1\ndim -1 1\ndim 0 1\ndim 1 1\ndim 2 1\n"
+    "map t -2 1x1 -1/2\nmap t -1 1x1 1/2\nmap t 0 1x1 1\nmap t 1 1x1 1\n"
+    "map p -1 1x1 1\nmap p 0 1x1 1\nmap p 1 1x1 3/2\nmap p 2 1x1 5/2\n"
+)
 MALFORMED_FILES = {
     "map-kind": ("gradedrep", "specfile gradedrep v1\nwindow -1 1\ndim 0 1\ndim 1 1\nmap q 0 1x1 1\n"),
     "weight-outside-window": ("gradedrep", "specfile gradedrep v1\nwindow -1 1\ndim 2 1\n"),
@@ -387,6 +393,12 @@ MALFORMED_FILES = {
     "rep-map-unknown-arrow": ("quiver", A3_FILE + "rep dim 1 1\nrep map c 1x1 1\n"),
     "relation-unknown-node": ("quiver", A3_FILE + "relation e(4)\nrep dim 1 1\n"),
     "relation-kills-a-simple": ("quiver", A3_FILE + "relation e(3)\nrep dim 1 1\n"),
+    "repeated-window": ("gradedrep", SIMPLE_MODULE + "window -2 2\n"),
+    "repeated-dim": ("gradedrep", SIMPLE_MODULE + "dim 0 1\n"),
+    "repeated-map": ("gradedrep", SIMPLE_MODULE + "map t 0 1x1 1\n"),
+    "repeated-rep-dim": ("quiver", A3_FILE + "rep dim 1 1\nrep dim 1 1\n"),
+    "repeated-rep-map": ("quiver", A3_FILE + "rep dim 1 1\nrep dim 2 1\nrep map a 1x1 1\nrep map a 1x1 1\n"),
+    "repeated-ext": ("species", "specfile species v1\nlabel a\nlabel b\next a b 1\next a b 1\n"),
 }
 
 

@@ -4,9 +4,10 @@ Mutates the argv of the cheap commands (n <= 2, --max-offset <= 1,
 windows of width <= 14) and the lines of small species, graded module
 and quiver files.  No exception may escape cli.main, and a mutant that
 is malformed by construction (an unknown keyword, a non-numeric
-dimension, a truncated matrix, an unknown flag, an integer that only
-Python's int() reads: with a '_' separator or non-ASCII digits) must
-exit 2.
+dimension, a truncated matrix, a repeated window, dimension, map or Ext
+line, an unknown flag, an integer that only Python's int() reads: with a
+'_' separator or non-ASCII digits) must exit 2.  The generic "duplicate"
+mutation stays contract-only: a repeated relation line is valid.
 """
 
 import contextlib
@@ -167,8 +168,14 @@ def _ends_in_integer(line):
     return line.startswith(("window ", "dim ", "rep dim ", "ext ")) and re.fullmatch("-?[0-9]+", line.split()[-1])
 
 
+def _keyed_once(line):
+    """Whether a line may appear once per key: a window, dimension, map or Ext line."""
+    return line.startswith(("window ", "dim ", "map ", "rep ", "ext "))
+
+
 MALFORMATIONS = {
     "unknown keyword": lambda line: True,
+    "duplicate line": _keyed_once,
     "non-numeric dimension": lambda line: line.startswith(("dim ", "rep dim ", "ext ")),
     "truncated matrix": _full_matrix,
     **{name: _ends_in_integer for name in BAD_INTEGERS},
@@ -208,6 +215,8 @@ def mutated_file(draw):
         pos = draw(st.sampled_from(targets))
         if malformation == "unknown keyword":
             lines.insert(pos + 1, "bogus 1 2")
+        elif malformation == "duplicate line":
+            lines.insert(pos + 1, lines[pos])
         elif malformation == "non-numeric dimension":
             lines[pos] = " ".join(lines[pos].split()[:-1] + ["x"])
         elif malformation in BAD_INTEGERS:

@@ -175,3 +175,14 @@ def test_from_text_rejects_unknown_map_kind():
 def test_from_text_rejects_weights_outside_window(line):
     with pytest.raises(ValueError, match="outside the window"):
         from_text("specfile gradedrep v1\nwindow -1 1\n%s\n" % line)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["window -1 1", "dim 0 2", "map t 0 1x1 2", "map p 1 1x1 2"],
+)
+def test_from_text_rejects_a_repeated_line(line):
+    text = "specfile gradedrep v1\nwindow -1 1\ndim 0 1\ndim 1 1\nmap t 0 1x1 1\nmap p 1 1x1 0\n"
+    from_text(text)
+    with pytest.raises(ValueError, match="duplicate"):
+        from_text(text + line + "\n")

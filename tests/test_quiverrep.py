@@ -101,6 +101,14 @@ def test_parse_rejects_untagged():
         parse_presentation("node 1\n")
 
 
+@pytest.mark.parametrize("line", ["rep dim 1 2", "rep map a 1x1 3"])
+def test_parse_rejects_a_repeated_rep_line(line):
+    text = "specfile quiver v1\nnode 1\nnode 2\narrow a 1 2\nrep dim 1 1\nrep dim 2 1\nrep map a 1x1 1\n"
+    assert parse_presentation(text)[1].dims == {"1": 1, "2": 1}
+    with pytest.raises(ValueError, match="duplicate rep"):
+        parse_presentation(text + line + "\n")
+
+
 def test_relation_with_gaussian_coefficient_roundtrips():
     from uniserial.linalg import parse_scalar
 

@@ -269,3 +269,12 @@ def test_species_text_rejects():
 def test_species_text_rejects_duplicate_label():
     with pytest.raises(ValueError, match="duplicate label"):
         species_from_text("specfile species v1\nlabel a\nlabel b\nlabel a\next a b 1\n")
+
+
+def test_species_text_rejects_a_repeated_ext_line():
+    # the repeat used to parse as a second entry, which uc_check read as a fan-out
+    text = "specfile species v1\nlabel a\nlabel b\next a b 1\n"
+    assert uc_check(species_from_text(text)).ok
+    for line in ("ext a b 1", "ext a b 0", "ext a b 2"):
+        with pytest.raises(ValueError, match="duplicate ext"):
+            species_from_text(text + line + "\n")
