@@ -287,7 +287,15 @@ def to_text(m: GradedRep) -> str:
 
 
 def from_text(text: str) -> GradedRep:
+    """Parse a graded module file.
+
+    '#' comment lines may precede the format tag, as in the header that
+    weyl-module's human output writes; after the tag every line is a
+    window, dim or map line.
+    """
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+    while lines and lines[0].startswith("#"):
+        del lines[0]
     if not lines or lines[0] != GRADEDREP_TAG:
         raise ValueError("missing format tag %r" % GRADEDREP_TAG)
     window = None

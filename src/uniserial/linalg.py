@@ -5,28 +5,39 @@ row echelon form, kernel bases, linear solves and the trace-form radical
 of a matrix algebra.  Matrices are dense and immutable; the one
 elimination kernel, _rref_rows, takes and returns dense row lists and
 eliminates sparsely inside, choosing pivot rows by Markowitz's rule.  No
-floating point anywhere; scalars are pairs of exact rationals (gmpy2.mpq
-when available, fractions.Fraction otherwise).
+floating point anywhere: a scalar is one reduced triple of Python ints
+(a, b, d) meaning (a + b*i)/d, and its arithmetic is integer products and
+one gcd per result.  fractions.Fraction appears only at the edges, in
+parsing and in the re and im components handed to formatting.
 """
 
 from __future__ import annotations
 
 import re
-
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - gmpy2 is optional
-    from fractions import Fraction as _Q
+from fractions import Fraction as _Q
+from math import gcd
 
 
 class Scalar:
-    """A Gaussian rational re + im*i with exact, canonical components."""
+    """A Gaussian rational (a + b*i)/d stored as the int triple (a, b, d).
 
-    __slots__ = ("re", "im")
+    The triple is canonical, d > 0 and gcd(a, b, d) == 1, so equal values
+    have equal triples.  +, -, * and / cost a few integer products and one
+    gcd: sums over a shared denominator skip the cross products, and a real
+    factor or divisor skips the imaginary terms.  re and im are the
+    components as Fractions; the hash is that of the pair (re, im).
+    """
+
+    __slots__ = ("_t",)
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if type(re) is type(_ZERO_Q) else _Q(re))
-        object.__setattr__(self, "im", im if type(im) is type(_ZERO_Q) else _Q(im))
+        if type(re) is int and type(im) is int:
+            _set(self, (re, im, 1))
+            return
+        re, im = _Q(re), _Q(im)
+        p, q = re.denominator, im.denominator
+        d = p // gcd(p, q) * q
+        _set(self, (re.numerator * (d // p), im.numerator * (d // q), d))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -39,47 +50,67 @@ class Scalar:
     def imaginary(num=1, den=1):
         return Scalar(0, _Q(num, den))
 
+    @property
+    def re(self):
+        a, _, d = self._t
+        return _Q(a, d)
+
+    @property
+    def im(self):
+        _, b, d = self._t
+        return _Q(b, d)
+
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self._t != (0, 0, 1)
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
-            return self.re == other.re and self.im == other.im
+            return self._t == other._t
         if isinstance(other, int):
-            return self.im == 0 and self.re == other
+            return self._t == (other, 0, 1)
         return NotImplemented
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def __add__(self, other):
-        return Scalar(self.re + other.re, self.im + other.im)
+        a, b, d = self._t
+        c, e, f = other._t
+        if d == f:
+            return _reduced(a + c, b + e, d)
+        return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     def __sub__(self, other):
-        return Scalar(self.re - other.re, self.im - other.im)
+        a, b, d = self._t
+        c, e, f = other._t
+        if d == f:
+            return _reduced(a - c, b - e, d)
+        return _reduced(a * f - c * d, b * f - e * d, d * f)
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        a, b, d = self._t
+        return _reduced(-a, -b, d)
 
     def __mul__(self, other):
-        # real-only fast path; most entries in practice are rational
-        if not self.im and not other.im:
-            return Scalar(self.re * other.re)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return Scalar(a * c - b * d, a * d + b * c)
+        a, b, d = self._t
+        c, e, f = other._t
+        if not e:
+            return _reduced(a * c, b * c, d * f)
+        if not b:
+            return _reduced(a * c, a * e, d * f)
+        return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     def __truediv__(self, other):
-        if not other.re and not other.im:
-            raise ZeroDivisionError("division by zero Scalar")
-        if not self.im and not other.im:
-            return Scalar(self.re / other.re)
-        c, d = other.re, other.im
-        n = c * c + d * d
-        a, b = self.re, self.im
-        return Scalar((a * c + b * d) / n, (b * c - a * d) / n)
-
-    def conjugate(self):
-        return Scalar(self.re, -self.im)
+        # (a + b*i)/d / ((c + e*i)/f) = f*(a + b*i)*(c - e*i) / (d*(c*c + e*e))
+        a, b, d = self._t
+        c, e, f = other._t
+        if not e:
+            if not c:
+                raise ZeroDivisionError("division by zero Scalar")
+            if c < 0:
+                c, f = -c, -f
+            return _reduced(a * f, b * f, d * c)
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e))
 
     def __repr__(self):
         return "Scalar(%s)" % format_scalar(self)
@@ -88,7 +119,22 @@ class Scalar:
         return format_scalar(self)
 
 
-_ZERO_Q = _Q(0)
+_set = Scalar._t.__set__
+_new = object.__new__
+
+
+def _reduced(a, b, d):
+    """The Scalar (a + b*i)/d for ints a, b and d > 0, in lowest terms."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    s = _new(Scalar)
+    _set(s, (a, b, d))
+    return s
+
+
 ZERO = Scalar(0)
 ONE = Scalar(1)
 I = Scalar(0, 1)
@@ -305,29 +351,8 @@ class Matrix:
             out.append(orow)
         return Matrix(self.rows, other.cols, out)
 
-    def apply(self, vec):
-        """Matrix times column vector (tuple of Scalars)."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length %d != cols %d" % (len(vec), self.cols))
-        out = []
-        for r in self._data:
-            acc = ZERO
-            for a, b in zip(r, vec):
-                if a and b:
-                    acc = acc + a * b
-            out.append(acc)
-        return tuple(out)
-
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows, list(zip(*self._data)) if self.rows else [[] for _ in range(self.cols)])
-
-    def trace(self) -> Scalar:
-        if self.rows != self.cols:
-            raise ValueError("trace of non-square matrix")
-        acc = ZERO
-        for i in range(self.rows):
-            acc = acc + self._data[i][i]
-        return acc
 
     def is_zero(self) -> bool:
         return all(not a for r in self._data for a in r)

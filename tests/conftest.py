@@ -1,6 +1,6 @@
 import itertools
 
-from uniserial.linalg import Scalar
+from uniserial.linalg import Matrix, Scalar
 from uniserial.weyl import WeylElement
 
 
@@ -38,3 +38,8 @@ def words_up_to(n):
     for length in range(n + 1):
         for letters in itertools.product("td", repeat=length):
             yield "".join(letters)
+
+
+def apply(m, vec):
+    """m times the column vector vec, as a tuple: one column of a matrix product."""
+    return (m * Matrix.from_columns([vec], len(vec))).column(0)

@@ -291,6 +291,20 @@ def test_deform_object_file(tmp_path, capsys):
     assert payload["order_vector"] == ["0@0", "inf@0"]
 
 
+def test_deform_reads_the_human_weyl_module_output(tmp_path, capsys):
+    # the README sequence: the human report starts with a '#' header line
+    mod_path = tmp_path / "m.gradedrep"
+    status, _, _ = run(
+        capsys,
+        "weyl-module", "--kind", "euler", "--alpha", "1/2", "--n", "2", "--output", str(mod_path),
+    )
+    assert status == 0
+    assert mod_path.read_text().startswith("# ")
+    status, out, err = run(capsys, "deform", "--object", str(mod_path), "--labels", "1/2@0")
+    assert (status, err) == (0, "")
+    assert "round trip: ok" in out
+
+
 def test_deform_quiver_split_rep(tmp_path, capsys):
     qf = tmp_path / "a3rep.quiver"
     qf.write_text(A3_FILE + "rep dim 1 1\nrep dim 3 1\n")

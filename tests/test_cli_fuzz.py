@@ -1,16 +1,19 @@
 """Fuzz the exit contract of cli.main: every input exits 0, 1 or 2.
 
 Mutates the argv of the cheap commands (n <= 2, --max-offset <= 1,
-windows of width <= 14) and the lines of small species, graded module
-and quiver files.  No exception may escape cli.main, and a mutant that
-is malformed by construction (an unknown keyword, a non-numeric
-dimension, a truncated matrix, a repeated window, dimension, map or Ext
-line, an unknown flag, an integer that only Python's int() reads: with a
-'_' separator or non-ASCII digits) must exit 2.  The generic "duplicate"
-mutation stays contract-only: a repeated relation line is valid.
+windows of width <= 14), the lines of small species, graded module
+and quiver files, and the lines of the files weyl-module --output writes
+in human and machine format before deform --object reads them back.  No
+exception may escape cli.main, and a mutant that is malformed by
+construction (an unknown keyword, a non-numeric dimension, a truncated
+matrix, a repeated window, dimension, map or Ext line, an unknown flag,
+an integer that only Python's int() reads: with a '_' separator or
+non-ASCII digits) must exit 2.  The generic "duplicate" mutation stays
+contract-only: a repeated relation line is valid.
 """
 
 import contextlib
+import functools
 import io
 import os
 import re
@@ -182,9 +185,11 @@ MALFORMATIONS = {
 }
 
 
-@st.composite
-def mutated_file(draw):
-    kind, text = draw(st.sampled_from(BASE_FILES))
+def mutate_lines(draw, text):
+    """One to three random line edits, then at most one malformation.
+
+    Returns (mutated text, malformation name or None).
+    """
     lines = text.splitlines()
     for _ in range(draw(st.integers(1, 3))):
         op = draw(st.sampled_from(("entry", "entry", "replace", "delete", "duplicate", "swap", "truncate")))
@@ -226,7 +231,13 @@ def mutated_file(draw):
             lines[pos] = _truncate_matrix(lines[pos])
     else:
         malformation = None
-    return kind, "\n".join(lines) + "\n", malformation
+    return "\n".join(lines) + "\n", malformation
+
+
+@st.composite
+def mutated_file(draw):
+    kind, text = draw(st.sampled_from(BASE_FILES))
+    return (kind, *mutate_lines(draw, text))
 
 
 FILE_COMMANDS = {
@@ -244,3 +255,39 @@ def test_mutated_files_keep_exit_contract(mutant):
         status, err = run(argv, {kind: text})
         if malformation:
             assert status == 2 and "error" in err, malformation
+
+
+# weyl-module runs whose --output file deform --object reads back, with the labels it needs
+MODULE_RUNS = [
+    (["weyl-module", "--kind", "euler", "--alpha", "1/2", "--n", "2"], "1/2@0"),
+    (["weyl-module", "--kind", "euler", "--alpha", "1/3+1/2*i", "--n", "2"], "1/3+1/2*i@0"),
+    (["weyl-module", "--kind", "word", "--beta", "0", "--n", "2"], "0@0,inf@0"),
+]
+
+
+@functools.cache
+def module_output(index, fmt):
+    """The file that one of MODULE_RUNS writes with --output, in human or machine format."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.gradedrep")
+        status, _ = run(MODULE_RUNS[index][0] + ["--format", fmt, "--output", path], {})
+        assert status == 0
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+
+
+@st.composite
+def mutated_module_output(draw):
+    index = draw(st.integers(0, len(MODULE_RUNS) - 1))
+    text = module_output(index, draw(st.sampled_from(("human", "machine"))))
+    return (index, *mutate_lines(draw, text))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(mutated_module_output())
+def test_mutated_weyl_module_output_keeps_exit_contract(mutant):
+    index, text, malformation = mutant
+    argv = ["deform", "--object", "{gradedrep}", "--labels", MODULE_RUNS[index][1]]
+    status, err = run(argv, {"gradedrep": text})
+    if malformation:
+        assert status == 2 and "error" in err, malformation

@@ -161,6 +161,18 @@ def test_from_text_rejects_untagged():
         from_text("window -1 1\n")
 
 
+def test_from_text_skips_comment_lines_before_the_tag_only():
+    m = ideal_quotient_rep(euler_power(HALF, 2), (-2, 2))
+    text = to_text(m)
+    header = "# euler (E - 1/2)^2\n#\n"
+    assert from_text(header + text) == m
+    tag, rest = text.split("\n", 1)
+    with pytest.raises(ValueError, match="unknown line"):
+        from_text("%s\n# comment\n%s" % (tag, rest))
+    with pytest.raises(ValueError, match="unknown line"):
+        from_text(text + "# trailing comment\n")
+
+
 def test_from_text_rejects_unknown_map_kind():
     text = "specfile gradedrep v1\nwindow -1 1\ndim 0 1\ndim 1 1\nmap q 0 1x1 1\n"
     with pytest.raises(ValueError, match="map kind"):

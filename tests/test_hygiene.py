@@ -2,7 +2,9 @@
 
 No import may go unused, and every private (single-underscore) function
 or class must be referenced somewhere in the package, its tests or the
-benchmark.  Deletions tend to leave exactly these behind.
+benchmark.  Deletions tend to leave exactly these behind.  And no floating
+point anywhere: no float or complex literal, and no read of the names
+float or complex.
 """
 
 import ast
@@ -62,3 +64,24 @@ def test_no_unreferenced_private_definitions():
                 if name.startswith("_") and not name.startswith("__") and name not in used:
                     dead.append("%s:%d %s" % (path.name, node.lineno, name))
     assert not dead, "private definitions nothing references: %s" % ", ".join(dead)
+
+
+def float_uses(tree):
+    """(line, text) for every float or complex literal and every read of float or complex."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            yield node.lineno, repr(node.value)
+        elif isinstance(node, ast.Name) and node.id in ("float", "complex") and isinstance(node.ctx, ast.Load):
+            yield node.lineno, node.id
+
+
+def test_float_uses_finds_literals_and_names():
+    source = "a = 1.5\nb = 2j\nc = float(a)\nd = isinstance(b, complex)\ne = 1e3\nf = 10 // 3\n"
+    assert sorted(float_uses(ast.parse(source))) == [(1, "1.5"), (2, "2j"), (3, "float"), (4, "complex"), (5, "1000.0")]
+
+
+def test_no_floating_point_in_the_package():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found.extend("%s:%d %s" % (path.name, line, text) for line, text in float_uses(parse(path)))
+    assert not found, "floating point in the package: %s" % ", ".join(found)
