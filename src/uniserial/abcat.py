@@ -6,15 +6,17 @@ matrices, and linear relations (paths with optional identity terms).
 Morphisms are per-slot matrices intertwining the edge matrices; on the
 graded backend these are exactly the degree-0 maps.
 
-Ext^1 is computed by extension classification: an extension of x by y is
-the data of upper-triangular edge matrices [[Y_e, c_e], [0, X_e]], the
-backend relations impose linear constraints on the correction blocks c_e
-(cocycles), and conjugation by [[1, h], [0, 1]] for per-slot h produces
-the split-equivalent corrections (coboundaries).  No projective
-resolutions are needed at this scale.  Every coboundary is a cocycle:
-conjugating a split extension keeps every relation.  So B lies inside Z
-and dim Ext^1 = dim Z - dim B, which ExtSpace.dim reads off the two
-eliminations without choosing class representatives.
+Hom and Ext^1 of a pair (x, y) are read off one standard complex (Ringel,
+Representations of K-species and bimodules, 1976):
+
+    ⊕_s Hom(x_s, y_s) --δ⁰--> ⊕_e Hom(x_u, y_v) --δ¹--> ⊕_rel Hom(x_u, y_v)
+
+δ⁰(h) = (h_v X_e − Y_e h_u)_e over the edges e: u -> v, and δ¹ linearizes
+the relations at the split extension, whose correction c = (c_e) gives the
+edge matrices [[Y_e, c_e], [0, X_e]].  Hom(x, y) = ker δ⁰, the coboundaries
+B = im δ⁰ come from conjugating by [[1, h], [0, 1]], the cocycles are
+Z = ker δ¹, and Ext^1(x, y) = Z / B.  _differential and _relation_rows
+build the two maps; hom_basis and ExtSpace both read δ⁰ from the first.
 """
 
 from __future__ import annotations
@@ -151,50 +153,107 @@ def change_basis(x, us):
     return x.with_matrices({s: x.slot_dim(s) for s in x.slot_ids()}, mats)
 
 
-# -- Hom ---------------------------------------------------------------------
+# -- the standard complex of a pair ---------------------------------------------
 
 
-def _var_layout(x, y):
-    """Enumerate per-slot matrix unknowns (slot, row, col) -> index."""
+def _slot_layout(x, y):
+    """Index of each unknown (slot, i, j) of a per-slot map x -> y: the columns of δ⁰."""
     index = {}
     for s in x.slot_ids():
-        dy, dx = y.slot_dim(s), x.slot_dim(s)
-        for i in range(dy):
-            for j in range(dx):
+        for i in range(y.slot_dim(s)):
+            for j in range(x.slot_dim(s)):
                 index[(s, i, j)] = len(index)
     return index
 
 
-def hom_basis(x, y):
-    """Basis of the space of structure-preserving maps x -> y."""
-    _check_pair(x, y)
-    index = _var_layout(x, y)
-    nvars = len(index)
-    rows = []
+def _edge_layout(x, y):
+    """Index of each entry (e, i, j) of the edge blocks Hom(x_u, y_v): the rows of δ⁰."""
+    index = {}
+    for e in x.edge_ids():
+        u, v = x.edge_ends(e)
+        for i in range(y.slot_dim(v)):
+            for j in range(x.slot_dim(u)):
+                index[(e, i, j)] = len(index)
+    return index
+
+
+def _differential(x, y, slots, edges):
+    """δ⁰: h -> (h_v X_e - Y_e h_u)_e as dense rows, row edges[(e, i, j)] for entry (i, j) at e.
+
+    Column (s, i, j) is the coboundary of the unit map at (s, i, j).
+    """
+    rows = [[ZERO] * len(slots) for _ in edges]
     for e in x.edge_ids():
         u, v = x.edge_ends(e)
         xe = x.edge_matrix(e)
         ye = y.edge_matrix(e)
         for i in range(y.slot_dim(v)):
             for j in range(x.slot_dim(u)):
-                row = [ZERO] * nvars
+                row = rows[edges[(e, i, j)]]
                 for k in range(x.slot_dim(v)):
                     c = xe[k, j]
                     if c:
-                        row[index[(v, i, k)]] = row[index[(v, i, k)]] + c
+                        row[slots[(v, i, k)]] = row[slots[(v, i, k)]] + c
                 for k in range(y.slot_dim(u)):
                     c = ye[i, k]
                     if c:
-                        row[index[(u, k, j)]] = row[index[(u, k, j)]] - c
-                if any(row):
-                    rows.append(row)
-    sols = kernel_basis(Matrix(len(rows), nvars, rows))
+                        row[slots[(u, k, j)]] = row[slots[(u, k, j)]] - c
+    return rows
+
+
+def _relation_rows(x, y, edges):
+    """δ¹ as its nonzero dense rows, one per entry (i, j) of each relation u -> v.
+
+    A path p = e_1 ... e_n of the relation changes, to first order in the
+    corrections, by the sum over positions of Y_{e_n} ... c_{e_pos} ... X_{e_1},
+    so entry (i, j) gets coef * suf[i, r] * pre[c, j] at the unknown (e_pos, r, c).
+    """
+    out = []
+    for (u, v, terms) in x.relations():
+        dxu = x.slot_dim(u)
+        dyv = y.slot_dim(v)
+        if not dxu or not dyv:
+            continue
+        rows = [[ZERO] * len(edges) for _ in range(dyv * dxu)]
+        for coef, path in terms:
+            for pos, edge in enumerate(path):
+                pre = Matrix.identity(dxu)
+                for name in path[:pos]:
+                    pre = x.edge_matrix(name) * pre
+                suf = Matrix.identity(y.slot_dim(x.edge_ends(edge)[1]))
+                for name in path[pos + 1 :]:
+                    suf = y.edge_matrix(name) * suf
+                for i in range(dyv):
+                    for r in range(suf.cols):
+                        sc = suf[i, r]
+                        if not sc:
+                            continue
+                        for c in range(pre.rows):
+                            k = edges[(edge, r, c)]
+                            for j in range(dxu):
+                                pc = pre[c, j]
+                                if pc:
+                                    row = rows[i * dxu + j]
+                                    row[k] = row[k] + coef * sc * pc
+        out.extend(row for row in rows if any(row))
+    return out
+
+
+# -- Hom ---------------------------------------------------------------------
+
+
+def hom_basis(x, y):
+    """Basis of the space of structure-preserving maps x -> y: ker δ⁰."""
+    _check_pair(x, y)
+    slots = _slot_layout(x, y)
+    rows = [row for row in _differential(x, y, slots, _edge_layout(x, y)) if any(row)]
+    sols = kernel_basis(Matrix(len(rows), len(slots), rows))
     out = []
     for vec in sols:
         mats = {}
         for s in x.slot_ids():
             dy, dx = y.slot_dim(s), x.slot_dim(s)
-            mats[s] = Matrix(dy, dx, [[vec[index[(s, i, j)]] for j in range(dx)] for i in range(dy)])
+            mats[s] = Matrix(dy, dx, [[vec[slots[(s, i, j)]] for j in range(dx)] for i in range(dy)])
         out.append(Morphism(x, y, mats, check=False))
     return out
 
@@ -365,11 +424,13 @@ def amalgamated_sum(f1: Morphism, f2: Morphism):
 class ExtSpace:
     """The space of extensions of x by y, with a chosen cocycle basis.
 
-    The constructor eliminates twice: the relation constraints give the
-    cocycles Z, and the conjugation vectors give the canonical coboundary
-    basis B.  Conjugating the split extension by [[1, h], [0, 1]] keeps
-    every relation, so B lies inside Z and dim() is dim Z - dim B.  The
-    class representatives `reps` (the cocycles that complete B, picked by
+    The constructor eliminates the two maps of the standard complex (see
+    the module docstring): the rows of δ¹ for the cocycles Z = ker δ¹, and
+    the columns of δ⁰ for the canonical coboundary basis of B = im δ⁰.
+    B lies inside Z, since conjugating the split extension keeps every
+    relation, so dim() is dim Z - dim B; by rank-nullity hom_dim() is
+    dim Hom(x, y) = (number of slot unknowns) - dim B.  The class
+    representatives `reps` (the cocycles that complete B, picked by
     extend_basis) are built on first use, by basis, class_coords or
     class_from_coords.
     """
@@ -378,76 +439,13 @@ class ExtSpace:
         _check_pair(x, y)
         self.x = x
         self.y = y
-        self.index = {}
-        for e in x.edge_ids():
-            u, v = x.edge_ends(e)
-            for i in range(y.slot_dim(v)):
-                for j in range(x.slot_dim(u)):
-                    self.index[(e, i, j)] = len(self.index)
+        slots = _slot_layout(x, y)
+        self.nslots = len(slots)
+        self.index = _edge_layout(x, y)
         self.nvars = len(self.index)
-        self._compute()
-
-    def _compute(self):
-        x, y = self.x, self.y
-        rows = []
-        for (u, v, terms) in x.relations():
-            dxu = x.slot_dim(u)
-            dyv = y.slot_dim(v)
-            if not dxu or not dyv:
-                continue
-            cells = [[{} for _ in range(dxu)] for _ in range(dyv)]
-            for coef, path in terms:
-                for pos, edge in enumerate(path):
-                    pre = Matrix.identity(dxu)
-                    for name in path[:pos]:
-                        pre = x.edge_matrix(name) * pre
-                    suf = Matrix.identity(y.slot_dim(x.edge_ends(edge)[1]))
-                    for name in path[pos + 1 :]:
-                        suf = y.edge_matrix(name) * suf
-                    for i in range(dyv):
-                        for j in range(dxu):
-                            for r in range(suf.cols):
-                                sc = suf[i, r]
-                                if not sc:
-                                    continue
-                                for c in range(pre.rows):
-                                    pc = pre[c, j]
-                                    if pc:
-                                        key = self.index[(edge, r, c)]
-                                        cell = cells[i][j]
-                                        cell[key] = cell.get(key, ZERO) + coef * sc * pc
-            for i in range(dyv):
-                for j in range(dxu):
-                    cell = cells[i][j]
-                    if cell:
-                        row = [ZERO] * self.nvars
-                        for k, c in cell.items():
-                            row[k] = c
-                        if any(row):
-                            rows.append(row)
+        rows = _relation_rows(x, y, self.index)
         self._cocycles = kernel_basis(Matrix(len(rows), self.nvars, rows))
-        cobounds = []
-        for s in self.x.slot_ids():
-            for i in range(self.y.slot_dim(s)):
-                for j in range(self.x.slot_dim(s)):
-                    vec = [ZERO] * self.nvars
-                    for e in self.x.edge_ids():
-                        u, v = self.x.edge_ends(e)
-                        if u == s:
-                            ye = self.y.edge_matrix(e)
-                            for r in range(ye.rows):
-                                c = ye[r, i]
-                                if c:
-                                    vec[self.index[(e, r, j)]] = vec[self.index[(e, r, j)]] - c
-                        if v == s:
-                            xe = self.x.edge_matrix(e)
-                            for cidx in range(xe.cols):
-                                c = xe[j, cidx]
-                                if c:
-                                    vec[self.index[(e, i, cidx)]] = vec[self.index[(e, i, cidx)]] + c
-                    if any(vec):
-                        cobounds.append(tuple(vec))
-        self.cobounds = column_space_basis(cobounds, self.nvars)
+        self.cobounds = column_space_basis(zip(*_differential(x, y, slots, self.index)), self.nvars)
 
     @cached_property
     def reps(self):
@@ -456,6 +454,9 @@ class ExtSpace:
 
     def dim(self) -> int:
         return len(self._cocycles) - len(self.cobounds)
+
+    def hom_dim(self) -> int:
+        return self.nslots - len(self.cobounds)
 
     def class_coords(self, vector):
         """Coordinates of a cocycle vector in the chosen Ext basis."""

@@ -90,7 +90,7 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError("cannot read %s: %s" % (path, exc)) from exc
 
 
@@ -308,8 +308,11 @@ def cmd_ext_table(args):
             if e["dim"]:
                 table.append((e["from"], e["to"], e["dim"]))
         sp = species_mod.Species(tuple(labels), tuple(table))
-        with open(args.emit_species, "w", encoding="utf-8") as fh:
-            fh.write(species_to_text(sp))
+        try:
+            with open(args.emit_species, "w", encoding="utf-8") as fh:
+                fh.write(species_to_text(sp))
+        except OSError as exc:
+            raise InputError("cannot write %s: %s" % (args.emit_species, exc)) from exc
     if args.format == "machine":
         return (0 if all_match else 1), emit_report("ext-table-report", payload)
     lines = ["extension dimensions on window %s (twist offsets %d..%d)" % (list(window), offsets[0], offsets[-1])]

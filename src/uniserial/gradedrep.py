@@ -125,13 +125,6 @@ class GradedRep:
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
-    def euler_action(self, w) -> Matrix:
-        """E = t.d acting on the weight-w piece (needs w-1 inside the window)."""
-        wmin, wmax = self.window
-        if not (wmin < w <= wmax):
-            raise ValueError("Euler action needs weight %d-1 inside window" % w)
-        return self.tmat[w - 1] * self.pmat[w]
-
     def __repr__(self):
         return "GradedRep(window=%r, dims=%r)" % (self.window, {w: d for w, d in sorted(self.dims.items()) if d})
 

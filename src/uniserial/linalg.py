@@ -251,11 +251,6 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @staticmethod
-    def from_rows(data) -> "Matrix":
-        data = [list(r) for r in data]
-        return Matrix(len(data), len(data[0]) if data else 0, data)
-
-    @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
         return Matrix(rows, cols, [[ZERO] * cols for _ in range(rows)])
 

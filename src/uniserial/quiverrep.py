@@ -269,13 +269,16 @@ def _parse_relation_text(text: str, pres_nodes, arrow_ends):
             if not factor:
                 raise ValueError("empty factor in relation %r" % text)
             if factor.startswith("e(") and factor.endswith(")"):
-                node = factor[2:-1]
-                path = ()
-                anchor = node
+                found = ()
+                anchor = factor[2:-1]
             elif all(part in arrow_ends for part in factor.split(".")):
-                path = tuple(factor.split("."))
+                found = tuple(factor.split("."))
             else:
                 coef = coef * parse_scalar(factor if not factor.startswith("(") else factor[1:-1])
+                continue
+            if path is not None:
+                raise ValueError("relation term %r has two path factors" % piece)
+            path = found
         if path is None:
             raise ValueError("relation term %r has no path" % piece)
         if path:

@@ -54,24 +54,30 @@ class Species:
 def species_of(family) -> Species:
     """Ext-dimension table of an ordered family of (label, object) pairs.
 
-    Verifies that the family consists of orthogonal points with
-    one-dimensional endomorphisms before measuring extensions.
+    One ExtSpace per ordered pair carries both dimensions of the standard
+    complex (see abcat): dim Hom = dim ker δ⁰ and dim Ext^1 = dim Z - dim B.
+    The family must consist of orthogonal points with one-dimensional
+    endomorphisms; the diagonal is checked before the off-diagonal pairs.
     """
     family = tuple(family)
     labels = tuple(lbl for lbl, _ in family)
     if len(set(labels)) != len(labels):
         raise FamilyError("duplicate labels in family")
+    spaces = {}
     for la, a in family:
-        if len(abcat.hom_basis(a, a)) != 1:
+        spaces[la, la] = ExtSpace(a, a)
+        if spaces[la, la].hom_dim() != 1:
             raise FamilyError("endomorphisms of %s are not one-dimensional" % (la,))
     for la, a in family:
         for lb, b in family:
-            if la != lb and abcat.hom_basis(a, b):
-                raise FamilyError("family is not orthogonal: maps %s -> %s exist" % (la, lb))
+            if la != lb:
+                spaces[la, lb] = ExtSpace(a, b)
+                if spaces[la, lb].hom_dim():
+                    raise FamilyError("family is not orthogonal: maps %s -> %s exist" % (la, lb))
     entries = []
-    for la, a in family:
-        for lb, b in family:
-            d = ExtSpace(a, b).dim()
+    for la, _ in family:
+        for lb, _ in family:
+            d = spaces[la, lb].dim()
             if d:
                 entries.append((la, lb, d))
     return Species(labels, tuple(entries))

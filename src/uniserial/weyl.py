@@ -223,10 +223,6 @@ class EulerPolynomial:
         return EulerPolynomial([ONE])
 
     @staticmethod
-    def variable() -> "EulerPolynomial":
-        return EulerPolynomial([ZERO, ONE])
-
-    @staticmethod
     def constant(c: Scalar) -> "EulerPolynomial":
         return EulerPolynomial([c])
 

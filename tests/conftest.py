@@ -43,3 +43,9 @@ def words_up_to(n):
 def apply(m, vec):
     """m times the column vector vec, as a tuple: one column of a matrix product."""
     return (m * Matrix.from_columns([vec], len(vec))).column(0)
+
+
+def from_rows(data):
+    """The Matrix whose rows are the given lists."""
+    data = [list(r) for r in data]
+    return Matrix(len(data), len(data[0]) if data else 0, data)

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import from_rows
+
 TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 
@@ -52,7 +54,7 @@ def test_tracer_counts_the_kernel_input_rows():
     linalg = mods["linalg"]
     one, two = linalg.ONE, linalg.Scalar(2)
     zero = linalg.ZERO
-    m = linalg.Matrix.from_rows([
+    m = from_rows([
         [one, zero, two, zero],
         [two, zero, linalg.Scalar(4), zero],
         [zero, zero, zero, one],

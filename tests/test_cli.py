@@ -193,6 +193,13 @@ def test_ext_table_emit_species_feeds_check_uc(tmp_path, capsys):
     assert "uniserial" in out
 
 
+def test_ext_table_emit_species_into_a_directory_exits_2(tmp_path, capsys):
+    status, out, err = run(capsys, "ext-table", "--max-offset", "1", "--emit-species", str(tmp_path))
+    assert status == 2
+    assert out == ""
+    assert err.startswith("input error: cannot write") and "Traceback" not in err
+
+
 def test_ext_table_window_too_small(capsys):
     status, _, err = run(capsys, "ext-table", "--window", "-2", "2")
     assert status == 2
@@ -413,6 +420,10 @@ MALFORMED_FILES = {
     "repeated-rep-dim": ("quiver", A3_FILE + "rep dim 1 1\nrep dim 1 1\n"),
     "repeated-rep-map": ("quiver", A3_FILE + "rep dim 1 1\nrep dim 2 1\nrep map a 1x1 1\nrep map a 1x1 1\n"),
     "repeated-ext": ("species", "specfile species v1\nlabel a\nlabel b\next a b 1\next a b 1\n"),
+    "relation-two-paths": ("quiver", A3_FILE + "relation a*b\nrep dim 1 1\n"),
+    "non-utf8-species": ("species", b"specfile species v1\nlabel \xff\n"),
+    "non-utf8-quiver": ("quiver", A3_FILE.encode() + b"rep dim 1 1\n# \xff\n"),
+    "non-utf8-gradedrep": ("gradedrep", SIMPLE_MODULE.encode().replace(b"map p 2", b"map p \xb2")),
 }
 
 
@@ -420,7 +431,7 @@ MALFORMED_FILES = {
 def test_malformed_object_and_species_files_exit_2(tmp_path, capsys, case):
     kind, text = MALFORMED_FILES[case]
     path = tmp_path / ("input." + kind)
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     if kind == "species":
         argv = ["check-uc", str(path)]
     elif kind == "quiver":

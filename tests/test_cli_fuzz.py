@@ -8,8 +8,9 @@ exception may escape cli.main, and a mutant that is malformed by
 construction (an unknown keyword, a non-numeric dimension, a truncated
 matrix, a repeated window, dimension, map or Ext line, an unknown flag,
 an integer that only Python's int() reads: with a '_' separator or
-non-ASCII digits) must exit 2.  The generic "duplicate" mutation stays
-contract-only: a repeated relation line is valid.
+non-ASCII digits, a byte that is not UTF-8) must exit 2.  The generic
+"duplicate" mutation stays contract-only: a repeated relation line is
+valid.
 """
 
 import contextlib
@@ -94,7 +95,8 @@ def run(argv, files):
         paths = {}
         for kind, text in files.items():
             paths[kind] = os.path.join(tmp, "input." + kind)
-            with open(paths[kind], "w", encoding="utf-8") as fh:
+            # a lone surrogate escape \udcXX writes the raw byte XX, which is not UTF-8
+            with open(paths[kind], "w", encoding="utf-8", errors="surrogateescape") as fh:
                 fh.write(text)
         argv = [a.format(**paths) for a in argv]
         err = io.StringIO()
@@ -181,6 +183,7 @@ MALFORMATIONS = {
     "duplicate line": _keyed_once,
     "non-numeric dimension": lambda line: line.startswith(("dim ", "rep dim ", "ext ")),
     "truncated matrix": _full_matrix,
+    "non-UTF-8 byte": lambda line: True,
     **{name: _ends_in_integer for name in BAD_INTEGERS},
 }
 
@@ -222,6 +225,8 @@ def mutate_lines(draw, text):
             lines.insert(pos + 1, "bogus 1 2")
         elif malformation == "duplicate line":
             lines.insert(pos + 1, lines[pos])
+        elif malformation == "non-UTF-8 byte":
+            lines[pos] += "\udcff"
         elif malformation == "non-numeric dimension":
             lines[pos] = " ".join(lines[pos].split()[:-1] + ["x"])
         elif malformation in BAD_INTEGERS:

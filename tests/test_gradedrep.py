@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import from_rows
 from uniserial.gradedrep import (
     GradedRep,
     from_text,
@@ -18,7 +19,7 @@ MIXED = parse_scalar("1/3+1/2*i")
 
 
 def eigval(m, w):
-    e = m.euler_action(w)
+    e = m.tmat[w - 1] * m.pmat[w]
     assert e.rows == e.cols == 1
     return e[0, 0]
 
@@ -97,7 +98,7 @@ def test_ideal_quotient_square():
     assert all(m.dims[w] == 2 for w in range(-2, 3))
     assert validate(m) == []
     for w in range(-1, 3):
-        e = m.euler_action(w)
+        e = m.tmat[w - 1] * m.pmat[w]
         n = e - Matrix.identity(2).scale(HALF + Scalar(w))
         assert not n.is_zero()
         assert (n * n).is_zero()
@@ -130,7 +131,7 @@ def test_validate_zero_rep():
 def test_validate_negative_control():
     m = simple_rep(HALF, 0, (-2, 2))
     tm = dict(m.tmat)
-    tm[0] = Matrix.from_rows([[Scalar(7)]])
+    tm[0] = from_rows([[Scalar(7)]])
     corrupted = GradedRep(m.window, m.dims, tm, m.pmat)
     bad = validate(corrupted)
     assert bad and all("weight" in v for v in bad)
@@ -177,7 +178,7 @@ def test_from_text_rejects_unknown_map_kind():
     text = "specfile gradedrep v1\nwindow -1 1\ndim 0 1\ndim 1 1\nmap q 0 1x1 1\n"
     with pytest.raises(ValueError, match="map kind"):
         from_text(text)
-    assert from_text(text.replace("map q", "map t")).tmat[0] == Matrix.from_rows([[ONE]])
+    assert from_text(text.replace("map q", "map t")).tmat[0] == from_rows([[ONE]])
 
 
 @pytest.mark.parametrize(

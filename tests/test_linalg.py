@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import apply
+from conftest import apply, from_rows
 from uniserial.linalg import (
     I,
     ONE,
@@ -36,7 +36,7 @@ def S(x, y=0):
 
 
 def M(rows):
-    return Matrix.from_rows([[S(e) if not isinstance(e, Scalar) else e for e in r] for r in rows])
+    return from_rows([[S(e) if not isinstance(e, Scalar) else e for e in r] for r in rows])
 
 
 def test_scalar_arithmetic_exact():
@@ -275,7 +275,7 @@ def test_radical_elements_nilpotent():
     for i in range(3):
         for j in range(i, 3):
             rows = [[S(1) if (r, c) == (i, j) else S(0) for c in range(3)] for r in range(3)]
-            basis.append(Matrix.from_rows(rows))
+            basis.append(from_rows(rows))
     rad = algebra_radical(basis)
     assert len(rad) == 3
     for n in rad:
@@ -322,7 +322,7 @@ def test_inverse_and_span_helpers():
 
 
 def test_gaussian_entries_in_elimination():
-    m = Matrix.from_rows([[I, ONE], [ONE, parse_scalar("-i")]])
+    m = from_rows([[I, ONE], [ONE, parse_scalar("-i")]])
     # second row is -i times the first, so rank 1
     assert rank(m) == 1
     (v,) = kernel_basis(m)

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import from_rows
 from uniserial.linalg import Matrix, Scalar
 from uniserial.quiverrep import (
     KRONECKER,
@@ -13,7 +14,7 @@ from uniserial.quiverrep import (
 
 
 def M(rows):
-    return Matrix.from_rows([[Scalar(e) for e in r] for r in rows])
+    return from_rows([[Scalar(e) for e in r] for r in rows])
 
 
 LOOP = QuiverPresentation(["1"], [("x", "1", "1")], [("1", "1", ((Scalar(1), ("x", "x")),))])
@@ -107,6 +108,15 @@ def test_parse_rejects_a_repeated_rep_line(line):
     assert parse_presentation(text)[1].dims == {"1": 1, "2": 1}
     with pytest.raises(ValueError, match="duplicate rep"):
         parse_presentation(text + line + "\n")
+
+
+@pytest.mark.parametrize("term", ["a*b", "e(1)*a", "a*e(2)", "2*a.b*b", "e(1)*e(1)"])
+def test_parse_rejects_a_term_with_two_path_factors(term):
+    text = "specfile quiver v1\nnode 1\nnode 2\narrow a 1 2\narrow b 2 2\nrelation %s\n"
+    # one path factor, with or without coefficients, still parses
+    assert parse_presentation(text % "2*a.b*(1/2)")[0].relation_list == (("1", "2", ((Scalar(1), ("a", "b")),)),)
+    with pytest.raises(ValueError, match="two path factors"):
+        parse_presentation(text % term)
 
 
 def test_relation_with_gaussian_coefficient_roundtrips():

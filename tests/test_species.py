@@ -68,6 +68,16 @@ def test_species_of_rejects_non_point():
         species_of((("s", ds.obj),))
 
 
+def test_species_of_checks_the_diagonal_before_orthogonality():
+    s1 = simple_at(KRONECKER, "1")
+    ds = abcat.direct_sum(s1, s1).obj
+    # maps x -> s exist as well, but the diagonal is checked first
+    with pytest.raises(FamilyError, match="^endomorphisms of s are not one-dimensional$"):
+        species_of((("x", s1), ("s", ds)))
+    with pytest.raises(FamilyError, match="^family is not orthogonal: maps x -> y exist$"):
+        species_of((("x", s1), ("y", s1), ("z", simple_at(KRONECKER, "2"))))
+
+
 def test_uc_check_weyl_uniserial():
     fam = weyl_simple_family([HALF, "0", "inf"], [0], WINDOW)
     assert uc_check(species_of(fam)).ok

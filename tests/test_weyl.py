@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import rewrite_oracle, words_up_to
-from uniserial.linalg import ONE, Scalar, parse_scalar
+from uniserial.linalg import ONE, ZERO, Scalar, parse_scalar
 from uniserial.weyl import (
     EulerPolynomial,
     WeylElement,
@@ -105,12 +105,12 @@ def test_falling_factorial_identity():
 
 def test_to_theta_form_examples():
     d, g = to_theta_form(euler())
-    assert d == 0 and g == EulerPolynomial.variable()
+    assert d == 0 and g == EulerPolynomial([ZERO, ONE])
     d, g = to_theta_form(WeylElement.monomial(2, 2))
     assert d == 0 and g == EulerPolynomial([Scalar(0), Scalar(-1), ONE])
     # expansion oracle fixes the orientation: t^2 * E = t^3 d
     d, g = to_theta_form(WeylElement.monomial(3, 1))
-    assert d == 2 and g == EulerPolynomial.variable()
+    assert d == 2 and g == EulerPolynomial([ZERO, ONE])
     assert theta_times(d, g) == WeylElement.monomial(3, 1)
 
 
@@ -149,7 +149,7 @@ def test_euler_polynomial_mod_and_shift():
     assert g.shift(1) == EulerPolynomial([Scalar(0), ONE, ONE])
     # E^2 - E = (E - 1)E, so both linear factors divide it exactly
     assert g.mod(EulerPolynomial([Scalar(-1), ONE])) == EulerPolynomial.zero()
-    assert g.mod(EulerPolynomial.variable()) == EulerPolynomial.zero()
+    assert g.mod(EulerPolynomial([ZERO, ONE])) == EulerPolynomial.zero()
     # remainder mod (E - 2) is the value at 2
     assert g.mod(EulerPolynomial([Scalar(-2), ONE])) == EulerPolynomial.constant(Scalar(2))
 
