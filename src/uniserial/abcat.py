@@ -17,6 +17,9 @@ edge matrices [[Y_e, c_e], [0, X_e]].  Hom(x, y) = ker δ⁰, the coboundaries
 B = im δ⁰ come from conjugating by [[1, h], [0, 1]], the cocycles are
 Z = ker δ¹, and Ext^1(x, y) = Z / B.  _differential and _relation_rows
 build the two maps; hom_basis and ExtSpace both read δ⁰ from the first.
+Since B lies in Z, dim Ext^1 and dim Hom are two ranks, of δ¹ and δ⁰;
+ExtSpace builds Z and B themselves only on first use, for its class
+callers.
 """
 
 from __future__ import annotations
@@ -207,6 +210,8 @@ def _relation_rows(x, y, edges):
     A path p = e_1 ... e_n of the relation changes, to first order in the
     corrections, by the sum over positions of Y_{e_n} ... c_{e_pos} ... X_{e_1},
     so entry (i, j) gets coef * suf[i, r] * pre[c, j] at the unknown (e_pos, r, c).
+    The prefix and suffix products are built once per term, None standing
+    for an identity, and only their nonzero entries are visited.
     """
     out = []
     for (u, v, terms) in x.relations():
@@ -215,28 +220,35 @@ def _relation_rows(x, y, edges):
         if not dxu or not dyv:
             continue
         rows = [[ZERO] * len(edges) for _ in range(dyv * dxu)]
+        unit = [[(k, ONE)] for k in range(max(dxu, dyv))]
         for coef, path in terms:
-            for pos, edge in enumerate(path):
-                pre = Matrix.identity(dxu)
-                for name in path[:pos]:
-                    pre = x.edge_matrix(name) * pre
-                suf = Matrix.identity(y.slot_dim(x.edge_ends(edge)[1]))
-                for name in path[pos + 1 :]:
-                    suf = y.edge_matrix(name) * suf
-                for i in range(dyv):
-                    for r in range(suf.cols):
-                        sc = suf[i, r]
-                        if not sc:
-                            continue
-                        for c in range(pre.rows):
-                            k = edges[(edge, r, c)]
-                            for j in range(dxu):
-                                pc = pre[c, j]
-                                if pc:
-                                    row = rows[i * dxu + j]
-                                    row[k] = row[k] + coef * sc * pc
+            pres = [None]
+            for name in path[:-1]:
+                xe = x.edge_matrix(name)
+                pres.append(xe if pres[-1] is None else xe * pres[-1])
+            sufs = [None]
+            for name in reversed(path[1:]):
+                ye = y.edge_matrix(name)
+                sufs.append(ye if sufs[-1] is None else sufs[-1] * ye)
+            sufs.reverse()
+            for edge, pre, suf in zip(path, pres, sufs):
+                pre_cols = unit[:dxu] if pre is None else _nonzeros(pre.columns())
+                suf_rows = unit[:dyv] if suf is None else _nonzeros(map(suf.row, range(dyv)))
+                for i, entries in enumerate(suf_rows):
+                    for r, sc in entries:
+                        f = coef * sc
+                        for j, col in enumerate(pre_cols):
+                            row = rows[i * dxu + j]
+                            for c, pc in col:
+                                k = edges[(edge, r, c)]
+                                row[k] = row[k] + f * pc
         out.extend(row for row in rows if any(row))
     return out
+
+
+def _nonzeros(vectors):
+    """[(position, entry), ...] of the nonzero entries of each vector."""
+    return [[(k, a) for k, a in enumerate(vec) if a] for vec in vectors]
 
 
 # -- Hom ---------------------------------------------------------------------
@@ -424,15 +436,16 @@ def amalgamated_sum(f1: Morphism, f2: Morphism):
 class ExtSpace:
     """The space of extensions of x by y, with a chosen cocycle basis.
 
-    The constructor eliminates the two maps of the standard complex (see
-    the module docstring): the rows of δ¹ for the cocycles Z = ker δ¹, and
-    the columns of δ⁰ for the canonical coboundary basis of B = im δ⁰.
-    B lies inside Z, since conjugating the split extension keeps every
-    relation, so dim() is dim Z - dim B; by rank-nullity hom_dim() is
-    dim Hom(x, y) = (number of slot unknowns) - dim B.  The class
-    representatives `reps` (the cocycles that complete B, picked by
-    extend_basis) are built on first use, by basis, class_coords or
-    class_from_coords.
+    The constructor builds the two maps of the standard complex (see the
+    module docstring) and eliminates nothing.  B = im δ⁰ lies inside
+    Z = ker δ¹, since conjugating the split extension keeps every
+    relation, so dim() = dim Z - dim B = nvars - rank δ¹ - rank δ⁰, and by
+    rank-nullity hom_dim() = dim Hom(x, y) = nslots - rank δ⁰: two ranks,
+    each taken once.  The vectors are built on first use, by basis,
+    class_coords or class_from_coords: the cocycles `_cocycles` (kernel
+    basis of δ¹), the canonical coboundary basis `cobounds` (of the columns
+    of δ⁰) and the class representatives `reps` (the cocycles that complete
+    B, picked by extend_basis).
     """
 
     def __init__(self, x, y):
@@ -444,8 +457,24 @@ class ExtSpace:
         self.index = _edge_layout(x, y)
         self.nvars = len(self.index)
         rows = _relation_rows(x, y, self.index)
-        self._cocycles = kernel_basis(Matrix(len(rows), self.nvars, rows))
-        self.cobounds = column_space_basis(zip(*_differential(x, y, slots, self.index)), self.nvars)
+        self._d1 = Matrix(len(rows), self.nvars, rows)
+        self._d0 = Matrix(self.nvars, self.nslots, _differential(x, y, slots, self.index))
+
+    @cached_property
+    def _rank_d1(self):
+        return rank(self._d1)
+
+    @cached_property
+    def _rank_d0(self):
+        return rank(self._d0)
+
+    @cached_property
+    def _cocycles(self):
+        return kernel_basis(self._d1)
+
+    @cached_property
+    def cobounds(self):
+        return column_space_basis(self._d0.columns(), self.nvars)
 
     @cached_property
     def reps(self):
@@ -453,10 +482,10 @@ class ExtSpace:
         return extend_basis(self.cobounds, self._cocycles, self.nvars)
 
     def dim(self) -> int:
-        return len(self._cocycles) - len(self.cobounds)
+        return self.nvars - self._rank_d1 - self._rank_d0
 
     def hom_dim(self) -> int:
-        return self.nslots - len(self.cobounds)
+        return self.nslots - self._rank_d0
 
     def class_coords(self, vector):
         """Coordinates of a cocycle vector in the chosen Ext basis."""

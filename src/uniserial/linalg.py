@@ -1,14 +1,16 @@
 """Exact linear algebra over Gaussian rationals.
 
 Every computation in the package reduces to the primitives here: reduced
-row echelon form, kernel bases, linear solves and the trace-form radical
-of a matrix algebra.  Matrices are dense and immutable; the one
+row echelon form, ranks, kernel bases, linear solves and the trace-form
+radical of a matrix algebra.  Matrices are dense and immutable; the one
 elimination kernel, _rref_rows, takes and returns dense row lists and
-eliminates sparsely inside, choosing pivot rows by Markowitz's rule.  No
-floating point anywhere: a scalar is one reduced triple of Python ints
-(a, b, d) meaning (a + b*i)/d, and its arithmetic is integer products and
-one gcd per result.  fractions.Fraction appears only at the edges, in
-parsing and in the re and im components handed to formatting.
+eliminates sparsely inside, choosing pivot rows by Markowitz's rule.
+rank takes no rref: _rank_rows eliminates forward only, on the same
+sparse form (_sparse_rows) with the same pivot rule, and only reads its
+rows.  No floating point anywhere: a scalar is one reduced triple of
+Python ints (a, b, d) meaning (a + b*i)/d, and its arithmetic is integer
+products and one gcd per result.  fractions.Fraction appears only at the
+edges, in parsing and in the re and im components handed to formatting.
 """
 
 from __future__ import annotations
@@ -377,6 +379,61 @@ class Matrix:
         )
 
 
+def _sparse_rows(rows, cols):
+    """The sparse form both kernels eliminate: (dict rows, column index).
+
+    Row i becomes a {column: Scalar} dict of its nonzeros, and where[j] is
+    the set of rows with a nonzero in column j.  The input is only read.
+    """
+    # most zero cells are the shared ZERO; the identity test skips Scalar.__bool__
+    sparse = [{j: x for j, x in enumerate(r) if x is not ZERO and x} for r in rows]
+    where = [set() for _ in range(cols)]
+    for i, r in enumerate(sparse):
+        for j in r:
+            where[j].add(i)
+    return sparse, where
+
+
+def _rank_rows(rows, cols):
+    """Rank of a list of rows by forward elimination; the rows are only read.
+
+    The sparse form and the Markowitz pivot choice of _rref_rows, but a
+    pivot row leaves the column index once chosen, so only the rows not yet
+    used as pivots are reduced.  Nothing is scaled, back-substituted or
+    written back dense.
+    """
+    sparse, where = _sparse_rows(rows, cols)
+    found = 0
+    for c in range(cols):
+        here = where[c]
+        if not here:
+            continue
+        p = min(here, key=lambda i: (len(sparse[i]), i))
+        pr = sparse[p]
+        for j in pr:
+            where[j].discard(p)
+        inv = -(ONE / pr.pop(c))
+        for i in here:
+            ri = sparse[i]
+            g = ri.pop(c) * inv
+            for j, x in pr.items():
+                y = ri.get(j)
+                if y is None:
+                    ri[j] = g * x
+                    where[j].add(i)
+                else:
+                    y = y + g * x
+                    if y:
+                        ri[j] = y
+                    else:
+                        del ri[j]
+                        where[j].discard(i)
+        found += 1
+        if found == len(rows):
+            break
+    return found
+
+
 def _rref_rows(rows, cols):
     """In-place rref of a list of dense row lists; returns the pivot column list.
 
@@ -391,12 +448,7 @@ def _rref_rows(rows, cols):
     entries that cancel.  The rref and its pivots are unique for a fixed
     column order, so the row choice changes the work and not the result.
     """
-    # most zero cells are the shared ZERO; the identity test skips Scalar.__bool__
-    sparse = [{j: x for j, x in enumerate(r) if x is not ZERO and x} for r in rows]
-    where = [set() for _ in range(cols)]
-    for i, r in enumerate(sparse):
-        for j in r:
-            where[j].add(i)
+    sparse, where = _sparse_rows(rows, cols)
     used = [False] * len(rows)
     pivots = []
     order = []
@@ -453,7 +505,7 @@ def rref(m: Matrix):
 
 
 def rank(m: Matrix) -> int:
-    return len(_rref_rows([list(r) for r in m._data], m.cols))
+    return _rank_rows(m._data, m.cols)
 
 
 def kernel_basis(m: Matrix):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from uniserial import abcat
+from uniserial import abcat, linalg
 from uniserial.abcat import (
     BackendMismatchError,
     ExtSpace,
@@ -446,9 +446,12 @@ def test_euler_form_identity_on_random_hereditary_quivers():
 def _dim_matches_class_basis(x, y):
     space = ExtSpace(x, y)
     d = space.dim()
-    # dim() reads the two eliminations only; the class basis waits for a caller
-    assert "reps" not in vars(space)
+    h = space.hom_dim()
+    # both dimensions are two ranks; Z, B and the class basis wait for a caller
+    assert not {"_cocycles", "cobounds", "reps"} & set(vars(space))
     assert d == len(space.basis())
+    assert d == len(space._cocycles) - len(space.cobounds)
+    assert h == space.nslots - len(space.cobounds)
     return d
 
 
@@ -657,8 +660,33 @@ def test_differential_matches_reference_builders_on_weyl_table():
     assert sum(h for h, _ in dims) == 4 and sum(e for _, e in dims) == 4
 
 
+A4_CHAIN = QuiverPresentation(
+    ["1", "2", "3", "4"],
+    [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")],
+    [("1", "4", ((ONE, ("a", "b", "c")),))],
+)
+
+
+def chain_objects():
+    """Representations of the A4 chain with c.b.a = 0: the four simples and
+    six seeded ones with non-square maps, c drawn from the left kernel of b.a,
+    so the relation path of length 3 has a real prefix and suffix product."""
+    rng = random.Random(43)
+
+    def draw(rows, cols):
+        return Matrix(rows, cols, [[Scalar(rng.randint(-2, 2)) for _ in range(cols)] for _ in range(rows)])
+
+    objs = [simple_at(A4_CHAIN, n) for n in A4_CHAIN.nodes]
+    for dims in ((1, 2, 3, 2), (2, 1, 2, 2), (2, 3, 3, 1), (1, 1, 2, 2), (3, 2, 2, 2), (2, 3, 2, 1)):
+        a, b = draw(dims[1], dims[0]), draw(dims[2], dims[1])
+        left = Matrix.from_columns(abcat.kernel_basis((b * a).transpose()), dims[2]).transpose()
+        c = draw(dims[3], left.rows) * left
+        objs.append(QuiverRep(A4_CHAIN, dict(zip(A4_CHAIN.nodes, dims)), {"a": a, "b": b, "c": c}))
+    return objs
+
+
 def test_differential_matches_reference_builders_under_relations():
-    for objs in (loop_objects(), idempotent_objects(), square_objects()):
+    for objs in (loop_objects(), idempotent_objects(), square_objects(), chain_objects()):
         for a in objs:
             for b in objs:
                 _matches_reference_builders(a, b)
@@ -667,6 +695,24 @@ def test_differential_matches_reference_builders_under_relations():
     square = square_objects()
     bare = square_objects(SQUARE.replace("relation a.b - c.d\n", ""))
     assert ExtSpace(square[0], square[-1]).dim() == 1 and ExtSpace(bare[0], bare[-1]).dim() == 2
+    # the chain relation cuts the cocycles of some pairs
+    chain = chain_objects()
+    assert any(len(space._cocycles) < space.nvars for space in (ExtSpace(a, b) for a in chain for b in chain))
+
+
+def test_ext_dimensions_build_no_vectors_and_no_rref(monkeypatch):
+    objs = chain_objects()
+
+    def refuse(*args):
+        raise AssertionError("dimensions must not call this")
+
+    monkeypatch.setattr(abcat, "kernel_basis", refuse)
+    monkeypatch.setattr(abcat, "column_space_basis", refuse)
+    monkeypatch.setattr(linalg, "_rref_rows", refuse)
+    monkeypatch.setattr(Matrix, "identity", refuse)
+    dims = [(ExtSpace(a, b).dim(), ExtSpace(a, b).hom_dim()) for a in objs for b in objs]
+    monkeypatch.undo()
+    assert dims == [(_dim_matches_class_basis(a, b), len(hom_basis(a, b))) for a in objs for b in objs]
 
 
 def test_species_of_asks_no_hom_basis(monkeypatch):

@@ -19,7 +19,7 @@ from uniserial.itext import (
     splice,
     to_deformation,
 )
-from uniserial.linalg import ONE, parse_scalar
+from uniserial.linalg import parse_scalar
 from uniserial.quiverrep import KRONECKER, QuiverPresentation, simple_at
 from uniserial.species import Species, classify, realize_vector, species_of, uc_check
 from uniserial.weyl import EulerPolynomial, WeylElement, normal_form

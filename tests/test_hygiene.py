@@ -1,8 +1,8 @@
 """Source hygiene of src/uniserial, checked with the standard library only.
 
-No import may go unused, and every private (single-underscore) function
-or class must be referenced somewhere in the package, its tests or the
-benchmark.  Deletions tend to leave exactly these behind.  And no floating
+No import may go unused in the package, its tests or the benchmark, and
+every private (single-underscore) function or class must be referenced
+somewhere in any of them.  Deletions tend to leave exactly these behind.  And no floating
 point anywhere: no float or complex literal, and no read of the names
 float or complex.
 """
@@ -42,12 +42,12 @@ def imported_names(tree):
 
 def test_no_unused_imports():
     unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(p for folder in (PACKAGE, ROOT / "tests", ROOT / "bench") for p in folder.glob("*.py")):
         tree = parse(path)
         used = referenced_names(tree)
         for name, line in imported_names(tree):
             if name not in used:
-                unused.append("%s:%d %s" % (path.name, line, name))
+                unused.append("%s:%d %s" % (path.relative_to(ROOT), line, name))
     assert not unused, "unused imports: %s" % ", ".join(unused)
 
 

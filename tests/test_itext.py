@@ -6,7 +6,6 @@ from uniserial import abcat
 from uniserial.gradedrep import ideal_quotient_rep, simple_rep, validate
 from uniserial.itext import (
     IteratedExtension,
-    PathAlgebra,
     canonical_iterated_extension,
     cofiltration_from_filtration,
     deformation_dimension_check,

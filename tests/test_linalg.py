@@ -14,6 +14,7 @@ from uniserial.linalg import (
     ZERO,
     Matrix,
     Scalar,
+    _rank_rows,
     _rref_rows,
     algebra_radical,
     column_space_basis,
@@ -485,3 +486,19 @@ def test_sparse_kernel_matches_dense_gauss_jordan(system):
     # the whole list: rref rows in pivot order, then the zero rows, all dense
     assert got == expected
     assert all(type(r) is list and len(r) == cols for r in got)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(elimination_systems())
+@example(([], 0))
+@example(([], 3))
+@example(([[], [], []], 0))
+@example(([[ZERO] * 4 for _ in range(3)], 4))
+def test_rank_by_forward_elimination_matches_dense_gauss_jordan(system):
+    rows, cols = system
+    expected = len(dense_rref_rows([list(r) for r in rows], cols))
+    got = [list(r) for r in rows]
+    assert _rank_rows(got, cols) == expected
+    # forward elimination only reads its input
+    assert got == rows
+    assert rank(Matrix(len(rows), cols, rows)) == expected

@@ -1,6 +1,6 @@
 import pytest
 
-from uniserial import abcat, species
+from uniserial import abcat
 from uniserial.linalg import Scalar, parse_scalar
 from uniserial.quiverrep import KRONECKER, QuiverPresentation, simple_at
 from uniserial.species import (
