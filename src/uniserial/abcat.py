@@ -17,9 +17,9 @@ edge matrices [[Y_e, c_e], [0, X_e]].  Hom(x, y) = ker δ⁰, the coboundaries
 B = im δ⁰ come from conjugating by [[1, h], [0, 1]], the cocycles are
 Z = ker δ¹, and Ext^1(x, y) = Z / B.  _differential and _relation_rows
 build the two maps; hom_basis and ExtSpace both read δ⁰ from the first.
-Since B lies in Z, dim Ext^1 and dim Hom are two ranks, of δ¹ and δ⁰;
-ExtSpace builds Z and B themselves only on first use, for its class
-callers.
+Since B lies in Z, dim Ext^1 and dim Hom are two ranks, of δ¹ and δ⁰,
+and a cocycle c has zero class iff rank [δ⁰ | c] = rank δ⁰; ExtSpace
+builds Z and B themselves only on first use, for its class callers.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .linalg import (
     inverse,
     kernel_basis,
     rank,
+    rref,
     solve,
     solve_matrix,
     trace_product,
@@ -360,37 +361,36 @@ def sub_object(x, subspaces):
 def quotient_object(x, subspaces):
     """Quotient by the span of per-slot columns; returns (object, projection).
 
-    The complement basis is extend_basis of the given columns by the
-    identity columns.
+    One elimination per slot, of [cols | I]: the columns are independent
+    when they are its first pivots, and the identity columns it picks are
+    the complement (the extend_basis choice).  Its pivot columns
+    u = [cols | complement] reduce to the identity in order, so the I part
+    of the rref is u⁻¹, whose bottom rows are the projection.
     """
     us = {}
     ks = {}
+    projs = {}
     for s in x.slot_ids():
         d = x.slot_dim(s)
         cols = list(subspaces.get(s, ()))
-        k = len(cols)
-        comp = extend_basis(cols, Matrix.identity(d).columns(), d)
-        if len(comp) != d - k:
+        k = ks[s] = len(cols)
+        one = Matrix.identity(d)
+        red, pivots = rref(Matrix.from_columns(cols, d).hstack(one))
+        if pivots[:k] != list(range(k)):
             raise ValueError("subspace basis at slot %r is dependent" % (s,))
-        u = Matrix.from_columns(cols + comp, d)
-        us[s] = (u, inverse(u), k)
-        ks[s] = d - k
+        us[s] = Matrix.from_columns(cols + [one.column(p - k) for p in pivots[k:]], d)
+        projs[s] = red.submatrix(k, d, k, k + d)
     mats = {}
     for e in x.edge_ids():
         u_slot, v_slot = x.edge_ends(e)
-        uu, _, ku = us[u_slot]
-        _, vinv, kv = us[v_slot]
-        w = vinv * x.edge_matrix(e) * uu
+        ku = ks[u_slot]
+        w = projs[v_slot] * x.edge_matrix(e) * us[u_slot]
         # invariance: the sub block must not leak into the quotient rows
-        if not w.submatrix(kv, w.rows, 0, ku).is_zero():
+        if not w.submatrix(0, w.rows, 0, ku).is_zero():
             raise ValueError("subspaces are not invariant under edge %r" % (e,))
-        mats[e] = w.submatrix(kv, w.rows, ku, w.cols)
-    quot = x.with_matrices(ks, mats)
-    proj = {}
-    for s in x.slot_ids():
-        _, uinv, k = us[s]
-        proj[s] = uinv.submatrix(k, uinv.rows, 0, uinv.cols)
-    return quot, Morphism(x, quot, proj, check=False)
+        mats[e] = w.submatrix(0, w.rows, ku, w.cols)
+    quot = x.with_matrices({s: p.rows for s, p in projs.items()}, mats)
+    return quot, Morphism(x, quot, projs, check=False)
 
 
 def kernel(f: Morphism):
@@ -445,7 +445,8 @@ class ExtSpace:
     class_coords or class_from_coords: the cocycles `_cocycles` (kernel
     basis of δ¹), the canonical coboundary basis `cobounds` (of the columns
     of δ⁰) and the class representatives `reps` (the cocycles that complete
-    B, picked by extend_basis).
+    B, picked by extend_basis).  Whether a cocycle's class is zero is one
+    more rank, augmented_rank, and needs none of them.
     """
 
     def __init__(self, x, y):
@@ -486,6 +487,15 @@ class ExtSpace:
 
     def hom_dim(self) -> int:
         return self.nslots - self._rank_d0
+
+    def augmented_rank(self, vector) -> int:
+        """rank [δ⁰ | vector], the vector appended as a column.
+
+        It exceeds rank δ⁰ exactly when the vector is not a coboundary, so
+        on a cocycle it decides whether the class is nonzero without
+        building Z, B or the class representatives.
+        """
+        return rank(self._d0.hstack(Matrix.from_columns([vector], self.nvars)))
 
     def class_coords(self, vector):
         """Coordinates of a cocycle vector in the chosen Ext basis."""
@@ -571,12 +581,12 @@ def realize_extension(xi: ExtClass):
     return z, Morphism(y, z, inj, check=False), Morphism(z, x, surj, check=False)
 
 
-def extract_class(inj: Morphism, surj: Morphism) -> ExtClass:
-    """Extension class of a short exact sequence given by inj and surj.
+def _extension_cocycle(inj: Morphism, surj: Morphism):
+    """(ExtSpace(x, y), cocycle vector) of a short exact sequence inj, surj.
 
     Verifies exactness (inj injective, surj surjective, composition zero,
     dimensions add), then reads the correction blocks off a k-linear
-    splitting.
+    splitting.  Builds no Z, B or class representatives.
     """
     y, z, x = inj.src, inj.dst, surj.dst
     if surj.src != z:
@@ -613,7 +623,16 @@ def extract_class(inj: Morphism, surj: Morphism) -> ExtClass:
         if not w.submatrix(dy, w.rows, 0, ky).is_zero():
             raise ValueError("inclusion image is not invariant under edge %r" % (e,))
         blocks[e] = w.submatrix(0, dy, ky, w.cols)
-    vec = space.cocycle_vector(blocks)
+    return space, space.cocycle_vector(blocks)
+
+
+def extract_class(inj: Morphism, surj: Morphism) -> ExtClass:
+    """Extension class of a short exact sequence given by inj and surj.
+
+    The cocycle that _extension_cocycle reads off a splitting, after the
+    same exactness checks, with its coordinates in the chosen Ext basis.
+    """
+    space, vec = _extension_cocycle(inj, surj)
     return ExtClass(space, vec, space.class_coords(vec))
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import abcat
-from .abcat import ExtSpace, pullback_extension, realize_extension
+from .abcat import ExtClass, ExtSpace, pullback_extension, realize_extension
 from .itext import IteratedExtension
 from .linalg import ONE, parse_int
 
@@ -176,9 +176,14 @@ def realize_vector(v, family, basis_choice: int = 0):
                 break
         if chosen is None:
             return None
-        lead = next(c for c in chosen_tau.coords if c)
-        chosen = chosen.scale(ONE / lead)
-        chosen_tau = pullback_extension(chosen, prev_mono)
+        # the pullback is linear in the class, so rescaling tau rescales its vector and coordinates
+        scale = ONE / next(c for c in chosen_tau.coords if c)
+        chosen = chosen.scale(scale)
+        chosen_tau = ExtClass(
+            chosen_tau.space,
+            tuple(scale * a for a in chosen_tau.vector),
+            tuple(scale * c for c in chosen_tau.coords),
+        )
         z, inj, surj = realize_extension(chosen)
         cs.append(z)
         fs.append(surj)

@@ -162,11 +162,17 @@ def euler_tower_class(alpha: Scalar, n: int, window, margin: int = DEFAULT_MARGI
     if n < 2:
         raise ValueError("tower needs n >= 2")
     key = CatalogKey("euler", alpha, None, n)
-    return _tower_class(key, catalog_module(key, window, margin), window, margin)
+    simple = simple_rep(alpha, key.twist, window)
+    space, vec = _tower_cocycle(key, catalog_module(key, window, margin), simple, window, margin)
+    return abcat.ExtClass(space, vec, space.class_coords(vec))
 
 
-def _tower_class(key: CatalogKey, big: GradedRep, window, margin: int):
-    """Tower class of an Euler key (n >= 2) at its twist, given its catalog module big."""
+def _tower_cocycle(key: CatalogKey, big: GradedRep, simple: GradedRep, window, margin: int):
+    """(ExtSpace, cocycle vector) of the tower of an Euler key (n >= 2) at its twist.
+
+    big is the key's catalog module and simple the simple for key.alpha at
+    key.twist; the caller builds both.
+    """
     small = catalog_module(replace(key, n=key.n - 1), window, margin)
     _, qpoly = to_theta_form(euler_power(key.alpha, key.n - 1))
     qpoly = qpoly.monic()
@@ -180,10 +186,10 @@ def _tower_class(key: CatalogKey, big: GradedRep, window, margin: int):
         mats[w] = Matrix.identity(rows).hstack(Matrix.from_columns([top], rows))
     surj = abcat.Morphism(big, small, mats)
     ker_obj, ker_incl = abcat.kernel(surj)
-    iso = abcat.find_isomorphism(simple_rep(key.alpha, key.twist, window), ker_obj)
+    iso = abcat.find_isomorphism(simple, ker_obj)
     if iso is None:
         raise RuntimeError("tower kernel is not the expected simple")
-    return abcat.extract_class(ker_incl * iso, surj)
+    return abcat._extension_cocycle(ker_incl * iso, surj)
 
 
 # -- theorem verification -------------------------------------------------------
@@ -242,22 +248,43 @@ def verify_key(key: CatalogKey, window, margin: int = DEFAULT_MARGIN) -> KeyResu
     problems = validate(cat)
     checks.append(("catalog validates", not problems, "; ".join(problems)))
     if len(classified) == 1:
+        built = classified[0]
         # classify certified the built object indecomposable, so the search decides
-        same = abcat.find_isomorphism(classified[0].obj, cat) is not None
-        checks.append(("isomorphic to catalog", same, ""))
+        same = abcat.find_isomorphism(built.obj, cat) is not None
+        checks.append(("isomorphic to catalog", same, "" if same else _iso_witness(built.obj, cat)))
         uni, series = abcat.is_uniserial(cat, family)
-        checks.append(("catalog uniserial", uni, ""))
+        checks.append(("catalog uniserial", uni, "" if uni else _socle_witness(cat, family)))
         expected = expected_factors(key)
         checks.append(
             ("factors", series == expected, "got %r expected %r" % (series, expected))
         )
+        ok = built.uniserial_series == expected
         checks.append(
-            ("classifier factors", classified[0].uniserial_series == expected, "")
+            ("classifier factors", ok, "" if ok else "got %r expected %r" % (built.uniserial_series, expected))
         )
     if key.kind == "euler" and key.n >= 2:
-        cls = _tower_class(key, cat, window, margin)
-        checks.append(("tower non-split", not cls.is_zero(), ""))
+        space, vec = _tower_cocycle(key, cat, dict(family)[key.start_label()], window, margin)
+        ranks = (space.augmented_rank(vec), space._rank_d0)
+        ok = ranks[0] > ranks[1]
+        checks.append(("tower non-split", ok, "" if ok else "rank [d0 | c] = %d, rank d0 = %d" % ranks))
     return KeyResult(key, tuple(checks))
+
+
+def _iso_witness(built, cat) -> str:
+    """Why find_isomorphism(built, cat) found nothing: the slot dimensions
+    differ, or no Hom(built, cat) basis map is invertible."""
+    dims = [tuple(x.slot_dim(s) for s in x.slot_ids()) for x in (built, cat)]
+    if dims[0] != dims[1]:
+        return "slot dimensions %r and %r" % tuple(dims)
+    return "none of the %d Hom(built, cat) basis maps is invertible" % len(abcat.hom_basis(built, cat))
+
+
+def _socle_witness(x, family) -> str:
+    """The first peeling stage of x whose socle is not simple, with its Hom count per simple."""
+    for depth, (step, simple_socle) in enumerate(abcat._peel(x, family)):
+        if not simple_socle:
+            counts = abcat.socle(step.stage, family).multiplicities
+            return "stage %d (dim %d): Hom counts %r" % (depth, abcat.total_dim(step.stage), counts)
 
 
 def verify_theorem(

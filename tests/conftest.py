@@ -1,6 +1,7 @@
 import itertools
 
-from uniserial.linalg import Matrix, Scalar
+from uniserial.abcat import Morphism
+from uniserial.linalg import Matrix, Scalar, extend_basis, inverse
 from uniserial.weyl import WeylElement
 
 
@@ -49,3 +50,28 @@ def from_rows(data):
     """The Matrix whose rows are the given lists."""
     data = [list(r) for r in data]
     return Matrix(len(data), len(data[0]) if data else 0, data)
+
+
+def reference_quotient_object(x, subspaces):
+    """quotient_object by extend_basis and inverse, the construction one elimination replaced."""
+    us = {}
+    for s in x.slot_ids():
+        d = x.slot_dim(s)
+        cols = list(subspaces.get(s, ()))
+        comp = extend_basis(cols, Matrix.identity(d).columns(), d)
+        if len(comp) != d - len(cols):
+            raise ValueError("subspace basis at slot %r is dependent" % (s,))
+        u = Matrix.from_columns(cols + comp, d)
+        us[s] = (u, inverse(u), len(cols))
+    mats = {}
+    for e in x.edge_ids():
+        u_slot, v_slot = x.edge_ends(e)
+        uu, _, ku = us[u_slot]
+        _, vinv, kv = us[v_slot]
+        w = vinv * x.edge_matrix(e) * uu
+        if not w.submatrix(kv, w.rows, 0, ku).is_zero():
+            raise ValueError("subspaces are not invariant under edge %r" % (e,))
+        mats[e] = w.submatrix(kv, w.rows, ku, w.cols)
+    quot = x.with_matrices({s: u.rows - k for s, (u, _, k) in us.items()}, mats)
+    proj = {s: uinv.submatrix(k, uinv.rows, 0, uinv.cols) for s, (_, uinv, k) in us.items()}
+    return quot, Morphism(x, quot, proj, check=False)

@@ -174,6 +174,28 @@ def test_realize_vector_classes_nonzero():
     assert all(not tau.is_zero() for tau in taus)
 
 
+@pytest.mark.parametrize("basis_choice", [0, 1])
+def test_realize_vector_rescales_the_pulled_back_class(basis_choice):
+    # each step's tau is its first pullback rescaled, not pulled back again;
+    # a fresh pullback of the rescaled class must give the same vector and coordinates
+    weyl = weyl_simple_family([HALF, parse_scalar("1/3+1/2*i"), "0", "inf"], [0], WINDOW)
+    cases = [
+        (("1", "2", "3"), a3_family()),
+        (("0@0", "inf@0", "0@0", "inf@0"), weyl),
+        (("1/2@0", "1/2@0", "1/2@0"), weyl),
+        (("1/3+1/2*i@0", "1/3+1/2*i@0"), weyl),
+    ]
+    for v, fam in cases:
+        ext = realize_vector(v, fam, basis_choice)
+        xis, taus = ext._classes
+        assert len(taus) == len(v) - 1
+        for xi, tau, mono in zip(xis, taus, ext.kernel_monos):
+            fresh = abcat.pullback_extension(xi, mono)
+            assert (fresh.vector, fresh.coords) == (tau.vector, tau.coords), v
+            # scaled so that the first nonzero coordinate is one
+            assert next(c for c in tau.coords if c) == Scalar(1)
+
+
 def test_restriction_map_bijective_along_realization():
     # with the criterion and nonzero classes, restricting extensions of the
     # partial object to its deepest kernel is a bijection on every simple

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from uniserial import abcat, species as species_mod, weylcat
 from uniserial.gradedrep import simple_rep, twist_rep, validate
-from uniserial.linalg import Scalar, parse_scalar
+from uniserial.linalg import ZERO, Scalar, parse_scalar
 from uniserial.quiverrep import QuiverPresentation, simple_at
 from uniserial.weylcat import (
     CatalogKey,
@@ -23,6 +25,7 @@ from uniserial.weylcat import (
 
 HALF = parse_scalar("1/2")
 MIXED = parse_scalar("1/3+1/2*i")
+WORD = CatalogKey("word", None, "0", 2)
 
 
 def test_labels_roundtrip():
@@ -225,3 +228,83 @@ def test_catalog_module_is_built_once_per_key(monkeypatch):
     built.clear()
     assert verify_key(CatalogKey("euler", MIXED, None, 2, twist=1), (-5, 7)).ok
     assert len(built) == 2
+
+
+def test_simple_is_built_once_per_family_member(monkeypatch):
+    calls = []
+    real = weylcat.simple_rep
+
+    def counting(base, twist, window):
+        calls.append((base, twist))
+        return real(base, twist, window)
+
+    monkeypatch.setattr(weylcat, "simple_rep", counting)
+    win = default_window(3)
+    assert verify_key(CatalogKey("euler", HALF, None, 3), win).ok
+    # the tower takes its simple from the family
+    assert len(calls) == len(weyl_simple_family([HALF, "0", "inf"], [0], win)) == 3
+
+
+def slot_dims(x):
+    return tuple(x.slot_dim(s) for s in x.slot_ids())
+
+
+def failed(result):
+    return {name: detail for name, ok, detail in result.checks if not ok}
+
+
+def test_passing_checks_carry_no_witness():
+    for key in (CatalogKey("euler", MIXED, None, 3), WORD):
+        res = verify_key(key, default_window(key.n))
+        assert res.ok
+        assert {detail for name, _, detail in res.checks if name not in ("unique class", "factors")} == {""}
+
+
+def test_split_tower_witness_gives_the_two_ranks(monkeypatch):
+    real = weylcat._tower_cocycle
+    seen = []
+
+    def split(*args):
+        space, vec = real(*args)
+        seen.append(space)
+        return space, tuple([ZERO] * len(vec))
+
+    monkeypatch.setattr(weylcat, "_tower_cocycle", split)
+    got = failed(verify_key(CatalogKey("euler", HALF, None, 2), default_window(2)))
+    (space,) = seen
+    r = space._rank_d0
+    assert r > 0
+    assert got == {"tower non-split": "rank [d0 | c] = %d, rank d0 = %d" % (r, r)}
+
+
+def test_isomorphism_witness_gives_the_slot_dimensions(monkeypatch):
+    real = weylcat.catalog_module
+    win = default_window(2)
+    short = real(replace(WORD, n=1), win)
+    monkeypatch.setattr(weylcat, "catalog_module", lambda key, window, margin=2: short)
+    got = failed(verify_key(WORD, win))
+    assert set(got) == {"isomorphic to catalog", "factors"}
+    assert got["isomorphic to catalog"] == "slot dimensions %r and %r" % (slot_dims(real(WORD, win)), slot_dims(short))
+
+
+def test_isomorphism_and_socle_witnesses_on_a_split_catalog(monkeypatch):
+    win = default_window(2)
+    split = abcat.direct_sum(simple_rep("0", 0, win), simple_rep("inf", 0, win)).obj
+    monkeypatch.setattr(weylcat, "catalog_module", lambda key, window, margin=2: split)
+    got = failed(verify_key(WORD, win))
+    assert set(got) == {"isomorphic to catalog", "catalog uniserial", "factors"}
+    # Hom(built, S_0 + S_inf) is the one map onto the top factor S_0, which is singular
+    assert got["isomorphic to catalog"] == "none of the 1 Hom(built, cat) basis maps is invertible"
+    assert got["catalog uniserial"] == "stage 0 (dim %d): Hom counts %r" % (
+        abcat.total_dim(split),
+        (("0@0", 1), ("inf@0", 1)),
+    )
+
+
+def test_classifier_factors_witness_gives_the_two_series(monkeypatch):
+    monkeypatch.setattr(weylcat, "expected_factors", lambda key: ("inf@0", "0@0"))
+    got = failed(verify_key(WORD, default_window(2)))
+    assert got == {
+        "factors": "got ('0@0', 'inf@0') expected ('inf@0', '0@0')",
+        "classifier factors": "got ('0@0', 'inf@0') expected ('inf@0', '0@0')",
+    }
