@@ -567,10 +567,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         status, text = COMMANDS[args.command](args)
-    except (InputError,) as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return 2
-    except WindowTooSmallError as exc:
+    except (InputError, WindowTooSmallError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
     except CriterionError as exc:

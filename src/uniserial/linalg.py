@@ -2,15 +2,15 @@
 
 Every computation in the package reduces to the primitives here: reduced
 row echelon form, ranks, kernel bases, linear solves and the trace-form
-radical of a matrix algebra.  Matrices are dense and immutable; the one
-elimination kernel, _rref_rows, takes and returns dense row lists and
-eliminates sparsely inside, choosing pivot rows by Markowitz's rule.
-rank takes no rref: _rank_rows eliminates forward only, on the same
-sparse form (_sparse_rows) with the same pivot rule, and only reads its
-rows.  No floating point anywhere: a scalar is one reduced triple of
-Python ints (a, b, d) meaning (a + b*i)/d, and its arithmetic is integer
-products and one gcd per result.  fractions.Fraction appears only at the
-edges, in parsing and in the re and im components handed to formatting.
+radical of a matrix algebra.  Matrices are dense and immutable.  Both
+elimination kernels only read their rows and eliminate on one sparse form
+(_sparse_rows) with Markowitz's pivot rule: _rref_rows returns the
+(pivot column, sparse row) pairs of the rref, _rank_rows eliminates
+forward only.  solve, inverse and in_span are each one solve_matrix.  No
+floating point anywhere: a scalar is one reduced triple of Python ints
+(a, b, d) meaning (a + b*i)/d, and its arithmetic is integer products and
+one gcd per result.  fractions.Fraction appears only at the edges, in
+parsing and in the re and im components handed to formatting.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ class Scalar:
     have equal triples.  +, -, * and / cost a few integer products and one
     gcd: sums over a shared denominator skip the cross products, and a real
     factor or divisor skips the imaginary terms.  re and im are the
-    components as Fractions; the hash is that of the pair (re, im).
+    components as Fractions.  An integer n hashes as hash(n), since it
+    compares equal to n; any other value hashes its triple.
     """
 
     __slots__ = ("_t",)
@@ -73,7 +74,8 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        a, b, d = t = self._t
+        return hash(a) if d == 1 and not b else hash(t)
 
     def __add__(self, other):
         a, b, d = self._t
@@ -399,8 +401,7 @@ def _rank_rows(rows, cols):
 
     The sparse form and the Markowitz pivot choice of _rref_rows, but a
     pivot row leaves the column index once chosen, so only the rows not yet
-    used as pivots are reduced.  Nothing is scaled, back-substituted or
-    written back dense.
+    used as pivots are reduced.  Nothing is scaled or back-substituted.
     """
     sparse, where = _sparse_rows(rows, cols)
     found = 0
@@ -435,23 +436,23 @@ def _rank_rows(rows, cols):
 
 
 def _rref_rows(rows, cols):
-    """In-place rref of a list of dense row lists; returns the pivot column list.
+    """Rref of a list of rows, which are only read: [(pivot column, row), ...].
 
-    On return the list holds the rref rows in pivot order, then the zero
-    rows, every row a dense list of length cols.
+    One pair per nonzero row of the rref, in pivot order, each row a
+    {column: Scalar} dict of its nonzeros; zero rows are not returned, so
+    len() of the result is the rank.
 
-    The work is sparse: each row is a {column: Scalar} dict, and an index
-    maps each column to the rows with a nonzero there.  Pivot columns are
-    taken left to right; for each, the pivot row is the unused row with
-    the fewest nonzeros there (Markowitz's rule, ties to the lowest index),
-    and every other row with a nonzero in that column is reduced, dropping
-    entries that cancel.  The rref and its pivots are unique for a fixed
-    column order, so the row choice changes the work and not the result.
+    The work is sparse: an index maps each column to the rows with a
+    nonzero there.  Pivot columns are taken left to right; for each, the
+    pivot row is the unused row with the fewest nonzeros there (Markowitz's
+    rule, ties to the lowest index), and every other row with a nonzero in
+    that column is reduced, dropping entries that cancel.  The rref and its
+    pivots are unique for a fixed column order, so the row choice changes
+    the work and not the result.
     """
     sparse, where = _sparse_rows(rows, cols)
-    used = [False] * len(rows)
-    pivots = []
-    order = []
+    used = [False] * len(sparse)
+    out = []
     for c in range(cols):
         here = where[c]
         candidates = [i for i in here if not used[i]]
@@ -482,26 +483,18 @@ def _rref_rows(rows, cols):
                     else:
                         del ri[j]
                         where[j].discard(i)
-        pivots.append(c)
-        order.append(p)
-        if len(order) == len(rows):
+        out.append((c, pr))
+        if len(out) == len(sparse):
             break
-    dense = []
-    for p in order:
-        row = [ZERO] * cols
-        for j, x in sparse[p].items():
-            row[j] = x
-        dense.append(row)
-    dense.extend([ZERO] * cols for _ in range(len(rows) - len(order)))
-    rows[:] = dense
-    return pivots
+    return out
 
 
 def rref(m: Matrix):
     """Reduced row echelon form; returns (rref matrix, pivot column list)."""
-    rows = [list(r) for r in m._data]
-    pivots = _rref_rows(rows, m.cols)
-    return Matrix(m.rows, m.cols, rows), pivots
+    pairs = _rref_rows(m._data, m.cols)
+    data = [[row.get(j, ZERO) for j in range(m.cols)] for _, row in pairs]
+    data.extend([(ZERO,) * m.cols] * (m.rows - len(pairs)))
+    return Matrix(m.rows, m.cols, data), [p for p, _ in pairs]
 
 
 def rank(m: Matrix) -> int:
@@ -510,16 +503,18 @@ def rank(m: Matrix) -> int:
 
 def kernel_basis(m: Matrix):
     """Basis of the null space as a list of column vectors."""
-    rows = [list(r) for r in m._data]
-    pivots = _rref_rows(rows, m.cols)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
+    pairs = _rref_rows(m._data, m.cols)
+    pivot_set = {p for p, _ in pairs}
     basis = []
-    for f in free:
+    for f in range(m.cols):
+        if f in pivot_set:
+            continue
         v = [ZERO] * m.cols
         v[f] = ONE
-        for i, p in enumerate(pivots):
-            v[p] = -rows[i][f]
+        for p, row in pairs:
+            x = row.get(f)
+            if x is not None:
+                v[p] = -x
         basis.append(tuple(v))
     return basis
 
@@ -528,16 +523,8 @@ def solve(a: Matrix, b):
     """Some x with a*x = b (column vector), or None if inconsistent."""
     if len(b) != a.rows:
         raise ValueError("rhs length %d != rows %d" % (len(b), a.rows))
-    rows = [list(r) + [bv] for r, bv in zip(a._data, b)]
-    if a.rows == 0:
-        return tuple([ZERO] * a.cols)
-    pivots = _rref_rows(rows, a.cols + 1)
-    if pivots and pivots[-1] == a.cols:
-        return None
-    x = [ZERO] * a.cols
-    for i, p in enumerate(pivots):
-        x[p] = rows[i][a.cols]
-    return tuple(x)
+    x = solve_matrix(a, Matrix.from_columns([b], a.rows))
+    return None if x is None else x.column(0)
 
 
 def solve_matrix(a: Matrix, b: Matrix):
@@ -549,14 +536,14 @@ def solve_matrix(a: Matrix, b: Matrix):
     """
     if a.rows != b.rows:
         raise ValueError("row mismatch in solve_matrix")
-    rows = [list(r) + list(br) for r, br in zip(a._data, b._data)]
-    pivots = _rref_rows(rows, a.cols + b.cols)
-    if pivots and pivots[-1] >= a.cols:
+    n = a.cols
+    pairs = _rref_rows([r + br for r, br in zip(a._data, b._data)], n + b.cols)
+    if pairs and pairs[-1][0] >= n:
         return None
-    x = [[ZERO] * b.cols for _ in range(a.cols)]
-    for i, p in enumerate(pivots):
-        x[p] = rows[i][a.cols :]
-    return Matrix(a.cols, b.cols, x)
+    x = [(ZERO,) * b.cols] * n
+    for p, row in pairs:
+        x[p] = [row.get(n + j, ZERO) for j in range(b.cols)]
+    return Matrix(n, b.cols, x)
 
 
 def column_space_basis(vectors, dim: int):
@@ -566,11 +553,7 @@ def column_space_basis(vectors, dim: int):
     the stacked vectors, transposed back to columns), so equal subspaces
     yield identical bases.
     """
-    vecs = [list(v) for v in vectors if any(v)]
-    if not vecs:
-        return []
-    pivots = _rref_rows(vecs, dim)
-    return [tuple(vecs[i]) for i in range(len(pivots))]
+    return [tuple(row.get(j, ZERO) for j in range(dim)) for _, row in _rref_rows(list(vectors), dim)]
 
 
 def extend_basis(inner, outer, dim: int):
@@ -581,30 +564,20 @@ def extend_basis(inner, outer, dim: int):
     """
     inner, outer = list(inner), list(outer)
     cols = inner + outer
-    pivots = _rref_rows([[c[i] for c in cols] for i in range(dim)], len(cols))
-    return [outer[p - len(inner)] for p in pivots if p >= len(inner)]
+    pairs = _rref_rows([[c[i] for c in cols] for i in range(dim)], len(cols))
+    return [outer[p - len(inner)] for p, _ in pairs if p >= len(inner)]
 
 
 def in_span(vectors, v) -> bool:
     """Whether column vector v lies in the span of the given vectors."""
-    if not any(v):
-        return True
-    if not vectors:
-        return False
-    a = Matrix.from_columns(vectors, len(v))
-    return solve(a, v) is not None
+    return solve(Matrix.from_columns(vectors, len(v)), v) is not None
 
 
 def inverse(m: Matrix):
-    """Inverse of a square matrix, or None if singular."""
+    """Inverse of a square matrix, or None if singular (a pivot then falls in the I of [m | I])."""
     if m.rows != m.cols:
         raise ValueError("inverse of non-square matrix")
-    n = m.rows
-    rows = [list(r) + [ONE if i == j else ZERO for j in range(n)] for i, r in enumerate(m._data)]
-    pivots = _rref_rows(rows, 2 * n)
-    if pivots[:n] != list(range(n)):
-        return None
-    return Matrix(n, n, [r[n:] for r in rows])
+    return solve_matrix(m, Matrix.identity(m.rows))
 
 
 def trace_product(a: Matrix, b: Matrix) -> Scalar:

@@ -1,7 +1,7 @@
 import itertools
 
 from uniserial.abcat import Morphism
-from uniserial.linalg import Matrix, Scalar, extend_basis, inverse
+from uniserial.linalg import ONE, ZERO, Matrix, Scalar, extend_basis, inverse
 from uniserial.weyl import WeylElement
 
 
@@ -75,3 +75,60 @@ def reference_quotient_object(x, subspaces):
     quot = x.with_matrices({s: u.rows - k for s, (u, _, k) in us.items()}, mats)
     proj = {s: uinv.submatrix(k, uinv.rows, 0, uinv.cols) for s, (_, uinv, k) in us.items()}
     return quot, Morphism(x, quot, proj, check=False)
+
+
+def dense_rref_rows(rows, cols):
+    """Plain dense Gauss-Jordan: the first row with a nonzero in each column pivots.
+
+    The reference for the sparse kernel; it reduces in place and returns
+    the pivot columns, leaving the rref rows first and the zero rows last.
+    """
+    m = len(rows)
+    piv = 0
+    pivots = []
+    for c in range(cols):
+        target = next((i for i in range(piv, m) if rows[i][c]), None)
+        if target is None:
+            continue
+        rows[piv], rows[target] = rows[target], rows[piv]
+        pr = rows[piv]
+        inv = ONE / pr[c]
+        nz = [j for j in range(c, cols) if pr[j]]
+        for j in nz:
+            pr[j] = inv * pr[j]
+        for i in range(m):
+            f = rows[i][c]
+            if i != piv and f:
+                for j in nz:
+                    rows[i][j] = rows[i][j] - f * pr[j]
+        pivots.append(c)
+        piv += 1
+    return pivots
+
+
+def reference_solve(a, b):
+    """solve by its own augmented system [a | b], eliminated by dense_rref_rows."""
+    if len(b) != a.rows:
+        raise ValueError("rhs length %d != rows %d" % (len(b), a.rows))
+    if a.rows == 0:
+        return tuple([ZERO] * a.cols)
+    rows = [list(a.row(i)) + [b[i]] for i in range(a.rows)]
+    pivots = dense_rref_rows(rows, a.cols + 1)
+    if pivots and pivots[-1] == a.cols:
+        return None
+    x = [ZERO] * a.cols
+    for i, p in enumerate(pivots):
+        x[p] = rows[i][a.cols]
+    return tuple(x)
+
+
+def reference_inverse(m):
+    """inverse by its own system [m | I], eliminated by dense_rref_rows."""
+    if m.rows != m.cols:
+        raise ValueError("inverse of non-square matrix")
+    n = m.rows
+    rows = [list(m.row(i)) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    pivots = dense_rref_rows(rows, 2 * n)
+    if pivots[:n] != list(range(n)):
+        return None
+    return Matrix(n, n, [r[n:] for r in rows])

@@ -4,7 +4,8 @@ No import may go unused in the package, its tests or the benchmark, and
 every private (single-underscore) function or class must be referenced
 somewhere in any of them.  Deletions tend to leave exactly these behind.  And no floating
 point anywhere: no float or complex literal, and no read of the names
-float or complex.
+float or complex.  The elimination kernels and the entry table of a
+Matrix stay behind linalg: no other package module names them.
 """
 
 import ast
@@ -64,6 +65,20 @@ def test_no_unreferenced_private_definitions():
                 if name.startswith("_") and not name.startswith("__") and name not in used:
                     dead.append("%s:%d %s" % (path.name, node.lineno, name))
     assert not dead, "private definitions nothing references: %s" % ", ".join(dead)
+
+
+KERNEL_NAMES = {"_rref_rows", "_rank_rows", "_sparse_rows", "_data"}
+
+
+def test_kernels_and_entry_tables_stay_behind_linalg():
+    leaks = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "linalg.py":
+            tree = parse(path)
+            imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+            names = (referenced_names(tree) | imported) & KERNEL_NAMES
+            leaks.extend("%s %s" % (path.name, name) for name in sorted(names))
+    assert not leaks, "linalg internals named outside linalg: %s" % ", ".join(leaks)
 
 
 def float_uses(tree):

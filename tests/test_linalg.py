@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import apply, from_rows
+from conftest import apply, dense_rref_rows, from_rows, reference_inverse, reference_solve
 from uniserial.linalg import (
     I,
     ONE,
@@ -122,10 +122,11 @@ def assert_matches_reference(s, ref):
     assert d > 0 and gcd(a, b, d) == 1
     assert (s.re, s.im) == (ref.re, ref.im)
     assert type(s.re) is Fraction and type(s.im) is Fraction
-    assert hash(s) == hash((ref.re, ref.im))
     assert bool(s) == bool(ref)
     for n in (-1, 0, 1, 2, True, False):
         assert (s == n) == (ref == n)
+        # Python's rule: values that compare equal hash equal
+        assert hash(s) == hash(n) or s != n
     assert str(s) == format_scalar(s) == format_scalar(ref)
     assert parse_scalar(str(s)) == s
 
@@ -152,6 +153,16 @@ def test_scalar_triple_matches_fraction_pair_reference(x, y):
             s / t
         with pytest.raises(ZeroDivisionError):
             rs / rt
+
+
+def test_scalar_hashes_as_the_int_it_equals():
+    for n in (-(10**30), -2, -1, 0, 1, 2, 7, 10**30):
+        assert hash(Scalar(n)) == hash(n) == hash(Scalar(Fraction(2 * n, 2)))
+    assert len({ONE, 1}) == 1 and len({ZERO, 0, Scalar(0, 0)}) == 1
+    assert {1: "x"}.get(ONE) == "x" and {ONE: "x"}.get(1) == "x"
+    # equal non-integer values have equal triples, so equal hashes
+    assert hash(parse_scalar("1/2+i")) == hash(Scalar(Fraction(3, 6), Fraction(4, 4)))
+    assert len({I, Scalar(0, 1), ONE}) == 2
 
 
 def test_scalar_constructors_and_immutability():
@@ -393,6 +404,7 @@ def test_extend_basis_matches_inline_pivot_selection():
 
 
 def test_solve_matrix_matches_per_column_solve():
+    """solve, solve_matrix, inverse and in_span against the dense references of conftest."""
     rng = random.Random(13)
 
     def mat(rows, cols):
@@ -403,45 +415,36 @@ def test_solve_matrix_matches_per_column_solve():
         rows, cols, rhs = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 3)
         a = mat(rows, cols)
         b = a * mat(cols, rhs) if trial % 2 else mat(rows, rhs)
-        sols = [solve(a, b.column(j)) for j in range(rhs)]
+        sols = [reference_solve(a, b.column(j)) for j in range(rhs)]
+        assert [solve(a, b.column(j)) for j in range(rhs)] == sols, trial
         expected = None if None in sols else Matrix.from_columns(sols, cols)
         got = solve_matrix(a, b)
         assert got == expected, trial
         if got is not None:
             assert a * got == b
         seen[got is not None] += 1
+        vectors = a.columns()
+        for j in range(rhs):
+            assert in_span(vectors, b.column(j)) == (sols[j] is not None), trial
+        sq = mat(rows, rows)
+        assert inverse(sq) == reference_inverse(sq), trial
     assert seen[True] >= 20 and seen[False] >= 20, seen
+    # singular and empty shapes
+    for sq in (M([[1, 2], [2, 4]]), M([[0, 0], [0, 0]]), M([[1, 0, 1], [0, 1, 1], [1, 1, 2]]), Matrix.zero(0, 0)):
+        assert inverse(sq) == reference_inverse(sq)
+    assert inverse(M([[1, 2], [2, 4]])) is None and inverse(Matrix.zero(0, 0)) == Matrix.zero(0, 0)
+    for cols in (0, 3):
+        a = Matrix.zero(0, cols)
+        assert solve(a, ()) == reference_solve(a, ()) == (ZERO,) * cols
+        assert solve_matrix(a, Matrix.zero(0, 2)) == Matrix.zero(cols, 2)
+    # no vectors: only a zero v is in their span
+    assert in_span([], (ZERO, ZERO)) and in_span([], ()) and not in_span([], (ZERO, ONE))
     with pytest.raises(ValueError):
         solve_matrix(mat(2, 2), mat(3, 1))
-
-
-def dense_rref_rows(rows, cols):
-    """Plain dense Gauss-Jordan: the first row with a nonzero in each column pivots.
-
-    The reference for the sparse kernel; it reduces in place and returns
-    the pivot columns, leaving the rref rows first and the zero rows last.
-    """
-    m = len(rows)
-    piv = 0
-    pivots = []
-    for c in range(cols):
-        target = next((i for i in range(piv, m) if rows[i][c]), None)
-        if target is None:
-            continue
-        rows[piv], rows[target] = rows[target], rows[piv]
-        pr = rows[piv]
-        inv = ONE / pr[c]
-        nz = [j for j in range(c, cols) if pr[j]]
-        for j in nz:
-            pr[j] = inv * pr[j]
-        for i in range(m):
-            f = rows[i][c]
-            if i != piv and f:
-                for j in nz:
-                    rows[i][j] = rows[i][j] - f * pr[j]
-        pivots.append(c)
-        piv += 1
-    return pivots
+    with pytest.raises(ValueError):
+        solve(mat(2, 2), (ONE,))
+    with pytest.raises(ValueError):
+        inverse(mat(2, 3))
 
 
 @st.composite
@@ -480,12 +483,16 @@ def elimination_systems(draw):
 @example(([[ZERO] * 4 for _ in range(3)], 4))
 def test_sparse_kernel_matches_dense_gauss_jordan(system):
     rows, cols = system
+    before = [list(r) for r in rows]
     expected = [list(r) for r in rows]
-    got = [list(r) for r in rows]
-    assert _rref_rows(got, cols) == dense_rref_rows(expected, cols)
-    # the whole list: rref rows in pivot order, then the zero rows, all dense
-    assert got == expected
-    assert all(type(r) is list and len(r) == cols for r in got)
+    pivots = dense_rref_rows(expected, cols)
+    got = _rref_rows(rows, cols)
+    assert [p for p, _ in got] == pivots
+    # each pivot row is the dict of nonzeros of its rref row; zero rows are not returned
+    assert [row for _, row in got] == [{j: x for j, x in enumerate(r) if x} for r in expected[: len(pivots)]]
+    assert all(type(x) is Scalar for _, row in got for x in row.values())
+    # the kernel only reads its input
+    assert rows == before
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
