@@ -16,10 +16,12 @@ the relations at the split extension, whose correction c = (c_e) gives the
 edge matrices [[Y_e, c_e], [0, X_e]].  Hom(x, y) = ker δ⁰, the coboundaries
 B = im δ⁰ come from conjugating by [[1, h], [0, 1]], the cocycles are
 Z = ker δ¹, and Ext^1(x, y) = Z / B.  _differential and _relation_rows
-build the two maps; hom_basis and ExtSpace both read δ⁰ from the first.
-Since B lies in Z, dim Ext^1 and dim Hom are two ranks, of δ¹ and δ⁰,
-and a cocycle c has zero class iff rank [δ⁰ | c] = rank δ⁰; ExtSpace
-builds Z and B themselves only on first use, for its class callers.
+build the two maps as {column: Scalar} rows of their nonzeros, reading
+each edge matrix through its kept nonzero views; hom_basis and ExtSpace
+both read δ⁰ from the first.  Since B lies in Z, dim Ext^1 and dim Hom
+are two ranks (rank_rows) of δ¹ and δ⁰, and a cocycle c has zero class
+iff rank [δ⁰ | c] = rank δ⁰; ExtSpace builds dense rows, Z and B only on
+first use, for its class callers.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .linalg import (
     inverse,
     kernel_basis,
     rank,
+    rank_rows,
     rref,
     solve,
     solve_matrix,
@@ -181,32 +184,32 @@ def _edge_layout(x, y):
     return index
 
 
-def _differential(x, y, slots, edges):
-    """δ⁰: h -> (h_v X_e - Y_e h_u)_e as dense rows, row edges[(e, i, j)] for entry (i, j) at e.
+def _differential(x, y, slots):
+    """δ⁰: h -> (h_v X_e - Y_e h_u)_e as {slot column: Scalar} rows of its nonzeros.
 
-    Column (s, i, j) is the coboundary of the unit map at (s, i, j).
+    One row per entry (i, j) of each edge block, in the _edge_layout order;
+    column (s, i, j) is the coboundary of the unit map at (s, i, j).
     """
-    rows = [[ZERO] * len(slots) for _ in edges]
+    rows = []
     for e in x.edge_ids():
         u, v = x.edge_ends(e)
-        xe = x.edge_matrix(e)
-        ye = y.edge_matrix(e)
+        xcols = x.edge_matrix(e).nonzero_columns()
+        yrows = y.edge_matrix(e).nonzero_rows()
         for i in range(y.slot_dim(v)):
             for j in range(x.slot_dim(u)):
-                row = rows[edges[(e, i, j)]]
-                for k in range(x.slot_dim(v)):
-                    c = xe[k, j]
-                    if c:
-                        row[slots[(v, i, k)]] = row[slots[(v, i, k)]] + c
-                for k in range(y.slot_dim(u)):
-                    c = ye[i, k]
-                    if c:
-                        row[slots[(u, k, j)]] = row[slots[(u, k, j)]] - c
+                row = {slots[(v, i, k)]: c for k, c in xcols[j]}
+                for k, c in yrows[i]:
+                    col = slots[(u, k, j)]
+                    a = row.pop(col, None)
+                    a = -c if a is None else a - c
+                    if a:
+                        row[col] = a
+                rows.append(row)
     return rows
 
 
 def _relation_rows(x, y, edges):
-    """δ¹ as its nonzero dense rows, one per entry (i, j) of each relation u -> v.
+    """δ¹ as its nonzero {edge column: Scalar} rows, one per entry (i, j) of each relation u -> v.
 
     A path p = e_1 ... e_n of the relation changes, to first order in the
     corrections, by the sum over positions of Y_{e_n} ... c_{e_pos} ... X_{e_1},
@@ -220,8 +223,8 @@ def _relation_rows(x, y, edges):
         dyv = y.slot_dim(v)
         if not dxu or not dyv:
             continue
-        rows = [[ZERO] * len(edges) for _ in range(dyv * dxu)]
-        unit = [[(k, ONE)] for k in range(max(dxu, dyv))]
+        rows = [{} for _ in range(dyv * dxu)]
+        unit = [((k, ONE),) for k in range(max(dxu, dyv))]
         for coef, path in terms:
             pres = [None]
             for name in path[:-1]:
@@ -233,8 +236,8 @@ def _relation_rows(x, y, edges):
                 sufs.append(ye if sufs[-1] is None else sufs[-1] * ye)
             sufs.reverse()
             for edge, pre, suf in zip(path, pres, sufs):
-                pre_cols = unit[:dxu] if pre is None else _nonzeros(pre.columns())
-                suf_rows = unit[:dyv] if suf is None else _nonzeros(map(suf.row, range(dyv)))
+                pre_cols = unit[:dxu] if pre is None else pre.nonzero_columns()
+                suf_rows = unit[:dyv] if suf is None else suf.nonzero_rows()
                 for i, entries in enumerate(suf_rows):
                     for r, sc in entries:
                         f = coef * sc
@@ -242,14 +245,21 @@ def _relation_rows(x, y, edges):
                             row = rows[i * dxu + j]
                             for c, pc in col:
                                 k = edges[(edge, r, c)]
-                                row[k] = row[k] + f * pc
-        out.extend(row for row in rows if any(row))
+                                a = row.pop(k, None)
+                                a = f * pc if a is None else a + f * pc
+                                if a:
+                                    row[k] = a
+        out.extend(row for row in rows if row)
     return out
 
 
-def _nonzeros(vectors):
-    """[(position, entry), ...] of the nonzero entries of each vector."""
-    return [[(k, a) for k, a in enumerate(vec) if a] for vec in vectors]
+def _dense(rows, ncols):
+    """The Matrix of {column: Scalar} rows."""
+    data = [[ZERO] * ncols for _ in rows]
+    for dense, row in zip(data, rows):
+        for j, a in row.items():
+            dense[j] = a
+    return Matrix(len(rows), ncols, data)
 
 
 # -- Hom ---------------------------------------------------------------------
@@ -259,8 +269,7 @@ def hom_basis(x, y):
     """Basis of the space of structure-preserving maps x -> y: ker δ⁰."""
     _check_pair(x, y)
     slots = _slot_layout(x, y)
-    rows = [row for row in _differential(x, y, slots, _edge_layout(x, y)) if any(row)]
-    sols = kernel_basis(Matrix(len(rows), len(slots), rows))
+    sols = kernel_basis(_dense([row for row in _differential(x, y, slots) if row], len(slots)))
     out = []
     for vec in sols:
         mats = {}
@@ -436,17 +445,17 @@ def amalgamated_sum(f1: Morphism, f2: Morphism):
 class ExtSpace:
     """The space of extensions of x by y, with a chosen cocycle basis.
 
-    The constructor builds the two maps of the standard complex (see the
-    module docstring) and eliminates nothing.  B = im δ⁰ lies inside
-    Z = ker δ¹, since conjugating the split extension keeps every
+    The constructor builds the two maps of the standard complex as sparse
+    rows (see the module docstring) and eliminates nothing.  B = im δ⁰ lies
+    inside Z = ker δ¹, since conjugating the split extension keeps every
     relation, so dim() = dim Z - dim B = nvars - rank δ¹ - rank δ⁰, and by
-    rank-nullity hom_dim() = dim Hom(x, y) = nslots - rank δ⁰: two ranks,
-    each taken once.  The vectors are built on first use, by basis,
-    class_coords or class_from_coords: the cocycles `_cocycles` (kernel
-    basis of δ¹), the canonical coboundary basis `cobounds` (of the columns
-    of δ⁰) and the class representatives `reps` (the cocycles that complete
-    B, picked by extend_basis).  Whether a cocycle's class is zero is one
-    more rank, augmented_rank, and needs none of them.
+    rank-nullity hom_dim() = dim Hom(x, y) = nslots - rank δ⁰: two ranks of
+    the sparse rows, each taken once.  The vectors are built on first use,
+    by basis, class_coords or class_from_coords: the cocycles `_cocycles`
+    (kernel basis of δ¹), the canonical coboundary basis `cobounds` (of the
+    columns of δ⁰) and the class representatives `reps` (the cocycles that
+    complete B, picked by extend_basis).  Whether a cocycle's class is zero
+    is one more rank, augmented_rank, and needs none of them.
     """
 
     def __init__(self, x, y):
@@ -457,25 +466,24 @@ class ExtSpace:
         self.nslots = len(slots)
         self.index = _edge_layout(x, y)
         self.nvars = len(self.index)
-        rows = _relation_rows(x, y, self.index)
-        self._d1 = Matrix(len(rows), self.nvars, rows)
-        self._d0 = Matrix(self.nvars, self.nslots, _differential(x, y, slots, self.index))
+        self._d1 = _relation_rows(x, y, self.index)
+        self._d0 = _differential(x, y, slots)
 
     @cached_property
     def _rank_d1(self):
-        return rank(self._d1)
+        return rank_rows(self._d1, self.nvars)
 
     @cached_property
     def _rank_d0(self):
-        return rank(self._d0)
+        return rank_rows(self._d0, self.nslots)
 
     @cached_property
     def _cocycles(self):
-        return kernel_basis(self._d1)
+        return kernel_basis(_dense(self._d1, self.nvars))
 
     @cached_property
     def cobounds(self):
-        return column_space_basis(self._d0.columns(), self.nvars)
+        return column_space_basis(_dense(self._d0, self.nslots).columns(), self.nvars)
 
     @cached_property
     def reps(self):
@@ -495,7 +503,8 @@ class ExtSpace:
         on a cocycle it decides whether the class is nonzero without
         building Z, B or the class representatives.
         """
-        return rank(self._d0.hstack(Matrix.from_columns([vector], self.nvars)))
+        n = self.nslots
+        return rank_rows([{**row, n: a} if a else row for row, a in zip(self._d0, vector)], n + 1)
 
     def class_coords(self, vector):
         """Coordinates of a cocycle vector in the chosen Ext basis."""

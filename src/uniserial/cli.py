@@ -252,8 +252,8 @@ def _parse_quiver(path):
 def cmd_ext_table(args):
     window = _parse_window(args.window, (-8, 8))
     margin = args.margin
+    check_window(window, (-args.max_offset, args.max_offset), 1, margin)
     offsets = list(range(-args.max_offset, args.max_offset + 1))
-    check_window(window, offsets, 1, margin)
     bases = []
     for text in (args.labels.split(",") if args.labels else ["1/2"]):
         text = text.strip()

@@ -2,12 +2,14 @@
 
 Every computation in the package reduces to the primitives here: reduced
 row echelon form, ranks, kernel bases, linear solves and the trace-form
-radical of a matrix algebra.  Matrices are dense and immutable.  Both
-elimination kernels only read their rows and eliminate on one sparse form
-(_sparse_rows) with Markowitz's pivot rule: _rref_rows returns the
-(pivot column, sparse row) pairs of the rref, _rank_rows eliminates
-forward only.  solve, inverse and in_span are each one solve_matrix.  No
-floating point anywhere: a scalar is one reduced triple of Python ints
+radical of a matrix algebra.  Matrices are dense and immutable, and keep
+their nonzero entries per row and per column once asked (nonzero_rows,
+nonzero_columns).  Both elimination kernels work on {column: Scalar} dict
+rows with Markowitz's pivot rule: _rref_rows only reads its dense rows and
+returns the (pivot column, sparse row) pairs of the rref, and _rank_rows
+eliminates fresh dict rows forward only.  rank_rows ranks rows in that
+form, rank a Matrix.  solve, inverse and in_span are each one solve_matrix.
+No floating point anywhere: a scalar is one reduced triple of Python ints
 (a, b, d) meaning (a + b*i)/d, and its arithmetic is integer products and
 one gcd per result.  fractions.Fraction appears only at the edges, in
 parsing and in the re and im components handed to formatting.
@@ -241,7 +243,7 @@ def _parse_imag_term(term: str, orig: str):
 class Matrix:
     """Immutable dense matrix of Scalars; supports 0-row/0-column shapes."""
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_data", "_nz_rows", "_nz_cols")
 
     def __init__(self, rows: int, cols: int, data):
         entries = tuple(tuple(r) for r in data)
@@ -300,6 +302,19 @@ class Matrix:
 
     def columns(self):
         return [self.column(j) for j in range(self.cols)]
+
+    def nonzero_rows(self):
+        """((column, entry), ...) of the nonzero entries of each row, built once."""
+        if not hasattr(self, "_nz_rows"):
+            view = tuple(tuple([(j, a) for j, a in enumerate(r) if a is not ZERO and a]) for r in self._data)
+            object.__setattr__(self, "_nz_rows", view)
+        return self._nz_rows
+
+    def nonzero_columns(self):
+        """((row, entry), ...) of the nonzero entries of each column, built once."""
+        if not hasattr(self, "_nz_cols"):
+            object.__setattr__(self, "_nz_cols", self.transpose().nonzero_rows())
+        return self._nz_cols
 
     def __eq__(self, other):
         return (
@@ -381,29 +396,23 @@ class Matrix:
         )
 
 
-def _sparse_rows(rows, cols):
-    """The sparse form both kernels eliminate: (dict rows, column index).
-
-    Row i becomes a {column: Scalar} dict of its nonzeros, and where[j] is
-    the set of rows with a nonzero in column j.  The input is only read.
-    """
-    # most zero cells are the shared ZERO; the identity test skips Scalar.__bool__
-    sparse = [{j: x for j, x in enumerate(r) if x is not ZERO and x} for r in rows]
+def _column_index(sparse, cols):
+    """where[j]: the set of dict rows with a nonzero in column j."""
     where = [set() for _ in range(cols)]
     for i, r in enumerate(sparse):
         for j in r:
             where[j].add(i)
-    return sparse, where
+    return where
 
 
-def _rank_rows(rows, cols):
-    """Rank of a list of rows by forward elimination; the rows are only read.
+def _rank_rows(sparse, cols):
+    """Rank of fresh {column: Scalar} rows by forward elimination, which consumes them.
 
     The sparse form and the Markowitz pivot choice of _rref_rows, but a
     pivot row leaves the column index once chosen, so only the rows not yet
     used as pivots are reduced.  Nothing is scaled or back-substituted.
     """
-    sparse, where = _sparse_rows(rows, cols)
+    where = _column_index(sparse, cols)
     found = 0
     for c in range(cols):
         here = where[c]
@@ -430,7 +439,7 @@ def _rank_rows(rows, cols):
                         del ri[j]
                         where[j].discard(i)
         found += 1
-        if found == len(rows):
+        if found == len(sparse):
             break
     return found
 
@@ -450,7 +459,9 @@ def _rref_rows(rows, cols):
     pivots are unique for a fixed column order, so the row choice changes
     the work and not the result.
     """
-    sparse, where = _sparse_rows(rows, cols)
+    # most zero cells are the shared ZERO; the identity test skips Scalar.__bool__
+    sparse = [{j: x for j, x in enumerate(r) if x is not ZERO and x} for r in rows]
+    where = _column_index(sparse, cols)
     used = [False] * len(sparse)
     out = []
     for c in range(cols):
@@ -498,7 +509,12 @@ def rref(m: Matrix):
 
 
 def rank(m: Matrix) -> int:
-    return _rank_rows(m._data, m.cols)
+    return _rank_rows([{j: x for j, x in enumerate(r) if x is not ZERO and x} for r in m._data], m.cols)
+
+
+def rank_rows(rows, cols: int) -> int:
+    """Rank of {column: Scalar} rows that hold only nonzero entries; the rows are only read."""
+    return _rank_rows([dict(r) for r in rows], cols)
 
 
 def kernel_basis(m: Matrix):

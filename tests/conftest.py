@@ -2,6 +2,7 @@ import itertools
 
 from uniserial.abcat import Morphism
 from uniserial.linalg import ONE, ZERO, Matrix, Scalar, extend_basis, inverse
+from uniserial.quiverrep import QuiverPresentation, QuiverRep
 from uniserial.weyl import WeylElement
 
 
@@ -50,6 +51,25 @@ def from_rows(data):
     """The Matrix whose rows are the given lists."""
     data = [list(r) for r in data]
     return Matrix(len(data), len(data[0]) if data else 0, data)
+
+
+def opposite_quiver(pres):
+    """A^op: every arrow reversed, every relation u -> v read backwards as v -> u."""
+    return QuiverPresentation(
+        pres.nodes,
+        [(a, t, s) for a, s, t in pres.arrows],
+        [(v, u, tuple((coef, tuple(reversed(path))) for coef, path in terms)) for u, v, terms in pres.relation_list],
+    )
+
+
+def transpose_dual(x):
+    """Dx, the representation of A^op with the dimensions of x and every arrow matrix transposed.
+
+    Transposing a path product reverses it, so Dx satisfies the reversed
+    relations; D is a duality, Hom_A(x, y) = Hom_{A^op}(Dy, Dx) and
+    Ext^1_A(x, y) = Ext^1_{A^op}(Dy, Dx).
+    """
+    return QuiverRep(opposite_quiver(x.pres), x.dims, {a: m.transpose() for a, m in x.mats.items()})
 
 
 def reference_quotient_object(x, subspaces):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import reference_quotient_object
+from conftest import apply, reference_quotient_object, transpose_dual
 from uniserial import abcat, linalg
 from uniserial.abcat import (
     BackendMismatchError,
@@ -29,7 +29,7 @@ from uniserial.abcat import (
     zero_like,
 )
 from uniserial.gradedrep import ideal_quotient_rep, simple_rep, validate
-from uniserial.linalg import ZERO, Matrix, ONE, Scalar, algebra_radical, inverse, parse_scalar
+from uniserial.linalg import ZERO, Matrix, ONE, Scalar, algebra_radical, inverse, parse_scalar, rank
 from uniserial.quiverrep import KRONECKER, QuiverPresentation, QuiverRep, parse_presentation, simple_at
 from uniserial.species import species_of
 from uniserial.weyl import euler_power
@@ -526,9 +526,10 @@ def reference_hom_basis(x, y):
     return out
 
 
-def reference_cocycles_and_coboundaries(x, y):
-    """(Z, B) from a cell-by-cell relation linearization and one conjugation
-    vector per unit slot map."""
+def reference_complex(x, y):
+    """(δ¹, δ⁰) as dense matrices: δ¹ from a cell-by-cell relation
+    linearization (its nonzero rows), δ⁰ from one conjugation vector per
+    unit slot map (its columns)."""
     index = {}
     for e in x.edge_ids():
         u, v = x.edge_ends(e)
@@ -570,8 +571,7 @@ def reference_cocycles_and_coboundaries(x, y):
                     row[k] = c
                 if any(row):
                     rows.append(row)
-    cocycles = abcat.kernel_basis(Matrix(len(rows), nvars, rows))
-    cobounds = []
+    conjugations = []
     for s in x.slot_ids():
         for i in range(y.slot_dim(s)):
             for j in range(x.slot_dim(s)):
@@ -590,9 +590,14 @@ def reference_cocycles_and_coboundaries(x, y):
                             c = xe[j, cidx]
                             if c:
                                 vec[index[(e, i, cidx)]] = vec[index[(e, i, cidx)]] + c
-                if any(vec):
-                    cobounds.append(tuple(vec))
-    return cocycles, abcat.column_space_basis(cobounds, nvars)
+                conjugations.append(tuple(vec))
+    return Matrix(len(rows), nvars, rows), Matrix.from_columns(conjugations, nvars)
+
+
+def reference_cocycles_and_coboundaries(x, y):
+    """(Z, B): the kernel of the reference δ¹ and the span of the reference δ⁰ columns."""
+    d1, d0 = reference_complex(x, y)
+    return abcat.kernel_basis(d1), abcat.column_space_basis(d0.columns(), d0.rows)
 
 
 def _matches_reference_builders(x, y):
@@ -668,21 +673,27 @@ A4_CHAIN = QuiverPresentation(
 )
 
 
-def chain_objects():
-    """Representations of the A4 chain with c.b.a = 0: the four simples and
-    six seeded ones with non-square maps, c drawn from the left kernel of b.a,
-    so the relation path of length 3 has a real prefix and suffix product."""
-    rng = random.Random(43)
+def random_chain_rep(rng, dims):
+    """A seeded representation of the A4 chain with dimensions dims and c
+    drawn from the left kernel of b.a, so that c.b.a = 0."""
 
     def draw(rows, cols):
         return Matrix(rows, cols, [[Scalar(rng.randint(-2, 2)) for _ in range(cols)] for _ in range(rows)])
 
+    a, b = draw(dims[1], dims[0]), draw(dims[2], dims[1])
+    left = Matrix.from_columns(abcat.kernel_basis((b * a).transpose()), dims[2]).transpose()
+    c = draw(dims[3], left.rows) * left
+    return QuiverRep(A4_CHAIN, dict(zip(A4_CHAIN.nodes, dims)), {"a": a, "b": b, "c": c})
+
+
+def chain_objects():
+    """Representations of the A4 chain with c.b.a = 0: the four simples and
+    six seeded ones with non-square maps, so the relation path of length 3
+    has a real prefix and suffix product."""
+    rng = random.Random(43)
     objs = [simple_at(A4_CHAIN, n) for n in A4_CHAIN.nodes]
     for dims in ((1, 2, 3, 2), (2, 1, 2, 2), (2, 3, 3, 1), (1, 1, 2, 2), (3, 2, 2, 2), (2, 3, 2, 1)):
-        a, b = draw(dims[1], dims[0]), draw(dims[2], dims[1])
-        left = Matrix.from_columns(abcat.kernel_basis((b * a).transpose()), dims[2]).transpose()
-        c = draw(dims[3], left.rows) * left
-        objs.append(QuiverRep(A4_CHAIN, dict(zip(A4_CHAIN.nodes, dims)), {"a": a, "b": b, "c": c}))
+        objs.append(random_chain_rep(rng, dims))
     return objs
 
 
@@ -699,6 +710,55 @@ def test_differential_matches_reference_builders_under_relations():
     # the chain relation cuts the cocycles of some pairs
     chain = chain_objects()
     assert any(len(space._cocycles) < space.nvars for space in (ExtSpace(a, b) for a in chain for b in chain))
+
+
+def _ranks_match_reference_builders(x, y, rng):
+    # the sparse ranks of the complex against rank of the dense reference
+    # matrices, and rank [δ⁰ | c] for zero, coboundary and random vectors c
+    d1, d0 = reference_complex(x, y)
+    space = ExtSpace(x, y)
+    assert (space._rank_d1, space._rank_d0) == (rank(d1), rank(d0))
+    n = space.nvars
+    vectors = [tuple([ZERO] * n), apply(d0, tuple([ONE] * d0.cols))]
+    vectors.append(apply(d0, tuple(Scalar(rng.randint(-2, 2)) for _ in range(d0.cols))))
+    vectors.extend(tuple(Scalar(rng.randint(-1, 1)) for _ in range(n)) for _ in range(2))
+    for vec in vectors:
+        assert space.augmented_rank(vec) == rank(d0.hstack(Matrix.from_columns([vec], n)))
+
+
+def test_sparse_ranks_match_dense_reference_complex():
+    rng = random.Random(47)
+    bases = [HALF, parse_scalar("1/3+1/2*i"), "0", "inf"]
+    weyl = [(a, b) for _, a in weyl_simple_family(bases, [0], (-8, 8))
+            for _, b in weyl_simple_family(bases, range(-2, 3), (-8, 8))]
+    hereditary = [pair for _, _, x, y in random_hereditary_pairs() for pair in ((x, y), (y, x), (x, x))]
+    related = [(a, b) for objs in (loop_objects(), idempotent_objects(), square_objects(), chain_objects())
+               for a in objs for b in objs]
+    for x, y in weyl + hereditary + related:
+        _ranks_match_reference_builders(x, y, rng)
+
+
+def test_transpose_duality_swaps_hom_and_ext():
+    # an oracle that shares no code with the builders: D transposes every
+    # matrix of a representation of A into one of A^op, and dim Hom and
+    # dim Ext^1 of (x, y) equal those of (Dy, Dx).  δ¹ of the dual pair
+    # composes its prefix and suffix products in the opposite order, so an
+    # order error in one of them fails here
+    rng = random.Random(53)
+    square_chains = []
+    while len(square_chains) < 3:
+        rep = random_chain_rep(rng, (2, 2, 2, 2))
+        if not rep.mats["c"].is_zero():
+            square_chains.append(rep)
+    families = [loop_objects(), idempotent_objects(), square_objects(), chain_objects() + square_chains]
+    families += [[x, y] for _, _, x, y in random_hereditary_pairs()]
+    for objs in families:
+        duals = [transpose_dual(x) for x in objs]
+        assert [transpose_dual(dx) for dx in duals] == objs
+        for x, dx in zip(objs, duals):
+            for y, dy in zip(objs, duals):
+                space, dual = ExtSpace(x, y), ExtSpace(dy, dx)
+                assert (space.hom_dim(), space.dim()) == (dual.hom_dim(), dual.dim()), (x.dims, y.dims)
 
 
 def test_ext_dimensions_build_no_vectors_and_no_rref(monkeypatch):

@@ -362,6 +362,7 @@ def test_unknown_command(capsys):
         ["weyl-module", "--kind", "euler", "--alpha", "1", "--n", "1", "--normalize-alpha"],
         ["weyl-module", "--kind", "euler", "--alpha", "i/0", "--n", "1"],
         ["classify", "--quiver", "{quiver}", "--n", "1", "--start", "7"],
+        ["ext-table", "--labels", "1/3", "--max-offset", "100000000000"],
     ],
     ids=[
         "classify-n0",
@@ -382,6 +383,7 @@ def test_unknown_command(capsys):
         "normalize-integer-label",
         "imaginary-over-zero",
         "classify-quiver-unknown-start",
+        "ext-table-huge-offset-window-too-small",
     ],
 )
 def test_rejects_empty_lengths_and_negative_offsets(tmp_path, capsys, argv):

@@ -67,7 +67,7 @@ def test_no_unreferenced_private_definitions():
     assert not dead, "private definitions nothing references: %s" % ", ".join(dead)
 
 
-KERNEL_NAMES = {"_rref_rows", "_rank_rows", "_sparse_rows", "_data"}
+KERNEL_NAMES = {"_rref_rows", "_rank_rows", "_column_index", "_data", "_nz_rows", "_nz_cols"}
 
 
 def test_kernels_and_entry_tables_stay_behind_linalg():

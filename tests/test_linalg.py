@@ -26,6 +26,7 @@ from uniserial.linalg import (
     parse_int,
     parse_scalar,
     rank,
+    rank_rows,
     rref,
     solve,
     solve_matrix,
@@ -346,6 +347,28 @@ def random_matrix(rng, rows, cols):
     return Matrix(rows, cols, data)
 
 
+def test_nonzero_views_match_the_entries_and_are_kept():
+    rng = random.Random(13)
+    shapes = [(0, 0), (0, 3), (3, 0)] + [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(20)]
+    for rows, cols in shapes:
+        # mostly zero Gaussian rationals with small denominators
+        data = [[S(Fraction(rng.randint(-3, 3), rng.randint(1, 4)), Fraction(rng.randint(-1, 1), rng.randint(1, 3)))
+                 if rng.randint(0, 2) else ZERO for _ in range(cols)] for _ in range(rows)]
+        m, twin = Matrix(rows, cols, data), Matrix(rows, cols, data)
+        key = hash(twin)
+        by_row, by_col = m.nonzero_rows(), m.nonzero_columns()
+        assert by_row == tuple(tuple((j, m[i, j]) for j in range(cols) if m[i, j]) for i in range(rows))
+        assert by_col == tuple(tuple((i, m[i, j]) for i in range(rows) if m[i, j]) for j in range(cols))
+        # built once and kept
+        assert m.nonzero_rows() is by_row and m.nonzero_columns() is by_col
+        # a built view changes neither equality, nor the hash, nor immutability
+        assert m == twin and twin == m and hash(m) == key == hash(twin)
+        for name in ("rows", "_data", "_nz_rows", "_nz_cols"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, None)
+        assert m.nonzero_rows() is by_row and m == twin
+
+
 def test_block_and_submatrix_split_and_reassemble():
     rng = random.Random(5)
     for _ in range(40):
@@ -504,8 +527,10 @@ def test_sparse_kernel_matches_dense_gauss_jordan(system):
 def test_rank_by_forward_elimination_matches_dense_gauss_jordan(system):
     rows, cols = system
     expected = len(dense_rref_rows([list(r) for r in rows], cols))
-    got = [list(r) for r in rows]
-    assert _rank_rows(got, cols) == expected
-    # forward elimination only reads its input
-    assert got == rows
+    sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    before = [dict(r) for r in sparse]
+    assert rank_rows(sparse, cols) == expected
+    # rank_rows only reads its rows; the kernel under it consumes fresh copies
+    assert sparse == before
+    assert _rank_rows([dict(r) for r in sparse], cols) == expected
     assert rank(Matrix(len(rows), cols, rows)) == expected
