@@ -310,36 +310,52 @@ class DirectSum:
     proj2: Morphism
 
 
-def direct_sum(x, y) -> DirectSum:
-    _check_pair(x, y)
-    dims = {s: x.slot_dim(s) + y.slot_dim(s) for s in x.slot_ids()}
+def glue(parts, correction):
+    """The object with the parts along the diagonal and corrections off it.
+
+    Edge e's matrix has part i's edge matrix in diagonal block i, and in
+    block (i, j), i != j, the map correction(i, j, e) from part j's
+    coordinates into part i's rows, None being a zero block.  The parts
+    must share one space; the relations are the backend's or the caller's
+    to check.
+    """
+    first = parts[0]
+    for p in parts[1:]:
+        _check_pair(first, p)
     mats = {}
-    for e in x.edge_ids():
-        u, v = x.edge_ends(e)
-        mats[e] = Matrix.block(
-            [[x.edge_matrix(e), None], [None, y.edge_matrix(e)]],
-            [x.slot_dim(v), y.slot_dim(v)],
-            [x.slot_dim(u), y.slot_dim(u)],
-        )
-    z = x.with_matrices(dims, mats)
-    inj1 = {}
-    inj2 = {}
-    proj1 = {}
-    proj2 = {}
-    for s in x.slot_ids():
-        dx, d = x.slot_dim(s), dims[s]
-        one = Matrix.identity(d)
-        inj1[s] = one.submatrix(0, d, 0, dx)
-        inj2[s] = one.submatrix(0, d, dx, d)
-        proj1[s] = one.submatrix(0, dx, 0, d)
-        proj2[s] = one.submatrix(dx, d, 0, d)
-    return DirectSum(
-        z,
-        Morphism(x, z, inj1, check=False),
-        Morphism(y, z, inj2, check=False),
-        Morphism(z, x, proj1, check=False),
-        Morphism(z, y, proj2, check=False),
-    )
+    for e in first.edge_ids():
+        u, v = first.edge_ends(e)
+        grid = [
+            [p.edge_matrix(e) if i == j else correction(i, j, e) for j in range(len(parts))]
+            for i, p in enumerate(parts)
+        ]
+        mats[e] = Matrix.block(grid, [p.slot_dim(v) for p in parts], [p.slot_dim(u) for p in parts])
+    return first.with_matrices({s: sum(p.slot_dim(s) for p in parts) for s in first.slot_ids()}, mats)
+
+
+def part_maps(obj, parts, k):
+    """(inclusion parts[k] -> obj, projection obj -> parts[k]) of part k of obj = glue(parts, ...).
+
+    Built unchecked: the inclusion is a morphism when block column k has
+    no correction, the projection when block row k has none.  Any
+    consecutive run of parts may stand as one part.
+    """
+    part = parts[k]
+    inc = {}
+    proj = {}
+    for s in obj.slot_ids():
+        d, w = obj.slot_dim(s), part.slot_dim(s)
+        lo = sum(p.slot_dim(s) for p in parts[:k])
+        inc[s] = Matrix(d, w, [[ONE if i == lo + j else ZERO for j in range(w)] for i in range(d)])
+        proj[s] = Matrix(w, d, [[ONE if j == lo + i else ZERO for j in range(d)] for i in range(w)])
+    return Morphism(part, obj, inc, check=False), Morphism(obj, part, proj, check=False)
+
+
+def direct_sum(x, y) -> DirectSum:
+    z = glue((x, y), lambda i, j, e: None)
+    inj1, proj1 = part_maps(z, (x, y), 0)
+    inj2, proj2 = part_maps(z, (x, y), 1)
+    return DirectSum(z, inj1, inj2, proj1, proj2)
 
 
 def sub_object(x, subspaces):
@@ -569,25 +585,9 @@ def ext1_basis(x, y):
 
 def realize_extension(xi: ExtClass):
     """Middle object of the extension with its inclusion and surjection."""
-    x, y = xi.space.x, xi.space.y
-    dims = {s: y.slot_dim(s) + x.slot_dim(s) for s in x.slot_ids()}
-    mats = {}
-    for e in x.edge_ids():
-        u, v = x.edge_ends(e)
-        mats[e] = Matrix.block(
-            [[y.edge_matrix(e), xi.correction_matrix(e)], [None, x.edge_matrix(e)]],
-            [y.slot_dim(v), x.slot_dim(v)],
-            [y.slot_dim(u), x.slot_dim(u)],
-        )
-    z = y.with_matrices(dims, mats)
-    inj = {}
-    surj = {}
-    for s in x.slot_ids():
-        dy, d = y.slot_dim(s), dims[s]
-        one = Matrix.identity(d)
-        inj[s] = one.submatrix(0, d, 0, dy)
-        surj[s] = one.submatrix(dy, d, 0, d)
-    return z, Morphism(y, z, inj, check=False), Morphism(z, x, surj, check=False)
+    parts = (xi.space.y, xi.space.x)
+    z = glue(parts, lambda i, j, e: xi.correction_matrix(e) if i < j else None)
+    return z, part_maps(z, parts, 0)[0], part_maps(z, parts, 1)[1]
 
 
 def _extension_cocycle(inj: Morphism, surj: Morphism):

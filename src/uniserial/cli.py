@@ -255,7 +255,7 @@ def cmd_ext_table(args):
     check_window(window, (-args.max_offset, args.max_offset), 1, margin)
     offsets = list(range(-args.max_offset, args.max_offset + 1))
     bases = []
-    for text in (args.labels.split(",") if args.labels else ["1/2"]):
+    for text in (args.labels.split(",") if args.labels is not None else ["1/2"]):
         text = text.strip()
         if text in ("0", "inf"):
             raise InputError("boundary labels are always included; pass only interior labels")
@@ -339,7 +339,7 @@ def cmd_weyl_module(args):
 
 def cmd_verify_weyl(args):
     alphas = []
-    for text in (args.alphas.split(",") if args.alphas else ["1/2"]):
+    for text in (args.alphas.split(",") if args.alphas is not None else ["1/2"]):
         alpha, _ = _parse_alpha(text.strip(), False)
         alphas.append(alpha)
     window = _parse_window(args.window, None)

@@ -31,7 +31,7 @@ class IteratedExtension:
     as the kernel of fs[i].
     """
 
-    def __init__(self, family, order_vector, cs, fs, kernel_monos, classes=None):
+    def __init__(self, family, order_vector, cs, fs, kernel_monos):
         self.family = tuple(family)
         self.order_vector = tuple(order_vector)
         self.cs = tuple(cs)
@@ -40,7 +40,6 @@ class IteratedExtension:
         n = len(self.order_vector)
         if not (len(self.cs) == len(self.fs) == len(self.kernel_monos) == n):
             raise ValueError("level counts disagree")
-        self._classes = classes
 
     @property
     def length(self):
@@ -242,8 +241,6 @@ def _merge_families(fam1, fam2):
 
 def extension_classes(e: IteratedExtension):
     """Per-level classes (xi_2..xi_n) and their restrictions (tau_2..tau_n)."""
-    if e._classes is not None:
-        return e._classes
     xis = []
     taus = []
     for i in range(1, e.length):
@@ -251,8 +248,7 @@ def extension_classes(e: IteratedExtension):
         tau = abcat.pullback_extension(xi, e.kernel_monos[i - 1])
         xis.append(xi)
         taus.append(tau)
-    e._classes = (tuple(xis), tuple(taus))
-    return e._classes
+    return tuple(xis), tuple(taus)
 
 
 # -- extension types and path algebras ---------------------------------------
@@ -475,24 +471,13 @@ def deformation_roundtrip(e: IteratedExtension):
     return d, back, iso
 
 
-def _assemble_block_object(d: DeformationModule, positions):
-    """Object with one block per listed position and psi corrections."""
-    order = d.gamma.order_vector
-    template = d.factor_objects[0][1]
-    simples = [d.factor(order[p - 1]) for p in positions]
-    dims = {s: sum(sp.slot_dim(s) for sp in simples) for s in template.slot_ids()}
-    mats = {}
-    for edge in template.edge_ids():
-        u, v = template.edge_ends(edge)
-        grid = [[d.psi_matrix(pj, pi, edge) if pj < pi else None for pj in positions] for pi in positions]
-        for bi, sp in enumerate(simples):
-            grid[bi][bi] = sp.edge_matrix(edge)
-        mats[edge] = Matrix.block(grid, [sp.slot_dim(v) for sp in simples], [sp.slot_dim(u) for sp in simples])
-    obj = template.with_matrices(dims, mats)
+def _glued(parts, correction):
+    """abcat.glue of the factor parts, checked against the backend relations."""
+    obj = abcat.glue(parts, correction)
     bad = obj.validate_report()
     if bad:
         raise ValueError("correction maps violate the backend relations: %s" % "; ".join(bad))
-    return obj, simples
+    return obj
 
 
 def from_deformation(d: DeformationModule) -> IteratedExtension:
@@ -503,27 +488,20 @@ def from_deformation(d: DeformationModule) -> IteratedExtension:
     gives the m-th cofiltration stage.
     """
     order = d.gamma.order_vector
-    n = len(order)
+    simples = [d.factor(lbl) for lbl in order]
     cs = []
     fs = []
     monos = []
-    prev = None
-    for m in range(1, n + 1):
-        obj, simples = _assemble_block_object(d, list(range(1, m + 1)))
-        cs.append(obj)
+    for m in range(1, len(order) + 1):
+        obj = _glued(simples[:m], lambda i, j, edge: d.psi_matrix(j + 1, i + 1, edge) if j < i else None)
         # the surjection keeps the leading blocks; the last block is the kernel
-        ones = {s: Matrix.identity(obj.slot_dim(s)) for s in obj.slot_ids()}
         if m == 1:
             fs.append(abcat.zero_morphism(obj, abcat.zero_like(obj)))
         else:
-            keep = {s: one.submatrix(0, prev.slot_dim(s), 0, one.cols) for s, one in ones.items()}
-            fs.append(Morphism(obj, prev, keep))
-        simple = simples[-1]
-        last = {s: one.submatrix(0, one.rows, one.cols - simple.slot_dim(s), one.cols) for s, one in ones.items()}
-        monos.append(Morphism(simple, obj, last))
-        prev = obj
-    family = d.factor_objects
-    return IteratedExtension(family, order, cs, fs, monos)
+            fs.append(abcat.part_maps(obj, (cs[-1], simples[m - 1]), 0)[1])
+        monos.append(abcat.part_maps(obj, simples[:m], m - 1)[0])
+        cs.append(obj)
+    return IteratedExtension(d.factor_objects, order, cs, fs, monos)
 
 
 def deformation_total_object(d: DeformationModule):
@@ -536,37 +514,18 @@ def deformation_total_object(d: DeformationModule):
     algebra = PathAlgebra(d.gamma)
     order = d.gamma.order_vector
     n = len(order)
-    template = d.factor_objects[0][1]
-    comps = algebra.basis
-    comp_simple = [d.factor(algebra.target(b)) for b in comps]
-
-    def corrections(b):
-        out = []
-        if b[0] == "e":
-            positions = [i for i in range(1, n + 1) if order[i - 1] == b[1]]
-        else:
-            positions = [b[2]]
+    cells = {}
+    for k, b in enumerate(algebra.basis):
+        positions = [i for i in range(1, n + 1) if order[i - 1] == b[1]] if b[0] == "e" else [b[2]]
         for i in positions:
             for j in range(i + 1, n + 1):
                 target = ("run", i + 1, j) if b[0] == "e" else ("run", b[1], j)
                 if target in algebra.index:
-                    out.append((i, j, algebra.index[target]))
-        return out
-
-    dims = {s: sum(sp.slot_dim(s) for sp in comp_simple) for s in template.slot_ids()}
-    mats = {}
-    for edge in template.edge_ids():
-        u, v = template.edge_ends(edge)
-        grid = [[None] * len(comps) for _ in comps]
-        for bi, b in enumerate(comps):
-            grid[bi][bi] = comp_simple[bi].edge_matrix(edge)
-            for (i, j, tgt_idx) in corrections(b):
-                grid[tgt_idx][bi] = d.psi_matrix(i, j, edge)
-        mats[edge] = Matrix.block(grid, [sp.slot_dim(v) for sp in comp_simple], [sp.slot_dim(u) for sp in comp_simple])
-    total = template.with_matrices(dims, mats)
-    bad = total.validate_report()
-    if bad:
-        raise ValueError("correction maps violate the backend relations: %s" % "; ".join(bad))
+                    cells[(algebra.index[target], k)] = (i, j)
+    total = _glued(
+        [d.factor(algebra.target(b)) for b in algebra.basis],
+        lambda row, col, edge: d.psi_matrix(*cells[(row, col)], edge) if (row, col) in cells else None,
+    )
     return total, algebra
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import abcat
-from .abcat import ExtClass, ExtSpace, pullback_extension, realize_extension
+from .abcat import ExtSpace, pullback_extension, realize_extension
 from .itext import IteratedExtension
 from .linalg import ONE, parse_int
 
@@ -156,8 +156,6 @@ def realize_vector(v, family, basis_choice: int = 0):
     cs = [first]
     fs = [abcat.zero_morphism(first, abcat.zero_like(first))]
     monos = [abcat.identity_morphism(first)]
-    xis = []
-    taus = []
     for i in range(1, len(v)):
         prev = cs[-1]
         prev_mono = monos[-1]
@@ -167,32 +165,19 @@ def realize_vector(v, family, basis_choice: int = 0):
         if basis_choice:
             candidates = [c.scale(ONE + ONE) for c in reversed(candidates)]
         chosen = None
-        chosen_tau = None
         for cls in candidates:
             tau = pullback_extension(cls, prev_mono)
             if not tau.is_zero():
                 chosen = cls
-                chosen_tau = tau
                 break
         if chosen is None:
             return None
-        # the pullback is linear in the class, so rescaling tau rescales its vector and coordinates
-        scale = ONE / next(c for c in chosen_tau.coords if c)
-        chosen = chosen.scale(scale)
-        chosen_tau = ExtClass(
-            chosen_tau.space,
-            tuple(scale * a for a in chosen_tau.vector),
-            tuple(scale * c for c in chosen_tau.coords),
-        )
-        z, inj, surj = realize_extension(chosen)
+        # the pullback is linear in the class, so this scale makes tau's first nonzero coordinate one
+        z, inj, surj = realize_extension(chosen.scale(ONE / next(c for c in tau.coords if c)))
         cs.append(z)
         fs.append(surj)
         monos.append(inj)
-        xis.append(chosen)
-        taus.append(chosen_tau)
-    return IteratedExtension(
-        tuple(family), v, cs, fs, monos, classes=(tuple(xis), tuple(taus))
-    )
+    return IteratedExtension(tuple(family), v, cs, fs, monos)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
 import itertools
 
-from uniserial.abcat import Morphism
+from uniserial import abcat
+from uniserial.abcat import DirectSum, Morphism
+from uniserial.gradedrep import GradedRep
+from uniserial.itext import IteratedExtension, PathAlgebra
 from uniserial.linalg import ONE, ZERO, Matrix, Scalar, extend_basis, inverse
 from uniserial.quiverrep import QuiverPresentation, QuiverRep
 from uniserial.weyl import WeylElement
@@ -70,6 +73,22 @@ def transpose_dual(x):
     Ext^1_A(x, y) = Ext^1_{A^op}(Dy, Dx).
     """
     return QuiverRep(opposite_quiver(x.pres), x.dims, {a: m.transpose() for a, m in x.mats.items()})
+
+
+def graded_dual(m):
+    """D(M) on the negated window: D(M)_w = (M_{-w})*, t acting by (t_{-w-1})ᵀ and d by -(p_{-w+1})ᵀ.
+
+    d t - t d = (p t - t p)ᵀ = 1, so D(M) is again a graded module; D is
+    the transpose duality of the window quiver, so Hom(x, y) = Hom(Dy, Dx)
+    and Ext^1(x, y) = Ext^1(Dy, Dx).
+    """
+    wmin, wmax = m.window
+    return GradedRep(
+        (-wmax, -wmin),
+        {w: m.dims[-w] for w in range(-wmax, -wmin + 1)},
+        {w: m.tmat[-w - 1].transpose() for w in range(-wmax, -wmin)},
+        {w: -m.pmat[-w + 1].transpose() for w in range(-wmax + 1, -wmin + 1)},
+    )
 
 
 def reference_quotient_object(x, subspaces):
@@ -152,3 +171,123 @@ def reference_inverse(m):
     if pivots[:n] != list(range(n)):
         return None
     return Matrix(n, n, [r[n:] for r in rows])
+
+
+# -- the hand-rolled block builders that abcat.glue replaced ---------------------
+
+
+def reference_direct_sum(x, y):
+    """direct_sum with its own block grid and identity slicing."""
+    dims = {s: x.slot_dim(s) + y.slot_dim(s) for s in x.slot_ids()}
+    mats = {}
+    for e in x.edge_ids():
+        u, v = x.edge_ends(e)
+        mats[e] = Matrix.block(
+            [[x.edge_matrix(e), None], [None, y.edge_matrix(e)]],
+            [x.slot_dim(v), y.slot_dim(v)],
+            [x.slot_dim(u), y.slot_dim(u)],
+        )
+    z = x.with_matrices(dims, mats)
+    inj1, inj2, proj1, proj2 = {}, {}, {}, {}
+    for s in x.slot_ids():
+        dx, d = x.slot_dim(s), dims[s]
+        one = Matrix.identity(d)
+        inj1[s] = one.submatrix(0, d, 0, dx)
+        inj2[s] = one.submatrix(0, d, dx, d)
+        proj1[s] = one.submatrix(0, dx, 0, d)
+        proj2[s] = one.submatrix(dx, d, 0, d)
+    return DirectSum(z, Morphism(x, z, inj1), Morphism(y, z, inj2), Morphism(z, x, proj1), Morphism(z, y, proj2))
+
+
+def reference_realize_extension(xi):
+    """realize_extension with its own block grid and identity slicing; the maps are checked."""
+    x, y = xi.space.x, xi.space.y
+    dims = {s: y.slot_dim(s) + x.slot_dim(s) for s in x.slot_ids()}
+    mats = {}
+    for e in x.edge_ids():
+        u, v = x.edge_ends(e)
+        mats[e] = Matrix.block(
+            [[y.edge_matrix(e), xi.correction_matrix(e)], [None, x.edge_matrix(e)]],
+            [y.slot_dim(v), x.slot_dim(v)],
+            [y.slot_dim(u), x.slot_dim(u)],
+        )
+    z = y.with_matrices(dims, mats)
+    inj, surj = {}, {}
+    for s in x.slot_ids():
+        dy, d = y.slot_dim(s), dims[s]
+        one = Matrix.identity(d)
+        inj[s] = one.submatrix(0, d, 0, dy)
+        surj[s] = one.submatrix(dy, d, 0, d)
+    return z, Morphism(y, z, inj), Morphism(z, x, surj)
+
+
+def _reference_block_object(d, positions):
+    order = d.gamma.order_vector
+    template = d.factor_objects[0][1]
+    simples = [d.factor(order[p - 1]) for p in positions]
+    dims = {s: sum(sp.slot_dim(s) for sp in simples) for s in template.slot_ids()}
+    mats = {}
+    for edge in template.edge_ids():
+        u, v = template.edge_ends(edge)
+        grid = [[d.psi_matrix(pj, pi, edge) if pj < pi else None for pj in positions] for pi in positions]
+        for bi, sp in enumerate(simples):
+            grid[bi][bi] = sp.edge_matrix(edge)
+        mats[edge] = Matrix.block(grid, [sp.slot_dim(v) for sp in simples], [sp.slot_dim(u) for sp in simples])
+    obj = template.with_matrices(dims, mats)
+    assert not obj.validate_report()
+    return obj, simples
+
+
+def reference_from_deformation(d):
+    """from_deformation with a block grid per stage and identity slicing; the maps are checked."""
+    order = d.gamma.order_vector
+    cs, fs, monos = [], [], []
+    prev = None
+    for m in range(1, len(order) + 1):
+        obj, simples = _reference_block_object(d, list(range(1, m + 1)))
+        cs.append(obj)
+        ones = {s: Matrix.identity(obj.slot_dim(s)) for s in obj.slot_ids()}
+        if m == 1:
+            fs.append(abcat.zero_morphism(obj, abcat.zero_like(obj)))
+        else:
+            keep = {s: one.submatrix(0, prev.slot_dim(s), 0, one.cols) for s, one in ones.items()}
+            fs.append(Morphism(obj, prev, keep))
+        simple = simples[-1]
+        last = {s: one.submatrix(0, one.rows, one.cols - simple.slot_dim(s), one.cols) for s, one in ones.items()}
+        monos.append(Morphism(simple, obj, last))
+        prev = obj
+    return IteratedExtension(d.factor_objects, order, cs, fs, monos)
+
+
+def reference_deformation_total_object(d):
+    """deformation_total_object with its own block grid over the path-algebra components."""
+    algebra = PathAlgebra(d.gamma)
+    order = d.gamma.order_vector
+    n = len(order)
+    template = d.factor_objects[0][1]
+    comps = algebra.basis
+    comp_simple = [d.factor(algebra.target(b)) for b in comps]
+
+    def corrections(b):
+        out = []
+        positions = [i for i in range(1, n + 1) if order[i - 1] == b[1]] if b[0] == "e" else [b[2]]
+        for i in positions:
+            for j in range(i + 1, n + 1):
+                target = ("run", i + 1, j) if b[0] == "e" else ("run", b[1], j)
+                if target in algebra.index:
+                    out.append((i, j, algebra.index[target]))
+        return out
+
+    dims = {s: sum(sp.slot_dim(s) for sp in comp_simple) for s in template.slot_ids()}
+    mats = {}
+    for edge in template.edge_ids():
+        u, v = template.edge_ends(edge)
+        grid = [[None] * len(comps) for _ in comps]
+        for bi, b in enumerate(comps):
+            grid[bi][bi] = comp_simple[bi].edge_matrix(edge)
+            for (i, j, tgt_idx) in corrections(b):
+                grid[tgt_idx][bi] = d.psi_matrix(i, j, edge)
+        mats[edge] = Matrix.block(grid, [sp.slot_dim(v) for sp in comp_simple], [sp.slot_dim(u) for sp in comp_simple])
+    total = template.with_matrices(dims, mats)
+    assert not total.validate_report()
+    return total, algebra

@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from conftest import apply, reference_quotient_object, transpose_dual
+from conftest import (
+    apply,
+    graded_dual,
+    reference_direct_sum,
+    reference_quotient_object,
+    reference_realize_extension,
+    transpose_dual,
+)
 from uniserial import abcat, linalg
 from uniserial.abcat import (
     BackendMismatchError,
@@ -759,6 +766,51 @@ def test_transpose_duality_swaps_hom_and_ext():
             for y, dy in zip(objs, duals):
                 space, dual = ExtSpace(x, y), ExtSpace(dy, dx)
                 assert (space.hom_dim(), space.dim()) == (dual.hom_dim(), dual.dim()), (x.dims, y.dims)
+
+
+def test_glue_builders_match_reference_builders():
+    # direct_sum and realize_extension glue their objects; the references
+    # keep their own block grids and identity slicing.  Objects and every
+    # map agree exactly, over zero slots, the zero object, the zero class,
+    # each basis class and a seeded combination
+    rng = random.Random(59)
+    weyl = [m for _, m in weyl_simple_family([HALF, "0", "inf"], [-1, 0], WINDOW)]
+    weyl.append(realize_extension(ext1_basis(weyl[0], weyl[0])[0])[0])
+    families = [weyl, [S1, S2, zero_like(S1), kronecker_double_extension()], chain_objects()[2:7]]
+    nonzero = 0
+    for objs in families:
+        for x in objs:
+            for y in objs:
+                assert direct_sum(x, y) == reference_direct_sum(x, y)
+                space = ExtSpace(x, y)
+                n = space.dim()
+                classes = [space.class_from_coords([ZERO] * n), *space.basis()]
+                classes.append(space.class_from_coords([Scalar(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(n)]))
+                for xi in classes:
+                    assert realize_extension(xi) == reference_realize_extension(xi)
+                    nonzero += not xi.is_zero()
+    assert nonzero >= 20
+
+
+def test_graded_duality_swaps_hom_and_ext():
+    # the graded form of the duality oracle: D negates the window and
+    # transposes t and d, and dim Hom and dim Ext^1 of (x, y) on the ±2-twist
+    # table equal those of (Dy, Dx)
+    bases = [HALF, parse_scalar("1/3+1/2*i"), "0", "inf"]
+    sources = [m for _, m in weyl_simple_family(bases, [0], (-8, 8))]
+    targets = [m for _, m in weyl_simple_family(bases, range(-2, 3), (-8, 8))]
+    duals = {}
+    for m in sources + targets:
+        dm = duals[m] = graded_dual(m)
+        assert validate(dm) == [] and dm.window == (-8, 8)
+        assert graded_dual(dm) == m
+    dims = []
+    for x in sources:
+        for y in targets:
+            space, dual = ExtSpace(x, y), ExtSpace(duals[y], duals[x])
+            assert (space.hom_dim(), space.dim()) == (dual.hom_dim(), dual.dim()), (x, y)
+            dims.append((space.hom_dim(), space.dim()))
+    assert sum(h for h, _ in dims) == 4 and sum(e for _, e in dims) == 4
 
 
 def test_ext_dimensions_build_no_vectors_and_no_rref(monkeypatch):

@@ -363,6 +363,8 @@ def test_unknown_command(capsys):
         ["weyl-module", "--kind", "euler", "--alpha", "i/0", "--n", "1"],
         ["classify", "--quiver", "{quiver}", "--n", "1", "--start", "7"],
         ["ext-table", "--labels", "1/3", "--max-offset", "100000000000"],
+        ["ext-table", "--labels", "", "--max-offset", "1"],
+        ["verify-weyl", "--n-max", "1", "--alphas", ""],
     ],
     ids=[
         "classify-n0",
@@ -384,6 +386,8 @@ def test_unknown_command(capsys):
         "imaginary-over-zero",
         "classify-quiver-unknown-start",
         "ext-table-huge-offset-window-too-small",
+        "ext-table-empty-labels",
+        "verify-weyl-empty-alphas",
     ],
 )
 def test_rejects_empty_lengths_and_negative_offsets(tmp_path, capsys, argv):

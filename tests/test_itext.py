@@ -1,7 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
+from conftest import reference_deformation_total_object, reference_from_deformation
 from uniserial import abcat
 from uniserial.gradedrep import ideal_quotient_rep, simple_rep, validate
 from uniserial.itext import (
@@ -19,7 +21,7 @@ from uniserial.itext import (
     splice,
     to_deformation,
 )
-from uniserial.linalg import parse_scalar
+from uniserial.linalg import ONE, Scalar, parse_scalar
 from uniserial.quiverrep import QuiverPresentation, simple_at
 from uniserial.species import realize_vector
 from uniserial.weyl import euler_power
@@ -338,3 +340,31 @@ def test_deformation_psi_choice_independent_iso_class():
     b1 = from_deformation(d1)
     b2 = from_deformation(d2)
     assert abcat.are_isomorphic(b1.x, b2.x)
+
+
+def test_glued_deformation_objects_match_reference_builders():
+    # from_deformation and deformation_total_object glue their objects; the
+    # references keep their own block grids.  Each length-3 deformation is
+    # rescaled by a seeded lambda, psi(i, j) times lambda^(j - i): that is the
+    # conjugate by diag(1, lambda, lambda^2), so again a deformation
+    rng = random.Random(61)
+    weyl = weyl_simple_family([HALF, "0", "inf"], [0], WINDOW)
+    cases = [
+        (("1", "2", "3"), a3_family()),
+        (("0@0", "inf@0", "0@0"), weyl),
+        (("inf@0", "0@0", "inf@0"), weyl),
+        (("1/2@0", "1/2@0", "1/2@0"), weyl),
+    ]
+    for v, fam in cases:
+        for choice in (0, 1):
+            d = to_deformation(realize_vector(v, fam, choice))
+            lam = Scalar(rng.choice([-3, -2, 2, 3]), rng.randint(-1, 1))
+            powers = [ONE, lam, lam * lam]
+            psi = tuple(((i, j), tuple((e, m.scale(powers[j - i])) for e, m in entries)) for (i, j), entries in d.psi)
+            for dd in (d, dataclasses.replace(d, psi=psi)):
+                got, ref = from_deformation(dd), reference_from_deformation(dd)
+                assert (got.family, got.order_vector) == (ref.family, ref.order_vector)
+                assert (got.cs, got.fs, got.kernel_monos) == (ref.cs, ref.fs, ref.kernel_monos), v
+                total, algebra = deformation_total_object(dd)
+                ref_total, ref_algebra = reference_deformation_total_object(dd)
+                assert (total, algebra.basis) == (ref_total, ref_algebra.basis), v

@@ -1,6 +1,7 @@
 import pytest
 
 from uniserial import abcat
+from uniserial.itext import extension_classes
 from uniserial.linalg import Scalar, parse_scalar
 from uniserial.quiverrep import KRONECKER, QuiverPresentation, simple_at
 from uniserial.species import (
@@ -169,15 +170,15 @@ def test_realize_vector_two_runs_isomorphic():
 def test_realize_vector_classes_nonzero():
     fam = a3_family()
     ext = realize_vector(("1", "2", "3"), fam)
-    xis, taus = ext._classes
+    xis, taus = extension_classes(ext)
     assert all(not xi.is_zero() for xi in xis)
     assert all(not tau.is_zero() for tau in taus)
 
 
 @pytest.mark.parametrize("basis_choice", [0, 1])
 def test_realize_vector_rescales_the_pulled_back_class(basis_choice):
-    # each step's tau is its first pullback rescaled, not pulled back again;
-    # a fresh pullback of the rescaled class must give the same vector and coordinates
+    # each step realizes its class rescaled so that the restriction tau has
+    # first nonzero coordinate one; a fresh pullback of each class gives tau again
     weyl = weyl_simple_family([HALF, parse_scalar("1/3+1/2*i"), "0", "inf"], [0], WINDOW)
     cases = [
         (("1", "2", "3"), a3_family()),
@@ -187,7 +188,7 @@ def test_realize_vector_rescales_the_pulled_back_class(basis_choice):
     ]
     for v, fam in cases:
         ext = realize_vector(v, fam, basis_choice)
-        xis, taus = ext._classes
+        xis, taus = extension_classes(ext)
         assert len(taus) == len(v) - 1
         for xi, tau, mono in zip(xis, taus, ext.kernel_monos):
             fresh = abcat.pullback_extension(xi, mono)
