@@ -1,8 +1,9 @@
 """Generic exact-category engine over the two matrix backends.
 
-Objects are anything implementing the small backend protocol shared by
-GradedRep and QuiverRep: ordered slots with dimensions, named edges with
-matrices, and linear relations (paths with optional identity terms).
+Objects are Reps (quiverrep.Rep), representations of a quiver with
+relations; both backends, GradedRep and QuiverRep, subclass it.  The
+engine reads them through ordered slots with dimensions, named edges
+with matrices, and linear relations (paths with optional identity terms).
 Morphisms are per-slot matrices intertwining the edge matrices; on the
 graded backend these are exactly the degree-0 maps.
 

@@ -1,10 +1,11 @@
 """Windowed graded modules over the first Weyl algebra as matrix data.
 
-A GradedRep stores, for every weight in a finite window, a vector space
-dimension together with the raising action of t and the lowering action
-of d.  The commutation rule holds on interior weights; maps that would
-leave the window are simply absent, which is the price of truncation and
-the reason downstream computations insist on window margins.
+A GradedRep is a representation (quiverrep.Rep) of the window quiver:
+for every weight in a finite window, a vector space dimension together
+with the raising action of t and the lowering action of d.  The
+commutation rule holds on interior weights; maps that would leave the
+window are simply absent, which is the price of truncation and the
+reason downstream computations insist on window margins.
 
 Degree-0 morphisms between these objects are handled uniformly by the
 category engine (abcat); this module only builds and validates objects.
@@ -18,127 +19,61 @@ generator at weight 0 (support w >= 0).
 
 from __future__ import annotations
 
-from .linalg import Matrix, ONE, Scalar, ZERO, format_scalar, parse_int, parse_scalar
+from functools import lru_cache
+
+from .linalg import Matrix, ONE, Scalar, ZERO, format_matrix, parse_int, parse_matrix
+from .quiverrep import QuiverPresentation, Rep
 from .weyl import EulerPolynomial, WeylElement, theta, to_theta_form
 
 GRADEDREP_TAG = "specfile gradedrep v1"
 
 
-class GradedRep:
-    """Matrix model of a graded module on a finite weight window."""
+@lru_cache(maxsize=None)
+def _window_quiver(wmin: int, wmax: int) -> QuiverPresentation:
+    """The window quiver: nodes the weights, arrows ("t", w): w -> w+1 then ("p", w): w -> w-1.
 
-    __slots__ = ("window", "dims", "tmat", "pmat")
+    Its relations are the interior commutation identities p.t - t.p = id,
+    in application order.
+    """
+    arrows = [(("t", w), w, w + 1) for w in range(wmin, wmax)]
+    arrows += [(("p", w), w, w - 1) for w in range(wmin + 1, wmax + 1)]
+    relations = [
+        (w, w, ((ONE, (("t", w), ("p", w + 1))), (-ONE, (("p", w), ("t", w - 1))), (-ONE, ())))
+        for w in range(wmin + 1, wmax)
+    ]
+    return QuiverPresentation(range(wmin, wmax + 1), arrows, relations)
+
+
+class GradedRep(Rep):
+    """Matrix model of a graded module on a finite weight window.
+
+    tmat[w] becomes the matrix of the arrow ("t", w): w -> w+1, and
+    pmat[w], the action of d, that of ("p", w): w -> w-1.  The relations
+    are not checked on construction; validate reports them.
+    """
+
+    __slots__ = ()
 
     def __init__(self, window, dims, tmat, pmat):
         wmin, wmax = window
         if wmin > wmax:
             raise ValueError("degenerate window %r" % (window,))
-        self_dims = {w: int(dims.get(w, 0)) for w in range(wmin, wmax + 1)}
-        if any(d < 0 for d in self_dims.values()):
-            raise ValueError("negative dimension in %r" % (self_dims,))
-        object.__setattr__(self, "window", (wmin, wmax))
-        object.__setattr__(self, "dims", self_dims)
-        tm = {}
-        pm = {}
-        for w in range(wmin, wmax):
-            m = tmat.get(w)
-            if m is None:
-                m = Matrix.zero(self_dims[w + 1], self_dims[w])
-            if m.rows != self_dims[w + 1] or m.cols != self_dims[w]:
-                raise ValueError("t matrix at weight %d has shape %dx%d, expected %dx%d"
-                                 % (w, m.rows, m.cols, self_dims[w + 1], self_dims[w]))
-            tm[w] = m
-        for w in range(wmin + 1, wmax + 1):
-            m = pmat.get(w)
-            if m is None:
-                m = Matrix.zero(self_dims[w - 1], self_dims[w])
-            if m.rows != self_dims[w - 1] or m.cols != self_dims[w]:
-                raise ValueError("p matrix at weight %d has shape %dx%d, expected %dx%d"
-                                 % (w, m.rows, m.cols, self_dims[w - 1], self_dims[w]))
-            pm[w] = m
-        object.__setattr__(self, "tmat", tm)
-        object.__setattr__(self, "pmat", pm)
+        mats = {("t", w): m for w, m in tmat.items()}
+        mats.update((("p", w), m) for w, m in pmat.items())
+        super().__init__(_window_quiver(wmin, wmax), dims, mats)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedRep is immutable")
+    @property
+    def window(self):
+        nodes = self.pres.nodes
+        return nodes[0], nodes[-1]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedRep)
-            and self.window == other.window
-            and self.dims == other.dims
-            and self.tmat == other.tmat
-            and self.pmat == other.pmat
-        )
-
-    def __hash__(self):
-        return hash((self.window, tuple(sorted(self.dims.items()))))
-
-    # -- protocol used by the category engine -------------------------------
-
-    def slot_ids(self):
-        wmin, wmax = self.window
-        return tuple(range(wmin, wmax + 1))
-
-    def slot_dim(self, w) -> int:
-        return self.dims[w]
-
-    def edge_ids(self):
-        wmin, wmax = self.window
-        out = [("t", w) for w in range(wmin, wmax)]
-        out += [("p", w) for w in range(wmin + 1, wmax + 1)]
-        return tuple(out)
-
-    def edge_ends(self, edge):
-        kind, w = edge
-        return (w, w + 1) if kind == "t" else (w, w - 1)
-
-    def edge_matrix(self, edge) -> Matrix:
-        kind, w = edge
-        return self.tmat[w] if kind == "t" else self.pmat[w]
-
-    def relations(self):
-        """Interior commutation identities p.t - t.p = id, in application order."""
-        wmin, wmax = self.window
-        rels = []
-        for w in range(wmin + 1, wmax):
-            rels.append(
-                (w, w, (
-                    (ONE, (("t", w), ("p", w + 1))),
-                    (-ONE, (("p", w), ("t", w - 1))),
-                    (-ONE, ()),
-                ))
-            )
-        return rels
-
-    def with_matrices(self, dims, mats) -> "GradedRep":
-        tm = {w: m for (kind, w), m in mats.items() if kind == "t"}
-        pm = {w: m for (kind, w), m in mats.items() if kind == "p"}
-        return GradedRep(self.window, dims, tm, pm)
-
-    def same_space(self, other) -> bool:
-        return isinstance(other, GradedRep) and self.window == other.window
-
-    def validate_report(self):
-        return validate(self)
-
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
-    def __repr__(self):
-        return "GradedRep(window=%r, dims=%r)" % (self.window, {w: d for w, d in sorted(self.dims.items()) if d})
+    def _matrix_name(self, arrow):
+        return "%s matrix at weight %d" % arrow
 
 
 def validate(m: GradedRep):
     """Check interior commutation identities; returns a list of violations."""
-    violations = []
-    wmin, wmax = m.window
-    for w in range(wmin + 1, wmax):
-        d = m.dims[w]
-        lhs = m.pmat[w + 1] * m.tmat[w] - m.tmat[w - 1] * m.pmat[w]
-        if lhs != Matrix.identity(d):
-            violations.append("commutation identity fails at weight %d" % w)
-    return violations
+    return ["commutation identity fails at weight %d" % w for (w, _, _), _ in m.violations()]
 
 
 def _raising_factor(w: int) -> EulerPolynomial:
@@ -207,8 +142,8 @@ def twist_rep(m: GradedRep, s: int) -> GradedRep:
         return m
     wmin, wmax = m.window
     dims = {w + s: d for w, d in m.dims.items()}
-    tm = {w + s: mat for w, mat in m.tmat.items()}
-    pm = {w + s: mat for w, mat in m.pmat.items()}
+    tm = {w + s: mat for (kind, w), mat in m.mats.items() if kind == "t"}
+    pm = {w + s: mat for (kind, w), mat in m.mats.items() if kind == "p"}
     return GradedRep((wmin + s, wmax + s), dims, tm, pm)
 
 
@@ -242,40 +177,15 @@ def simple_rep(label, twist: int, window) -> GradedRep:
 # -- serialization -----------------------------------------------------------
 
 
-def format_matrix(m: Matrix) -> str:
-    return "%dx%d %s" % (
-        m.rows,
-        m.cols,
-        ";".join(",".join(format_scalar(m[i, j]) for j in range(m.cols)) for i in range(m.rows)),
-    )
-
-
-def parse_matrix(text: str) -> Matrix:
-    head, _, body = text.strip().partition(" ")
-    rows_s, _, cols_s = head.partition("x")
-    rows, cols = parse_int(rows_s), parse_int(cols_s)
-    if rows == 0 or cols == 0:
-        if body:
-            raise ValueError("empty %s matrix has entries %r" % (head, body))
-        return Matrix.zero(rows, cols)
-    data = [[parse_scalar(e) for e in line.split(",")] for line in body.split(";")]
-    return Matrix(rows, cols, data)
-
-
 def to_text(m: GradedRep) -> str:
     wmin, wmax = m.window
     lines = [GRADEDREP_TAG, "window %d %d" % (wmin, wmax)]
     for w in range(wmin, wmax + 1):
         if m.dims[w]:
             lines.append("dim %d %d" % (w, m.dims[w]))
-    for w in range(wmin, wmax):
-        mat = m.tmat[w]
+    for (kind, w), mat in m.mats.items():
         if mat.rows and mat.cols:
-            lines.append("map t %d %s" % (w, format_matrix(mat)))
-    for w in range(wmin + 1, wmax + 1):
-        mat = m.pmat[w]
-        if mat.rows and mat.cols:
-            lines.append("map p %d %s" % (w, format_matrix(mat)))
+            lines.append("map %s %d %s" % (kind, w, format_matrix(mat)))
     return "\n".join(lines) + "\n"
 
 

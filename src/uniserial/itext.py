@@ -474,9 +474,10 @@ def deformation_roundtrip(e: IteratedExtension):
 def _glued(parts, correction):
     """abcat.glue of the factor parts, checked against the backend relations."""
     obj = abcat.glue(parts, correction)
-    bad = obj.validate_report()
+    bad = obj.violations()
     if bad:
-        raise ValueError("correction maps violate the backend relations: %s" % "; ".join(bad))
+        raise ValueError("correction maps violate the backend relations at nodes %s"
+                         % ", ".join(str(src) for (src, _, _), _ in bad))
     return obj
 
 

@@ -47,14 +47,6 @@ class Scalar:
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
-    @staticmethod
-    def rational(num, den=1):
-        return Scalar(_Q(num, den))
-
-    @staticmethod
-    def imaginary(num=1, den=1):
-        return Scalar(0, _Q(num, den))
-
     @property
     def re(self):
         a, _, d = self._t
@@ -211,6 +203,27 @@ def parse_int(text: str) -> int:
     if not _INT_LITERAL.fullmatch(text):
         raise ValueError("bad integer literal %r" % text)
     return int(text)
+
+
+def format_matrix(m: Matrix) -> str:
+    """Matrix text form: '<rows>x<cols>' then the rows, ';'-separated, entries ','-separated."""
+    return "%dx%d %s" % (
+        m.rows,
+        m.cols,
+        ";".join(",".join(format_scalar(m[i, j]) for j in range(m.cols)) for i in range(m.rows)),
+    )
+
+
+def parse_matrix(text: str) -> Matrix:
+    head, _, body = text.strip().partition(" ")
+    rows_s, _, cols_s = head.partition("x")
+    rows, cols = parse_int(rows_s), parse_int(cols_s)
+    if rows == 0 or cols == 0:
+        if body:
+            raise ValueError("empty %s matrix has entries %r" % (head, body))
+        return Matrix.zero(rows, cols)
+    data = [[parse_scalar(e) for e in line.split(",")] for line in body.split(";")]
+    return Matrix(rows, cols, data)
 
 
 def _parse_q(term: str, orig: str):
@@ -370,6 +383,12 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(not a for r in self._data for a in r)
+
+    def is_scalar(self, c: Scalar) -> bool:
+        """Whether this is c times the identity, read off the entries without building it."""
+        return self.rows == self.cols and all(
+            r[i] == c and not any(r[:i]) and not any(r[i + 1 :]) for i, r in enumerate(self._data)
+        )
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:

@@ -19,42 +19,40 @@ that consume concrete objects.
 
 from __future__ import annotations
 
-from .gradedrep import format_matrix, parse_matrix
-from .linalg import Matrix, ONE, Scalar, format_scalar, parse_int, parse_scalar
+from .linalg import Matrix, ONE, Scalar, ZERO, format_matrix, format_scalar, parse_int, parse_matrix, parse_scalar
 
 QUIVER_TAG = "specfile quiver v1"
 
 
 class QuiverPresentation:
-    """Nodes, arrows, and relations; hashable so reps can share it."""
+    """Nodes, arrows, and relations; hashable so reps can share it.
 
-    __slots__ = ("nodes", "arrows", "relation_list")
+    Node and arrow ids are kept as given; ends maps each arrow to its
+    (source, target) in arrow order.
+    """
+
+    __slots__ = ("nodes", "arrows", "ends", "relation_list")
 
     def __init__(self, nodes, arrows, relations=()):
-        nodes = tuple(str(n) for n in nodes)
+        nodes = tuple(nodes)
         if len(set(nodes)) != len(nodes):
             raise ValueError("duplicate node names")
-        arrows = tuple((str(a), str(s), str(t)) for a, s, t in arrows)
-        names = [a for a, _, _ in arrows]
-        if len(set(names)) != len(names):
+        arrows = tuple((a, s, t) for a, s, t in arrows)
+        ends = {a: (s, t) for a, s, t in arrows}
+        if len(ends) != len(arrows):
             raise ValueError("duplicate arrow names")
         node_set = set(nodes)
         for a, s, t in arrows:
             if s not in node_set or t not in node_set:
-                raise ValueError("arrow %s has unknown endpoint" % a)
+                raise ValueError("arrow %s has unknown endpoint" % (a,))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "arrows", arrows)
+        object.__setattr__(self, "ends", ends)
         checked = tuple(self._check_relation(r) for r in relations)
         object.__setattr__(self, "relation_list", checked)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuiverPresentation is immutable")
-
-    def arrow_ends(self, name):
-        for a, s, t in self.arrows:
-            if a == name:
-                return s, t
-        raise KeyError(name)
 
     def _check_relation(self, rel):
         """A relation is (src, tgt, terms) with terms ((coef, path), ...)."""
@@ -67,7 +65,7 @@ class QuiverPresentation:
             if path:
                 here = src
                 for name in path:
-                    s, t = self.arrow_ends(name)
+                    s, t = self.ends[name]
                     if s != here:
                         raise ValueError("path %r is not composable at %s" % (path, name))
                     here = t
@@ -109,8 +107,16 @@ class RelationViolation(ValueError):
         super().__init__("relation %s violated" % format_relation(relation))
 
 
-class QuiverRep:
-    """Validated representation: per-node dimensions and per-arrow matrices."""
+class Rep:
+    """A representation of a quiver with relations: the one object of the category engine.
+
+    Per-node dimensions and one matrix per arrow (a missing matrix is
+    zero, every shape is checked).  The engine reads it through slot_ids,
+    slot_dim, edge_ids, edge_ends, edge_matrix, relations, with_matrices
+    and same_space; violations() evaluates the relations.  Subclasses set
+    the construction policy in _check_relations and may rename their
+    matrices in errors through _matrix_name.
+    """
 
     __slots__ = ("pres", "dims", "mats")
 
@@ -124,40 +130,65 @@ class QuiverRep:
             if m is None:
                 m = Matrix.zero(self_dims[t], self_dims[s])
             if m.rows != self_dims[t] or m.cols != self_dims[s]:
-                raise ValueError("matrix for arrow %s has shape %dx%d, expected %dx%d"
-                                 % (a, m.rows, m.cols, self_dims[t], self_dims[s]))
+                raise ValueError("%s has shape %dx%d, expected %dx%d"
+                                 % (self._matrix_name(a), m.rows, m.cols, self_dims[t], self_dims[s]))
             self_mats[a] = m
         object.__setattr__(self, "pres", pres)
         object.__setattr__(self, "dims", self_dims)
         object.__setattr__(self, "mats", self_mats)
-        for rel in pres.relation_list:
-            value = self._evaluate(rel)
-            if not value.is_zero():
-                raise RelationViolation(rel, value)
+        self._check_relations()
 
     def __setattr__(self, name, value):
-        raise AttributeError("QuiverRep is immutable")
+        raise AttributeError("%s is immutable" % type(self).__name__)
 
-    def _evaluate(self, rel) -> Matrix:
-        src, tgt, terms = rel
-        acc = Matrix.zero(self.dims[tgt], self.dims[src])
-        for coef, path in terms:
-            m = Matrix.identity(self.dims[src])
-            for name in path:
-                m = self.mats[name] * m
-            acc = acc + m.scale(coef)
-        return acc
+    def _matrix_name(self, arrow):
+        return "matrix for arrow %s" % (arrow,)
+
+    def _check_relations(self):
+        """Relations are left to violations() unless a subclass checks them here."""
 
     def __eq__(self, other):
         return (
-            isinstance(other, QuiverRep)
+            type(other) is type(self)
             and self.pres == other.pres
             and self.dims == other.dims
             and self.mats == other.mats
         )
 
     def __hash__(self):
-        return hash((self.pres, tuple(sorted(self.dims.items()))))
+        return hash(tuple(self.dims.items()))
+
+    def __repr__(self):
+        return "%s(dims=%r)" % (type(self).__name__, {n: d for n, d in self.dims.items() if d})
+
+    def violations(self):
+        """(relation, value) for each relation the matrices break, in relation order.
+
+        A relation sum of coef * path, identity terms included, holds when
+        the path terms sum to minus the identity terms; each path product
+        starts at its first edge matrix, and the identity is never built
+        unless the relation fails.
+        """
+        mats, out = self.mats, []
+        for rel in self.pres.relation_list:
+            src, tgt, terms = rel
+            acc, diag = None, ZERO
+            for coef, path in terms:
+                if not path:
+                    diag = diag - coef
+                    continue
+                m = mats[path[0]]
+                for name in path[1:]:
+                    m = mats[name] * m
+                if acc is None:
+                    acc = m if coef == ONE else m.scale(coef)
+                else:
+                    acc = acc - m if coef == -ONE else acc + (m if coef == ONE else m.scale(coef))
+            if acc is None:
+                acc = Matrix.zero(self.dims[tgt], self.dims[src])
+            if not (acc.is_scalar(diag) if diag else acc.is_zero()):
+                out.append((rel, acc - Matrix.identity(acc.rows).scale(diag) if diag else acc))
+        return out
 
     # -- protocol used by the category engine -------------------------------
 
@@ -168,37 +199,40 @@ class QuiverRep:
         return self.dims[node]
 
     def edge_ids(self):
-        return tuple(a for a, _, _ in self.pres.arrows)
+        return tuple(self.pres.ends)
 
-    def edge_ends(self, name):
-        return self.pres.arrow_ends(name)
+    def edge_ends(self, arrow):
+        return self.pres.ends[arrow]
 
-    def edge_matrix(self, name) -> Matrix:
-        return self.mats[name]
+    def edge_matrix(self, arrow) -> Matrix:
+        return self.mats[arrow]
 
     def relations(self):
         return self.pres.relation_list
 
-    def with_matrices(self, dims, mats) -> "QuiverRep":
-        return QuiverRep(self.pres, dims, mats)
+    def with_matrices(self, dims, mats):
+        """The representation of the same class and quiver with these dimensions and matrices."""
+        new = object.__new__(type(self))
+        Rep.__init__(new, self.pres, dims, mats)
+        return new
 
     def same_space(self, other) -> bool:
-        return isinstance(other, QuiverRep) and self.pres == other.pres
+        return type(other) is type(self) and self.pres == other.pres
 
-    def validate_report(self):
-        # relation checks already ran in the constructor
-        return []
 
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
+class QuiverRep(Rep):
+    """A representation whose relations are checked on every construction."""
 
-    def __repr__(self):
-        return "QuiverRep(dims=%r)" % (self.dims,)
+    __slots__ = ()
+
+    def _check_relations(self):
+        bad = self.violations()
+        if bad:
+            raise RelationViolation(*bad[0])
 
 
 def simple_at(pres: QuiverPresentation, node) -> QuiverRep:
     """One-dimensional at the node, zero elsewhere, all arrows zero."""
-    node = str(node)
     if node not in pres.nodes:
         raise ValueError("unknown node %r" % node)
     return QuiverRep(pres, {node: 1}, {})
@@ -346,8 +380,7 @@ def to_text(pres: QuiverPresentation, the_rep: QuiverRep = None) -> str:
         for n in pres.nodes:
             if the_rep.dims[n]:
                 lines.append("rep dim %s %d" % (n, the_rep.dims[n]))
-        for a, _, _ in pres.arrows:
-            m = the_rep.mats[a]
+        for a, m in the_rep.mats.items():
             if m.rows and m.cols:
                 lines.append("rep map %s %s" % (a, format_matrix(m)))
     return "\n".join(lines) + "\n"

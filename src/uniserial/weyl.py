@@ -69,9 +69,6 @@ class WeylElement:
     def terms(self):
         return sorted(self._terms.items())
 
-    def coefficient(self, a: int, b: int) -> Scalar:
-        return self._terms.get((a, b), ZERO)
-
     def is_zero(self) -> bool:
         return not self._terms
 

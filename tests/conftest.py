@@ -86,9 +86,22 @@ def graded_dual(m):
     return GradedRep(
         (-wmax, -wmin),
         {w: m.dims[-w] for w in range(-wmax, -wmin + 1)},
-        {w: m.tmat[-w - 1].transpose() for w in range(-wmax, -wmin)},
-        {w: -m.pmat[-w + 1].transpose() for w in range(-wmax + 1, -wmin + 1)},
+        {w: m.edge_matrix(("t", -w - 1)).transpose() for w in range(-wmax, -wmin)},
+        {w: -m.edge_matrix(("p", -w + 1)).transpose() for w in range(-wmax + 1, -wmin + 1)},
     )
+
+
+def reference_validate(m):
+    """gradedrep.validate by the hand-written commutator: p t - t p against a built identity at each interior weight."""
+    tmat = {w: mat for (kind, w), mat in m.mats.items() if kind == "t"}
+    pmat = {w: mat for (kind, w), mat in m.mats.items() if kind == "p"}
+    violations = []
+    wmin, wmax = m.window
+    for w in range(wmin + 1, wmax):
+        lhs = pmat[w + 1] * tmat[w] - tmat[w - 1] * pmat[w]
+        if lhs != Matrix.identity(m.dims[w]):
+            violations.append("commutation identity fails at weight %d" % w)
+    return violations
 
 
 def reference_quotient_object(x, subspaces):
@@ -234,7 +247,7 @@ def _reference_block_object(d, positions):
             grid[bi][bi] = sp.edge_matrix(edge)
         mats[edge] = Matrix.block(grid, [sp.slot_dim(v) for sp in simples], [sp.slot_dim(u) for sp in simples])
     obj = template.with_matrices(dims, mats)
-    assert not obj.validate_report()
+    assert not obj.violations()
     return obj, simples
 
 
@@ -289,5 +302,5 @@ def reference_deformation_total_object(d):
                 grid[tgt_idx][bi] = d.psi_matrix(i, j, edge)
         mats[edge] = Matrix.block(grid, [sp.slot_dim(v) for sp in comp_simple], [sp.slot_dim(u) for sp in comp_simple])
     total = template.with_matrices(dims, mats)
-    assert not total.validate_report()
+    assert not total.violations()
     return total, algebra

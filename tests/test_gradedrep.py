@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from conftest import from_rows
+from conftest import from_rows, graded_dual, reference_validate
 from uniserial.gradedrep import (
     GradedRep,
     from_text,
@@ -13,13 +15,14 @@ from uniserial.gradedrep import (
 )
 from uniserial.linalg import Matrix, ONE, Scalar, parse_scalar
 from uniserial.weyl import WeylElement, alternating_word, euler_power
+from uniserial.weylcat import CatalogKey, catalog_module, default_window
 
 HALF = parse_scalar("1/2")
 MIXED = parse_scalar("1/3+1/2*i")
 
 
 def eigval(m, w):
-    e = m.tmat[w - 1] * m.pmat[w]
+    e = m.edge_matrix(("t", w - 1)) * m.edge_matrix(("p", w))
     assert e.rows == e.cols == 1
     return e[0, 0]
 
@@ -41,9 +44,9 @@ def test_simple_alpha_all_weights():
         assert eigval(m, w) == HALF + Scalar(w)
     # raising and lowering never vanish off the integers
     for w in range(-3, 3):
-        assert m.tmat[w][0, 0]
+        assert m.edge_matrix(("t", w))[0, 0]
     for w in range(-2, 4):
-        assert m.pmat[w][0, 0]
+        assert m.edge_matrix(("p", w))[0, 0]
 
 
 def test_simple_alpha_agrees_with_ideal_quotient():
@@ -58,9 +61,9 @@ def test_simple_zero_half_line():
     assert validate(m) == []
     # d acts as t^w -> w t^(w-1)
     for w in range(1, 4):
-        assert m.pmat[w][0, 0] == Scalar(w)
+        assert m.edge_matrix(("p", w))[0, 0] == Scalar(w)
     for w in range(0, 3):
-        assert m.tmat[w][0, 0] == ONE
+        assert m.edge_matrix(("t", w))[0, 0] == ONE
 
 
 def test_simple_inf_half_line_below_zero():
@@ -98,7 +101,7 @@ def test_ideal_quotient_square():
     assert all(m.dims[w] == 2 for w in range(-2, 3))
     assert validate(m) == []
     for w in range(-1, 3):
-        e = m.tmat[w - 1] * m.pmat[w]
+        e = m.edge_matrix(("t", w - 1)) * m.edge_matrix(("p", w))
         n = e - Matrix.identity(2).scale(HALF + Scalar(w))
         assert not n.is_zero()
         assert (n * n).is_zero()
@@ -130,13 +133,34 @@ def test_validate_zero_rep():
 
 def test_validate_negative_control():
     m = simple_rep(HALF, 0, (-2, 2))
-    tm = dict(m.tmat)
-    tm[0] = from_rows([[Scalar(7)]])
-    corrupted = GradedRep(m.window, m.dims, tm, m.pmat)
+    corrupted = m.with_matrices(m.dims, {**m.mats, ("t", 0): from_rows([[Scalar(7)]])})
     bad = validate(corrupted)
     assert bad and all("weight" in v for v in bad)
     weights = {int(v.split()[-1]) for v in bad}
     assert weights <= {0, 1}
+
+
+def test_validate_matches_the_hand_written_commutator():
+    # the shared relation evaluator against p t - t p = 1 written out, on the
+    # catalog modules, their duals and seeded copies with one entry perturbed
+    rng = random.Random(15)
+    keys = [CatalogKey("euler", a, None, n) for a in (HALF, MIXED) for n in (1, 2, 3)]
+    keys += [CatalogKey("word", None, b, n) for b in ("0", "inf") for n in (1, 2, 3)]
+    broken = 0
+    for key in keys:
+        cat = catalog_module(key, default_window(key.n))
+        for m in (cat, graded_dual(cat)):
+            assert validate(m) == reference_validate(m) == [], key
+            for _ in range(3):
+                edge = rng.choice([e for e, mat in m.mats.items() if mat.rows and mat.cols])
+                mat = m.edge_matrix(edge)
+                i, j = rng.randrange(mat.rows), rng.randrange(mat.cols)
+                rows = [list(mat.row(r)) for r in range(mat.rows)]
+                rows[i][j] = rows[i][j] + Scalar(rng.choice([-2, -1, 1, 3]))
+                bad = m.with_matrices(m.dims, {**m.mats, edge: from_rows(rows)})
+                assert validate(bad) == reference_validate(bad), (key, edge)
+                broken += bool(validate(bad))
+    assert broken > 50
 
 
 def test_constructor_rejects_bad_shapes():
@@ -178,7 +202,7 @@ def test_from_text_rejects_unknown_map_kind():
     text = "specfile gradedrep v1\nwindow -1 1\ndim 0 1\ndim 1 1\nmap q 0 1x1 1\n"
     with pytest.raises(ValueError, match="map kind"):
         from_text(text)
-    assert from_text(text.replace("map q", "map t")).tmat[0] == from_rows([[ONE]])
+    assert from_text(text.replace("map q", "map t")).edge_matrix(("t", 0)) == from_rows([[ONE]])
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,8 @@ every private (single-underscore) function or class must be referenced
 somewhere in any of them.  Deletions tend to leave exactly these behind.  And no floating
 point anywhere: no float or complex literal, and no read of the names
 float or complex.  The elimination kernels and the entry table of a
-Matrix stay behind linalg: no other package module names them.
+Matrix stay behind linalg: no other package module names them.  Only
+quiverrep.Rep implements the object protocol of the category engine.
 """
 
 import ast
@@ -65,6 +66,20 @@ def test_no_unreferenced_private_definitions():
                 if name.startswith("_") and not name.startswith("__") and name not in used:
                     dead.append("%s:%d %s" % (path.name, node.lineno, name))
     assert not dead, "private definitions nothing references: %s" % ", ".join(dead)
+
+
+PROTOCOL = {"slot_ids", "slot_dim", "edge_ids", "edge_ends", "edge_matrix", "relations", "with_matrices", "same_space"}
+
+
+def test_only_rep_implements_the_backend_protocol():
+    # both backends are representations of a quiver; one class reads them to the engine
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.ClassDef) and node.name != "Rep":
+                names = {f.name for f in node.body if isinstance(f, ast.FunctionDef)} & PROTOCOL
+                found.extend("%s %s.%s" % (path.name, node.name, name) for name in sorted(names))
+    assert not found, "backend protocol defined outside Rep: %s" % ", ".join(found)
 
 
 KERNEL_NAMES = {"_rref_rows", "_rank_rows", "_column_index", "_data", "_nz_rows", "_nz_cols"}

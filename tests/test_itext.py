@@ -310,7 +310,7 @@ def test_from_deformation_rejects_invalid_corrections():
             m = Matrix(m.rows, m.cols, [[Scalar(7)] * m.cols] * m.rows)
         bad_entries.append((edge, m))
     bad = DeformationModule(d.gamma, d.base_index, d.factor_objects, ((pair, tuple(bad_entries)),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="correction maps violate the backend relations"):
         from_deformation(bad)
 
 

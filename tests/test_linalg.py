@@ -167,8 +167,8 @@ def test_scalar_hashes_as_the_int_it_equals():
 
 
 def test_scalar_constructors_and_immutability():
-    assert Scalar.rational(3, -6) == Scalar(Fraction(-1, 2)) == parse_scalar("-1/2")
-    assert Scalar.imaginary() == I and Scalar.imaginary(-2, 6) == parse_scalar("-1/3*i")
+    assert Scalar(Fraction(3, -6)) == Scalar(Fraction(-1, 2)) == parse_scalar("-1/2")
+    assert Scalar(0, Fraction(1)) == I and Scalar(0, Fraction(-2, 6)) == parse_scalar("-1/3*i")
     assert Scalar(Fraction(1, 6), Fraction(-3, 4))._t == (2, -9, 12)
     s = parse_scalar("1/2+i")
     for name in ("re", "im", "_t", "other"):

@@ -1,7 +1,8 @@
 import pytest
 
 from conftest import from_rows
-from uniserial.linalg import Matrix, Scalar
+from uniserial.gradedrep import simple_rep, validate
+from uniserial.linalg import Matrix, Scalar, parse_scalar
 from uniserial.quiverrep import (
     KRONECKER,
     QuiverPresentation,
@@ -37,6 +38,17 @@ def test_loop_relation_enforced():
     assert good.mats["x"][0, 1] == Scalar(1)
     with pytest.raises(RelationViolation):
         QuiverRep(LOOP, {"1": 2}, {"x": Matrix.identity(2)})
+
+
+def test_the_two_relation_policies():
+    # a quiver representation checks its relations on every construction,
+    # with_matrices included; a graded module leaves them to validate
+    zero = QuiverRep(LOOP, {"1": 2}, {})
+    with pytest.raises(RelationViolation, match="x.x"):
+        zero.with_matrices({"1": 2}, {"x": Matrix.identity(2)})
+    m = simple_rep(parse_scalar("1/2"), 0, (-2, 2))
+    bad = m.with_matrices(m.dims, {**m.mats, ("t", 0): M([[7]])})
+    assert validate(bad) == ["commutation identity fails at weight 0", "commutation identity fails at weight 1"]
 
 
 def test_shape_check():
@@ -120,8 +132,6 @@ def test_parse_rejects_a_term_with_two_path_factors(term):
 
 
 def test_relation_with_gaussian_coefficient_roundtrips():
-    from uniserial.linalg import parse_scalar
-
     pres = QuiverPresentation(
         ["1"],
         [("x", "1", "1"), ("y", "1", "1")],

@@ -2,7 +2,7 @@ import pytest
 
 from uniserial import abcat
 from uniserial.itext import extension_classes
-from uniserial.linalg import Scalar, parse_scalar
+from uniserial.linalg import Matrix, Scalar, parse_scalar, solve_matrix
 from uniserial.quiverrep import KRONECKER, QuiverPresentation, simple_at
 from uniserial.species import (
     CriterionError,
@@ -175,10 +175,28 @@ def test_realize_vector_classes_nonzero():
     assert all(not tau.is_zero() for tau in taus)
 
 
+def fiber_product_class(ext, i):
+    """Class of 0 -> S_i -> P -> S_{i-1} -> 0 for the fiber product P of fs[i] and kernel_monos[i-1].
+
+    The restriction of the i-th class to the previous kernel, built
+    without pullback_extension: S_i -> P is the map that (kernel_monos[i], 0)
+    induces, solved slot by slot on the stacked projections of P.
+    """
+    kmono = ext.kernel_monos[i]
+    obj, p1, p2 = abcat.fiber_product(ext.fs[i], ext.kernel_monos[i - 1])
+    inj = {}
+    for s in obj.slot_ids():
+        stacked = Matrix.block([[p1.mats[s]], [p2.mats[s]]], [p1.mats[s].rows, p2.mats[s].rows], [obj.slot_dim(s)])
+        rhs = Matrix.block([[kmono.mats[s]], [None]], [kmono.mats[s].rows, p2.mats[s].rows], [kmono.src.slot_dim(s)])
+        inj[s] = solve_matrix(stacked, rhs)
+    return abcat.extract_class(abcat.Morphism(kmono.src, obj, inj), p2)
+
+
 @pytest.mark.parametrize("basis_choice", [0, 1])
 def test_realize_vector_rescales_the_pulled_back_class(basis_choice):
     # each step realizes its class rescaled so that the restriction tau has
-    # first nonzero coordinate one; a fresh pullback of each class gives tau again
+    # first nonzero coordinate one; the class of the fiber product of fs[i]
+    # and the previous kernel has the coordinates of tau
     weyl = weyl_simple_family([HALF, parse_scalar("1/3+1/2*i"), "0", "inf"], [0], WINDOW)
     cases = [
         (("1", "2", "3"), a3_family()),
@@ -188,11 +206,10 @@ def test_realize_vector_rescales_the_pulled_back_class(basis_choice):
     ]
     for v, fam in cases:
         ext = realize_vector(v, fam, basis_choice)
-        xis, taus = extension_classes(ext)
+        _, taus = extension_classes(ext)
         assert len(taus) == len(v) - 1
-        for xi, tau, mono in zip(xis, taus, ext.kernel_monos):
-            fresh = abcat.pullback_extension(xi, mono)
-            assert (fresh.vector, fresh.coords) == (tau.vector, tau.coords), v
+        for i, tau in enumerate(taus, start=1):
+            assert fiber_product_class(ext, i).coords == tau.coords, (v, i)
             # scaled so that the first nonzero coordinate is one
             assert next(c for c in tau.coords if c) == Scalar(1)
 
