@@ -121,6 +121,20 @@ def _parse_alpha(text: str, normalize: bool):
     return alpha, twist_delta
 
 
+def _parse_interior_labels(text, reject_boundary: bool):
+    """Distinct interior labels from a comma-separated flag (default 1/2)."""
+    alphas = []
+    for item in (text.split(",") if text is not None else ["1/2"]):
+        item = item.strip()
+        if reject_boundary and item in ("0", "inf"):
+            raise InputError("boundary labels are always included; pass only interior labels")
+        alpha, _ = _parse_alpha(item, False)
+        if alpha in alphas:
+            raise InputError("label %s repeats an earlier label" % item)
+        alphas.append(alpha)
+    return alphas
+
+
 def _catalog_key(args) -> CatalogKey:
     twist = args.twist
     if args.kind == "euler":
@@ -215,8 +229,8 @@ def cmd_classify(args):
                 "indecomposable": True,
                 "certificate": [item.indecomposable_certificate[0], item.indecomposable_certificate[1]],
                 "uniserial": True,
-                "factors": list(item.uniserial_series),
-                "obstruction_checked": item.obstruction_checked,
+                "factors": list(item.order_vector),
+                "obstruction_checked": True,
                 "object": _serialize_object(item.obj),
             }
         )
@@ -254,14 +268,7 @@ def cmd_ext_table(args):
     margin = args.margin
     check_window(window, (-args.max_offset, args.max_offset), 1, margin)
     offsets = list(range(-args.max_offset, args.max_offset + 1))
-    bases = []
-    for text in (args.labels.split(",") if args.labels is not None else ["1/2"]):
-        text = text.strip()
-        if text in ("0", "inf"):
-            raise InputError("boundary labels are always included; pass only interior labels")
-        alpha, _ = _parse_alpha(text, False)
-        bases.append(alpha)
-    bases += ["0", "inf"]
+    bases = _parse_interior_labels(args.labels, reject_boundary=True) + ["0", "inf"]
     base_family = weyl_simple_family(bases, [0], window)
     targets = dict(weyl_simple_family(bases, offsets, window))
     entries = []
@@ -338,10 +345,7 @@ def cmd_weyl_module(args):
 
 
 def cmd_verify_weyl(args):
-    alphas = []
-    for text in (args.alphas.split(",") if args.alphas is not None else ["1/2"]):
-        alpha, _ = _parse_alpha(text.strip(), False)
-        alphas.append(alpha)
+    alphas = _parse_interior_labels(args.alphas, reject_boundary=False)
     window = _parse_window(args.window, None)
     report = verify_theorem(args.n_max, alphas=alphas, window=window, margin=args.margin)
     payload = {

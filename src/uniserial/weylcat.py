@@ -258,9 +258,9 @@ def verify_key(key: CatalogKey, window, margin: int = DEFAULT_MARGIN) -> KeyResu
         checks.append(
             ("factors", series == expected, "got %r expected %r" % (series, expected))
         )
-        ok = built.uniserial_series == expected
+        ok = built.order_vector == expected
         checks.append(
-            ("classifier factors", ok, "" if ok else "got %r expected %r" % (built.uniserial_series, expected))
+            ("classifier factors", ok, "" if ok else "got %r expected %r" % (built.order_vector, expected))
         )
     if key.kind == "euler" and key.n >= 2:
         space, vec = _tower_cocycle(key, cat, dict(family)[key.start_label()], window, margin)

@@ -365,6 +365,9 @@ def test_unknown_command(capsys):
         ["ext-table", "--labels", "1/3", "--max-offset", "100000000000"],
         ["ext-table", "--labels", "", "--max-offset", "1"],
         ["verify-weyl", "--n-max", "1", "--alphas", ""],
+        ["ext-table", "--labels", "1/2,1/2", "--max-offset", "1", "--emit-species", "{module}.species"],
+        ["ext-table", "--labels", "1/2,2/4", "--max-offset", "1"],
+        ["verify-weyl", "--n-max", "1", "--alphas", "1/2,2/4"],
     ],
     ids=[
         "classify-n0",
@@ -388,6 +391,9 @@ def test_unknown_command(capsys):
         "ext-table-huge-offset-window-too-small",
         "ext-table-empty-labels",
         "verify-weyl-empty-alphas",
+        "ext-table-repeated-label",
+        "ext-table-repeated-value",
+        "verify-weyl-repeated-value",
     ],
 )
 def test_rejects_empty_lengths_and_negative_offsets(tmp_path, capsys, argv):
@@ -399,6 +405,7 @@ def test_rejects_empty_lengths_and_negative_offsets(tmp_path, capsys, argv):
     assert status == 2
     assert out == ""
     assert "error" in err
+    assert not (tmp_path / "e2.gradedrep.species").exists()
 
 
 # the simple 1/2 at twist 0 on the window (-2, 2)

@@ -16,7 +16,7 @@ from uniserial.species import (
     species_to_text,
     uc_check,
 )
-from uniserial.weylcat import weyl_simple_family
+from uniserial.weylcat import default_window, weyl_simple_family
 
 HALF = parse_scalar("1/2")
 WINDOW = (-5, 5)
@@ -243,7 +243,6 @@ def test_classify_a3():
         out = classify(s, fam, n)
         assert len(out) == expected
         for item in out:
-            assert item.uniserial_series == item.order_vector
             ok, _ = abcat.is_indecomposable(item.obj)
             assert ok
 
@@ -289,8 +288,55 @@ def test_classify_respects_obstruction():
     assert len(classify(s, fam, 1)) == 1
     out2 = classify(s, fam, 2)
     assert len(out2) == 1
-    assert out2[0].uniserial_series == ("1", "1")
+    assert out2[0].order_vector == ("1", "1")
     assert classify(s, fam, 3) == []
+
+
+A4_ZERO_RELATION = QuiverPresentation(
+    ["1", "2", "3", "4"],
+    [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")],
+    [("1", "3", ((Scalar(1), ("a", "b")),))],
+)
+
+
+def _weyl_case(bases, twists, n):
+    lo, hi = default_window(n)
+    return weyl_simple_family(bases, twists, (lo + min(twists), hi + max(twists))), n
+
+
+ORACLE_CASES = {
+    "a3": [(a3_family(), n) for n in (1, 2, 3)],
+    "square-zero-loop": [(square_zero_family(), n) for n in (1, 2, 3)],
+    "a4-zero-relation": [(tuple((v, simple_at(A4_ZERO_RELATION, v)) for v in "1234"), n) for n in (1, 2, 3, 4)],
+    "weyl-1/2": [_weyl_case([HALF, "0", "inf"], [0], n) for n in (1, 2, 3)],
+    "weyl-nonreal": [_weyl_case([parse_scalar("1/3+1/2*i"), "0", "inf"], [0], n) for n in (1, 2)],
+    "weyl-twisted": [_weyl_case([HALF, "0", "inf"], [0, 1], n) for n in (1, 2)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_classify_objects_are_uniserial_and_pairwise_non_isomorphic(case):
+    # classify certifies uniseriality by the non-split-steps lemma alone; the
+    # peel and the isomorphism search are the oracle here
+    for fam, n in ORACLE_CASES[case]:
+        out = classify(species_of(fam), fam, n)
+        for item in out:
+            assert abcat.is_uniserial(item.obj, fam) == (True, item.order_vector)
+        for i, x in enumerate(out):
+            for y in out[i + 1:]:
+                assert abcat.find_isomorphism(x.obj, y.obj) is None, (x.order_vector, y.order_vector)
+
+
+FAN_OUT = QuiverPresentation(["1", "2", "3"], [("a", "1", "2"), ("b", "1", "3")])
+
+
+def test_realize_vector_skips_a_class_that_splits_over_the_socle():
+    # the arrow 1 -> 3 gives [1 over 2] an extension by S_3, but its pullback
+    # to the socle S_2 is zero; taking it would build a non-uniserial object
+    fam = tuple((v, simple_at(FAN_OUT, v)) for v in ("1", "2", "3"))
+    two = realize_vector(("1", "2"), fam)
+    assert abcat.ExtSpace(two.x, dict(fam)["3"]).dim() == 1
+    assert realize_vector(("1", "2", "3"), fam) is None
 
 
 def test_classify_n1_returns_simples():
