@@ -19,10 +19,11 @@ B = im δ⁰ come from conjugating by [[1, h], [0, 1]], the cocycles are
 Z = ker δ¹, and Ext^1(x, y) = Z / B.  _differential and _relation_rows
 build the two maps as {column: Scalar} rows of their nonzeros, reading
 each edge matrix through its kept nonzero views; hom_basis and ExtSpace
-both read δ⁰ from the first.  Since B lies in Z, dim Ext^1 and dim Hom
-are two ranks (rank_rows) of δ¹ and δ⁰, and a cocycle c has zero class
-iff rank [δ⁰ | c] = rank δ⁰; ExtSpace builds dense rows, Z and B only on
-first use, for its class callers.
+both read δ⁰ from the first, hom_basis on the source's core window when
+it has one (Rep.hom_core), carrying each map outward from there.  Since
+B lies in Z, dim Ext^1 and dim Hom are two ranks (rank_rows) of δ¹ and
+δ⁰, and a cocycle c has zero class iff rank [δ⁰ | c] = rank δ⁰; ExtSpace
+builds dense rows, Z and B only on first use, for its class callers.
 """
 
 from __future__ import annotations
@@ -164,10 +165,10 @@ def change_basis(x, us):
 # -- the standard complex of a pair ---------------------------------------------
 
 
-def _slot_layout(x, y):
-    """Index of each unknown (slot, i, j) of a per-slot map x -> y: the columns of δ⁰."""
+def _slot_layout(x, y, ids):
+    """Index of each unknown (slot, i, j) of a per-slot map x -> y over the slots ids: the columns of δ⁰."""
     index = {}
-    for s in x.slot_ids():
+    for s in ids:
         for i in range(y.slot_dim(s)):
             for j in range(x.slot_dim(s)):
                 index[(s, i, j)] = len(index)
@@ -185,14 +186,15 @@ def _edge_layout(x, y):
     return index
 
 
-def _differential(x, y, slots):
-    """δ⁰: h -> (h_v X_e - Y_e h_u)_e as {slot column: Scalar} rows of its nonzeros.
+def _differential(x, y, slots, edges):
+    """δ⁰ on the given edges: h -> (h_v X_e - Y_e h_u)_e as {slot column: Scalar} rows of its nonzeros.
 
-    One row per entry (i, j) of each edge block, in the _edge_layout order;
-    column (s, i, j) is the coboundary of the unit map at (s, i, j).
+    One row per entry (i, j) of each edge block, in edge order (the
+    _edge_layout order when edges are all of x's); column (s, i, j) is the
+    coboundary of the unit map at (s, i, j).
     """
     rows = []
-    for e in x.edge_ids():
+    for e in edges:
         u, v = x.edge_ends(e)
         xcols = x.edge_matrix(e).nonzero_columns()
         yrows = y.edge_matrix(e).nonzero_rows()
@@ -266,19 +268,104 @@ def _dense(rows, ncols):
 # -- Hom ---------------------------------------------------------------------
 
 
+def _slot_matrices(x, y, ids, vec):
+    """{slot: matrix} of the per-slot map x -> y over the slots ids whose entries, row by row, are vec."""
+    mats, k = {}, 0
+    for s in ids:
+        dy, dx = y.slot_dim(s), x.slot_dim(s)
+        mats[s] = Matrix(dy, dx, [vec[k + i * dx : k + (i + 1) * dx] for i in range(dy)])
+        k += dy * dx
+    return mats
+
+
 def hom_basis(x, y):
-    """Basis of the space of structure-preserving maps x -> y: ker δ⁰."""
+    """Basis of the space of structure-preserving maps x -> y: ker δ⁰ in kernel_basis's canonical form.
+
+    When the source has a core (Rep.hom_core: the slots a..b, and the
+    arrows e: u -> v that carry a map outward from them, each with X_e
+    invertible), Hom is solved on the core and carried outward.  On a
+    GradedRep these arrows are ("t", w) for b <= w < wmax and ("p", w) for
+    wmin < w <= a; only x's arrows matter.
+
+    Statement.  Restriction to the core is injective on Hom(x, y): the
+    constraint h_v X_e = Y_e h_u forces h_v = Y_e h_u X_e⁻¹, so a map is
+    fixed, arrow by arrow outward, by its core part.  So each map of a
+    basis of Hom(x|core, y|core) is carried outward by that formula and
+    checked on the edges not used to carry it (p right of the core, t left
+    of it).  If every map passes, the maps lie in Hom(x, y), are
+    independent (their core parts are), and span it: a map of Hom(x, y) is
+    the transport of its core part, a combination of the basis.  If one
+    fails, the full system is solved instead.  No relation is assumed and
+    y's arrows need not be invertible: the check decides.
+
+    Why the check passes when x and y satisfy p t - t p = 1 inside the
+    window.  On the right, suppose the constraints hold at t(w-1), t(w) and
+    p(w) for some b <= w < wmax, as they do at w = b.  The relation of x at
+    w, the constraints at t(w-1) and p(w), the relation of y at w and the
+    constraint at t(w) give
+        h_w X_p(w+1) X_t(w) = h_w + Y_t(w-1) h_{w-1} X_p(w)
+                            = (1 + Y_t(w-1) Y_p(w)) h_w = Y_p(w+1) h_{w+1} X_t(w),
+    and X_t(w) is invertible, so the constraint holds at p(w+1), and by
+    induction at every p right of the core.  The left side is the mirror
+    image, cancelling X_p(w) for wmin < w <= a.
+
+    The carried maps are put in kernel_basis's form by _kernel_form, so
+    both paths return the same basis.
+    """
     _check_pair(x, y)
-    slots = _slot_layout(x, y)
-    sols = kernel_basis(_dense([row for row in _differential(x, y, slots) if row], len(slots)))
-    out = []
-    for vec in sols:
-        mats = {}
-        for s in x.slot_ids():
-            dy, dx = y.slot_dim(s), x.slot_dim(s)
-            mats[s] = Matrix(dy, dx, [[vec[slots[(s, i, j)]] for j in range(dx)] for i in range(dy)])
-        out.append(Morphism(x, y, mats, check=False))
-    return out
+    core = x.hom_core()
+    vecs = None if core is None else _hom_by_transport(x, y, core)
+    if vecs is None:
+        slots = _slot_layout(x, y, x.slot_ids())
+        rows = [row for row in _differential(x, y, slots, x.edge_ids()) if row]
+        vecs = kernel_basis(_dense(rows, len(slots)))
+    return [Morphism(x, y, _slot_matrices(x, y, x.slot_ids(), vec), check=False) for vec in vecs]
+
+
+def _hom_by_transport(x, y, core):
+    """hom_basis's vectors by the core solve, the transport and the check, or None when a check fails."""
+    a, b, transport = core
+    ids = x.slot_ids()
+    inner = ids[ids.index(a) : ids.index(b) + 1]
+    inside = set(inner)
+    carried = {e for e, _ in transport}
+    edges, checked = [], []
+    for e in x.edge_ids():
+        if e not in carried:
+            (edges if inside.issuperset(x.edge_ends(e)) else checked).append(e)
+    slots = _slot_layout(x, y, inner)
+    rows = [row for row in _differential(x, y, slots, edges) if row]
+    vecs = []
+    for vec in kernel_basis(_dense(rows, len(slots))):
+        h = _slot_matrices(x, y, inner, vec)
+        for e, inv in transport:
+            u, v = x.edge_ends(e)
+            h[v] = y.edge_matrix(e) * h[u] * inv
+        for e in checked:
+            u, v = x.edge_ends(e)
+            if h[v] * x.edge_matrix(e) != y.edge_matrix(e) * h[u]:
+                return None
+        vec = []
+        for s in ids:
+            for i in range(h[s].rows):
+                vec.extend(h[s].row(i))
+        vecs.append(vec)
+    return _kernel_form(vecs)
+
+
+def _kernel_form(vecs):
+    """The basis kernel_basis returns for the span of the independent vectors.
+
+    kernel_basis gives each free column f the vector with 1 at f, 0 at the
+    other free columns and pivot entries left of f only.  Read with its
+    coordinates reversed, that basis is the rref of the span, in reverse
+    order; rref bases are unique, so one rref of the reversed vectors
+    gives it.
+    """
+    if not vecs:
+        return []
+    n = len(vecs[0])
+    return [v[::-1] for v in reversed(column_space_basis([v[::-1] for v in vecs], n))]
 
 
 def find_isomorphism(x, y):
@@ -479,12 +566,12 @@ class ExtSpace:
         _check_pair(x, y)
         self.x = x
         self.y = y
-        slots = _slot_layout(x, y)
+        slots = _slot_layout(x, y, x.slot_ids())
         self.nslots = len(slots)
         self.index = _edge_layout(x, y)
         self.nvars = len(self.index)
         self._d1 = _relation_rows(x, y, self.index)
-        self._d0 = _differential(x, y, slots)
+        self._d0 = _differential(x, y, slots, x.edge_ids())
 
     @cached_property
     def _rank_d1(self):

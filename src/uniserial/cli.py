@@ -103,7 +103,8 @@ def _parse_window(values, fallback):
     return (lo, hi)
 
 
-def _parse_alpha(text: str, normalize: bool):
+def _parse_alpha(text: str, normalize):
+    """(label, twist shift) of an interior label; normalize is None for a command without --normalize-alpha."""
     try:
         alpha = parse_scalar(text)
     except ValueError as exc:
@@ -115,20 +116,19 @@ def _parse_alpha(text: str, normalize: bool):
         except ValueError as exc:
             raise InputError(str(exc)) from exc
     elif not in_alpha_range(alpha):
-        raise InputError(
-            "label %s outside the range 0 <= re < 1 (rerun with --normalize-alpha to shift it)" % text
-        )
+        hint = "" if normalize is None else " (rerun with --normalize-alpha to shift it)"
+        raise InputError("label %s outside the range 0 <= re < 1%s" % (text, hint))
     return alpha, twist_delta
 
 
-def _parse_interior_labels(text, reject_boundary: bool):
-    """Distinct interior labels from a comma-separated flag (default 1/2)."""
+def _parse_interior_labels(text):
+    """Distinct interior labels from a comma-separated flag (default 1/2); the boundary labels are always added."""
     alphas = []
     for item in (text.split(",") if text is not None else ["1/2"]):
         item = item.strip()
-        if reject_boundary and item in ("0", "inf"):
+        if item in ("0", "inf"):
             raise InputError("boundary labels are always included; pass only interior labels")
-        alpha, _ = _parse_alpha(item, False)
+        alpha, _ = _parse_alpha(item, None)
         if alpha in alphas:
             raise InputError("label %s repeats an earlier label" % item)
         alphas.append(alpha)
@@ -268,7 +268,7 @@ def cmd_ext_table(args):
     margin = args.margin
     check_window(window, (-args.max_offset, args.max_offset), 1, margin)
     offsets = list(range(-args.max_offset, args.max_offset + 1))
-    bases = _parse_interior_labels(args.labels, reject_boundary=True) + ["0", "inf"]
+    bases = _parse_interior_labels(args.labels) + ["0", "inf"]
     base_family = weyl_simple_family(bases, [0], window)
     targets = dict(weyl_simple_family(bases, offsets, window))
     entries = []
@@ -345,7 +345,7 @@ def cmd_weyl_module(args):
 
 
 def cmd_verify_weyl(args):
-    alphas = _parse_interior_labels(args.alphas, reject_boundary=False)
+    alphas = _parse_interior_labels(args.alphas)
     window = _parse_window(args.window, None)
     report = verify_theorem(args.n_max, alphas=alphas, window=window, margin=args.margin)
     payload = {

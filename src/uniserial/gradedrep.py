@@ -5,7 +5,11 @@ for every weight in a finite window, a vector space dimension together
 with the raising action of t and the lowering action of d.  The
 commutation rule holds on interior weights; maps that would leave the
 window are simply absent, which is the price of truncation and the
-reason downstream computations insist on window margins.
+reason downstream computations insist on window margins.  A margin is
+enough because a graded module repeats itself outside a finite core of
+weights, where t and d act invertibly: there a degree-0 map is carried
+from one weight to the next, so Hom, and the verdicts read off it, do not
+change when the window grows past the core (GradedRep.hom_core).
 
 Degree-0 morphisms between these objects are handled uniformly by the
 category engine (abcat); this module only builds and validates objects.
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .linalg import Matrix, ONE, Scalar, ZERO, format_matrix, parse_int, parse_matrix
+from .linalg import Matrix, ONE, Scalar, ZERO, format_matrix, inverse, parse_int, parse_matrix
 from .quiverrep import QuiverPresentation, Rep
 from .weyl import EulerPolynomial, WeylElement, theta, to_theta_form
 
@@ -52,7 +56,7 @@ class GradedRep(Rep):
     are not checked on construction; validate reports them.
     """
 
-    __slots__ = ()
+    __slots__ = ("_core",)
 
     def __init__(self, window, dims, tmat, pmat):
         wmin, wmax = window
@@ -69,6 +73,52 @@ class GradedRep(Rep):
 
     def _matrix_name(self, arrow):
         return "%s matrix at weight %d" % arrow
+
+    def hom_core(self):
+        """(a, b, transport): the core window a < b of this module as a source of Hom, built once.
+
+        Every ("t", w) with b <= w < wmax and every ("p", w) with
+        wmin < w <= a is invertible, and transport lists them with their
+        inverses, ((arrow, inverse), ...), in the order that carries a map
+        outward from [a, b]: the t arrows from b up, then the p arrows from
+        a down.  A walk from each end of the window moves inward while the
+        next arrow is invertible, toward the pair (c, c + 1) with c the
+        window weight nearest 0; when one walk stops short, the other goes
+        on until it meets it, so [a, b] is the narrowest such core, and the
+        pair (c, c + 1) when every arrow is invertible.  Each inverse
+        computed is one the transport uses.  None on a one-weight window.
+        """
+        if not hasattr(self, "_core"):
+            object.__setattr__(self, "_core", self._find_core())
+        return self._core
+
+    def _find_core(self):
+        wmin, wmax = self.window
+        if wmin == wmax:
+            return None
+        inverses = {}
+
+        def walk(kind, w, stop, step):
+            # move w toward stop while the arrow (kind, w + step) into w is invertible
+            while w != stop:
+                arrow = (kind, w + step)
+                m = self.mats[arrow]
+                inv = inverse(m) if m.rows == m.cols else None
+                if inv is None:
+                    break
+                inverses[arrow] = inv
+                w += step
+            return w
+
+        c = min(max(0, wmin), wmax - 1)
+        b = walk("t", wmax, c + 1, -1)
+        a = walk("p", wmin, c, 1)
+        if a == c and b > c + 1:
+            a = walk("p", a, b - 1, 1)
+        elif b == c + 1 and a < c:
+            b = walk("t", b, a + 1, -1)
+        outward = [("t", w) for w in range(b, wmax)] + [("p", w) for w in range(a, wmin, -1)]
+        return a, b, tuple((arrow, inverses[arrow]) for arrow in outward)
 
 
 def validate(m: GradedRep):

@@ -8,10 +8,10 @@ nonzero_columns).  Both elimination kernels work on {column: Scalar} dict
 rows with Markowitz's pivot rule: _rref_rows only reads its dense rows and
 returns the (pivot column, sparse row) pairs of the rref, and _rank_rows
 eliminates fresh dict rows forward only.  rank_rows ranks rows in that
-form, rank a Matrix.  solve, inverse and in_span are each one solve_matrix.
-No floating point anywhere: a scalar is one reduced triple of Python ints
-(a, b, d) meaning (a + b*i)/d, and its arithmetic is integer products and
-one gcd per result.  fractions.Fraction appears only at the edges, in
+form, rank a Matrix.  solve, inverse (past 1x1) and in_span are each
+one solve_matrix.  No floating point anywhere: a scalar is one reduced
+triple of Python ints (a, b, d) meaning (a + b*i)/d, and its arithmetic
+is integer products and one gcd per result.  fractions.Fraction appears only at the edges, in
 parsing and in the re and im components handed to formatting.
 """
 
@@ -365,18 +365,17 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch %dx%d * %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        ot = list(zip(*other._data)) if other.rows else [()] * other.cols
+        od, n = other._data, other.cols
         out = []
         for r in self._data:
-            orow = []
-            for c in ot:
-                acc = ZERO
-                for a, b in zip(r, c):
-                    if a and b:
-                        acc = acc + a * b
-                orow.append(acc)
-            out.append(orow)
-        return Matrix(self.rows, other.cols, out)
+            orow = [ZERO] * n
+            for ok, a in zip(od, r):
+                if a is not ZERO and a:
+                    for j, b in enumerate(ok):
+                        if b is not ZERO and b:
+                            orow[j] = orow[j] + a * b
+            out.append(tuple(orow))
+        return _matrix(self.rows, n, tuple(out))
 
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows, list(zip(*self._data)) if self.rows else [[] for _ in range(self.cols)])
@@ -413,6 +412,15 @@ class Matrix:
             self.cols,
             [[format_scalar(a) for a in r] for r in self._data],
         )
+
+
+def _matrix(rows, cols, entries):
+    """The Matrix of a tuple of row tuples already of shape rows x cols, without the copy and checks of __init__."""
+    m = _new(Matrix)
+    object.__setattr__(m, "rows", rows)
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "_data", entries)
+    return m
 
 
 def _column_index(sparse, cols):
@@ -609,9 +617,15 @@ def in_span(vectors, v) -> bool:
 
 
 def inverse(m: Matrix):
-    """Inverse of a square matrix, or None if singular (a pivot then falls in the I of [m | I])."""
+    """Inverse of a square matrix, or None if singular (a pivot then falls in the I of [m | I]).
+
+    A 1x1 matrix is inverted by one division.
+    """
     if m.rows != m.cols:
         raise ValueError("inverse of non-square matrix")
+    if m.rows == 1:
+        a = m[0, 0]
+        return Matrix(1, 1, ((ONE / a,),)) if a else None
     return solve_matrix(m, Matrix.identity(m.rows))
 
 

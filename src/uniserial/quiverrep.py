@@ -219,6 +219,16 @@ class Rep:
     def same_space(self, other) -> bool:
         return type(other) is type(self) and self.pres == other.pres
 
+    def hom_core(self):
+        """The core through which abcat.hom_basis may solve Hom from this source, or None.
+
+        A subclass returns (a, b, transport): Hom is solved on the run of
+        slots from a to b, and transport lists ((arrow, inverse), ...), the
+        invertible arrows that carry a map outward from them, each from a
+        slot already reached.  A plain Rep has no such core.
+        """
+        return None
+
 
 class QuiverRep(Rep):
     """A representation whose relations are checked on every construction."""

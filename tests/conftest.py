@@ -91,6 +91,42 @@ def graded_dual(m):
     )
 
 
+def reference_hom_basis(x, y):
+    """Hom(x, y) from the intertwining constraint rows, built directly."""
+    index = {}
+    for s in x.slot_ids():
+        for i in range(y.slot_dim(s)):
+            for j in range(x.slot_dim(s)):
+                index[(s, i, j)] = len(index)
+    nvars = len(index)
+    rows = []
+    for e in x.edge_ids():
+        u, v = x.edge_ends(e)
+        xe = x.edge_matrix(e)
+        ye = y.edge_matrix(e)
+        for i in range(y.slot_dim(v)):
+            for j in range(x.slot_dim(u)):
+                row = [ZERO] * nvars
+                for k in range(x.slot_dim(v)):
+                    c = xe[k, j]
+                    if c:
+                        row[index[(v, i, k)]] = row[index[(v, i, k)]] + c
+                for k in range(y.slot_dim(u)):
+                    c = ye[i, k]
+                    if c:
+                        row[index[(u, k, j)]] = row[index[(u, k, j)]] - c
+                if any(row):
+                    rows.append(row)
+    out = []
+    for vec in abcat.kernel_basis(Matrix(len(rows), nvars, rows)):
+        mats = {}
+        for s in x.slot_ids():
+            dy, dx = y.slot_dim(s), x.slot_dim(s)
+            mats[s] = Matrix(dy, dx, [[vec[index[(s, i, j)]] for j in range(dx)] for i in range(dy)])
+        out.append(Morphism(x, y, mats, check=False))
+    return out
+
+
 def reference_validate(m):
     """gradedrep.validate by the hand-written commutator: p t - t p against a built identity at each interior weight."""
     tmat = {w: mat for (kind, w), mat in m.mats.items() if kind == "t"}

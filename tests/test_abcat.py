@@ -6,6 +6,7 @@ from conftest import (
     apply,
     graded_dual,
     reference_direct_sum,
+    reference_hom_basis,
     reference_quotient_object,
     reference_realize_extension,
     transpose_dual,
@@ -495,42 +496,6 @@ def test_ext_dim_by_rank_matches_class_basis_under_a_monomial_relation():
 
 
 # -- one differential against the three builders it replaced -------------------
-
-
-def reference_hom_basis(x, y):
-    """Hom(x, y) from the intertwining constraint rows, built directly."""
-    index = {}
-    for s in x.slot_ids():
-        for i in range(y.slot_dim(s)):
-            for j in range(x.slot_dim(s)):
-                index[(s, i, j)] = len(index)
-    nvars = len(index)
-    rows = []
-    for e in x.edge_ids():
-        u, v = x.edge_ends(e)
-        xe = x.edge_matrix(e)
-        ye = y.edge_matrix(e)
-        for i in range(y.slot_dim(v)):
-            for j in range(x.slot_dim(u)):
-                row = [ZERO] * nvars
-                for k in range(x.slot_dim(v)):
-                    c = xe[k, j]
-                    if c:
-                        row[index[(v, i, k)]] = row[index[(v, i, k)]] + c
-                for k in range(y.slot_dim(u)):
-                    c = ye[i, k]
-                    if c:
-                        row[index[(u, k, j)]] = row[index[(u, k, j)]] - c
-                if any(row):
-                    rows.append(row)
-    out = []
-    for vec in abcat.kernel_basis(Matrix(len(rows), nvars, rows)):
-        mats = {}
-        for s in x.slot_ids():
-            dy, dx = y.slot_dim(s), x.slot_dim(s)
-            mats[s] = Matrix(dy, dx, [[vec[index[(s, i, j)]] for j in range(dx)] for i in range(dy)])
-        out.append(Morphism(x, y, mats, check=False))
-    return out
 
 
 def reference_complex(x, y):

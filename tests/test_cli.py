@@ -168,6 +168,26 @@ def test_classify_rejects_out_of_range_alpha(capsys):
     assert "normalize" in err
 
 
+INTERIOR_LABEL_FLAGS = [["ext-table", "--labels"], ["verify-weyl", "--n-max", "1", "--alphas"]]
+
+
+@pytest.mark.parametrize("argv", INTERIOR_LABEL_FLAGS, ids=["ext-table", "verify-weyl"])
+@pytest.mark.parametrize("label", ["0", "inf", "1/2,inf"])
+def test_interior_label_flags_reject_boundary_labels(capsys, argv, label):
+    # both commands always add the boundary labels, so naming one is an input error, not a parse error
+    status, out, err = run(capsys, *argv, label)
+    assert (status, out) == (2, "")
+    assert err == "input error: boundary labels are always included; pass only interior labels\n"
+
+
+@pytest.mark.parametrize("argv", INTERIOR_LABEL_FLAGS, ids=["ext-table", "verify-weyl"])
+def test_interior_label_flags_name_no_missing_option(capsys, argv):
+    # neither command has --normalize-alpha, so the range message must not suggest it
+    status, out, err = run(capsys, *argv, "3/2")
+    assert (status, out) == (2, "")
+    assert err == "input error: label 3/2 outside the range 0 <= re < 1\n"
+
+
 def test_ext_table_matches(capsys):
     status, out, _ = run(
         capsys, "ext-table", "--labels", "1/2,1/3+1/2*i", "--max-offset", "1", "--format", "machine"

@@ -1,0 +1,143 @@
+"""hom_basis on the source's core window, against the full δ⁰ system.
+
+A graded source solves Hom on its core (GradedRep.hom_core), carries each
+map outward along its invertible outer arrows, checks the carried maps and
+puts them in kernel_basis's canonical form.  reference_hom_basis builds the
+whole constraint system directly, so every comparison below is entry for
+entry.  A recorder on abcat._hom_by_transport tells whether a call took the
+core path or fell back to the full system.
+"""
+
+import random
+
+import pytest
+
+from conftest import graded_dual, reference_hom_basis
+from uniserial import abcat
+from uniserial.abcat import hom_basis
+from uniserial.gradedrep import GradedRep, simple_rep, validate
+from uniserial.linalg import Matrix, Scalar, parse_scalar
+from uniserial.quiverrep import KRONECKER, simple_at
+from uniserial.weylcat import CatalogKey, catalog_module, default_window
+
+LABELS = (parse_scalar("1/2"), parse_scalar("1/3+1/2*i"))
+
+
+def catalog_keys(n_max, twists=(0,)):
+    """The Euler keys on both labels and the two word keys, for n <= n_max at each twist."""
+    keys = []
+    for n in range(1, n_max + 1):
+        for twist in twists:
+            keys += [CatalogKey("euler", alpha, None, n, twist) for alpha in LABELS]
+            keys += [CatalogKey("word", None, beta, n, twist) for beta in ("0", "inf")]
+    return keys
+
+
+@pytest.fixture
+def core_calls(monkeypatch):
+    """The results of every core solve hom_basis runs, None marking a fallback to the full system."""
+    calls = []
+    real = abcat._hom_by_transport
+
+    def record(x, y, core):
+        calls.append(real(x, y, core))
+        return calls[-1]
+
+    monkeypatch.setattr(abcat, "_hom_by_transport", record)
+    return calls
+
+
+def assert_matches_full_system(pairs):
+    for x, y in pairs:
+        assert hom_basis(x, y) == reference_hom_basis(x, y), (x, y)
+
+
+def test_core_path_matches_the_full_system_on_the_catalog(core_calls):
+    # every pair of catalog modules with n <= 4 at twist 0, and with n <= 2
+    # at twists -1 and 1, on the window of the longest
+    objs = [catalog_module(key, default_window(4)) for key in catalog_keys(4) + catalog_keys(2, (-1, 1))]
+    assert all(validate(m) == [] for m in objs)
+    assert_matches_full_system((x, y) for x in objs for y in objs)
+    # modules that satisfy their relations never fall back
+    assert len(core_calls) == len(objs) ** 2 and None not in core_calls
+    assert {x.hom_core()[:2] for x in objs} == {(-2, -1), (-1, 0), (0, 1)}
+
+
+def test_core_path_matches_the_full_system_on_duals_and_boundary_simples(core_calls):
+    window = default_window(3)
+    cat = [catalog_module(key, window) for key in catalog_keys(3)]
+    duals = [graded_dual(m) for m in cat]
+    # the boundary simples are zero on half the window, so their cores have zero-dimensional slots
+    simples = [simple_rep(base, twist, window) for base in LABELS + ("0", "inf") for twist in (-1, 0, 1)]
+    assert any(0 in (s.slot_dim(a), s.slot_dim(b)) for s in simples for a, b, _ in [s.hom_core()])
+    objs = cat + duals + simples
+    assert_matches_full_system((x, y) for x in objs for y in objs)
+    assert None not in core_calls
+
+
+@pytest.mark.parametrize("window,core", [((3, 9), (3, 4)), ((-9, -3), (-4, -3)), ((-6, 6), (0, 1))])
+def test_sources_with_every_arrow_invertible_take_two_adjacent_weights_inside_the_window(core_calls, window, core):
+    # the two walks cross: the core is the pair nearest weight 0, clamped to the window's edges
+    objs = [simple_rep(alpha, twist, window) for alpha in LABELS for twist in (-1, 0, 1)]
+    objs += [catalog_module(CatalogKey("euler", alpha, None, 2), (-6, 6)) for alpha in LABELS if window == (-6, 6)]
+    assert all(m.hom_core()[:2] == core for m in objs)
+    assert_matches_full_system((x, y) for x in objs for y in objs)
+    assert None not in core_calls
+
+
+def perturbed(m, rng):
+    """m with one entry of one seeded t or p matrix moved by a nonzero integer."""
+    arrow = rng.choice([a for a, mat in m.mats.items() if mat.rows and mat.cols])
+    mat = m.mats[arrow]
+    i, j = rng.randrange(mat.rows), rng.randrange(mat.cols)
+    rows = [list(mat.row(r)) for r in range(mat.rows)]
+    rows[i][j] = rows[i][j] + Scalar(rng.choice((-2, -1, 1, 2)))
+    return m.with_matrices(m.dims, {**m.mats, arrow: Matrix(mat.rows, mat.cols, rows)})
+
+
+def test_a_broken_relation_falls_back_to_the_full_system(core_calls):
+    rng = random.Random(17)
+    window = default_window(3)
+    cat = [catalog_module(key, window) for key in catalog_keys(3)]
+    broken = [b for b in (perturbed(m, rng) for m in cat for _ in range(3)) if validate(b)]
+    assert len(broken) >= 30
+    assert_matches_full_system([(x, x) for x in broken] + [(x, y) for x in broken for y in cat[:4]])
+    # the check catches the broken sources whose carried maps fail outside the core
+    assert 0 < core_calls.count(None) < len(core_calls)
+
+
+def test_window_growth_changes_neither_hom_nor_the_core():
+    # the verdicts' windows: dim Hom and the source's core do not move when the window grows by 2
+    keys = catalog_keys(3)
+    for x_key in keys:
+        for y_key in keys:
+            lo, hi = default_window(max(x_key.n, y_key.n))
+            dims, cores = set(), set()
+            for window in ((lo, hi), (lo - 2, hi + 2)):
+                x, y = catalog_module(x_key, window), catalog_module(y_key, window)
+                dims.add(len(hom_basis(x, y)))
+                cores.add(x.hom_core()[:2])
+            assert len(dims) == len(cores) == 1, (x_key, y_key, dims, cores)
+
+
+def test_end_of_the_longest_euler_module_solves_no_system_wider_than_its_core(monkeypatch):
+    # End of the n = 3 Euler module on (-7, 7) is a 135-unknown δ⁰ system in
+    # full; its core is two weights of 3 x 3 maps
+    x = catalog_module(CatalogKey("euler", LABELS[0], None, 3), (-7, 7))
+    widths = []
+    real = abcat.kernel_basis
+
+    def counted(m):
+        widths.append(m.cols)
+        return real(m)
+
+    monkeypatch.setattr(abcat, "kernel_basis", counted)
+    homs = hom_basis(x, x)
+    monkeypatch.undo()
+    assert widths and max(widths) <= 18, widths
+    assert homs == reference_hom_basis(x, x) and len(homs) == 3
+
+
+def test_plain_reps_and_one_weight_windows_have_no_core():
+    assert simple_at(KRONECKER, "1").hom_core() is None
+    assert GradedRep((2, 2), {2: 1}, {}, {}).hom_core() is None
