@@ -5,7 +5,10 @@ relations; both backends, GradedRep and QuiverRep, subclass it.  The
 engine reads them through ordered slots with dimensions, named edges
 with matrices, and linear relations (paths with optional identity terms).
 Morphisms are per-slot matrices intertwining the edge matrices; on the
-graded backend these are exactly the degree-0 maps.
+graded backend these are exactly the degree-0 maps.  glue sets parts on
+the block diagonal and corrections off it; unglue, its inverse, reads an
+object back in per-slot bases, the subobject first, so the blocks below
+the diagonal vanish.  Subobjects, quotients and cocycles read through it.
 
 Hom and Ext^1 of a pair (x, y) are read off one standard complex (Ringel,
 Representations of K-species and bimodules, 1976):
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from .linalg import (
     Matrix,
@@ -151,15 +155,12 @@ def zero_morphism(x, y) -> Morphism:
 
 
 def change_basis(x, us):
-    """Conjugate all edge matrices by invertible per-slot matrices us."""
+    """Conjugate all edge matrices by invertible per-slot matrices us: X_e becomes us_v X_e us_u⁻¹."""
     inv = {s: inverse(us[s]) for s in x.slot_ids()}
     if any(v is None for v in inv.values()):
         raise ValueError("basis change must be invertible")
-    mats = {}
-    for e in x.edge_ids():
-        u, v = x.edge_ends(e)
-        mats[e] = us[v] * x.edge_matrix(e) * inv[u]
-    return x.with_matrices({s: x.slot_dim(s) for s in x.slot_ids()}, mats)
+    block = unglue(x, {s: (inv[s], us[s]) for s in inv}, {s: (x.slot_dim(s),) for s in inv})
+    return x.with_matrices({s: x.slot_dim(s) for s in x.slot_ids()}, {e: block(e, 0, 0) for e in x.edge_ids()})
 
 
 # -- the standard complex of a pair ---------------------------------------------
@@ -421,6 +422,33 @@ def glue(parts, correction):
     return first.with_matrices({s: sum(p.slot_dim(s) for p in parts) for s in first.slot_ids()}, mats)
 
 
+def unglue(x, bases, sizes):
+    """The blocks of x in per-slot bases, the inverse of glue.
+
+    bases[s] = (u, u⁻¹) and sizes[s] the widths of u's column blocks, the
+    subobject first.  Returns block(e, i, j), the block (i, j) of
+    u_v⁻¹ X_e u_u as glue lays it out; block row i is built when first
+    read.  Each leading run of blocks must span a subobject: the blocks
+    below the diagonal are all read here, and a nonzero one is a ValueError.
+    """
+    cuts, rows, built = {}, {}, {}
+    for s, (_, uinv) in bases.items():
+        cuts[s] = list(accumulate(sizes[s], initial=0))
+        rows[s] = [uinv.submatrix(a, b, 0, uinv.cols) for a, b in zip(cuts[s], cuts[s][1:])]
+
+    def block(e, i, j):
+        u, v = x.edge_ends(e)
+        if (e, i) not in built:
+            built[e, i] = rows[v][i] * x.edge_matrix(e) * bases[u][0]
+        return built[e, i].submatrix(0, rows[v][i].rows, cuts[u][j], cuts[u][j + 1])
+
+    for e in x.edge_ids():
+        n = len(sizes[x.edge_ends(e)[1]])
+        if any(not block(e, i, j).is_zero() for i in range(n) for j in range(i)):
+            raise ValueError("subspaces are not invariant under edge %r" % (e,))
+    return block
+
+
 def part_maps(obj, parts, k):
     """(inclusion parts[k] -> obj, projection obj -> parts[k]) of part k of obj = glue(parts, ...).
 
@@ -446,43 +474,15 @@ def direct_sum(x, y) -> DirectSum:
     return DirectSum(z, inj1, inj2, proj1, proj2)
 
 
-def sub_object(x, subspaces):
-    """Subobject spanned by per-slot column bases; returns (object, inclusion).
-
-    The given spans must be invariant under the edge matrices, otherwise
-    the defining solves are inconsistent and a ValueError is raised.
-    """
-    bases = {}
-    dims = {}
-    for s in x.slot_ids():
-        cols = list(subspaces.get(s, ()))
-        bases[s] = Matrix.from_columns(cols, x.slot_dim(s))
-        dims[s] = len(cols)
-    mats = {}
-    for e in x.edge_ids():
-        u, v = x.edge_ends(e)
-        pushed = x.edge_matrix(e) * bases[u]
-        m = solve_matrix(bases[v], pushed)
-        if m is None:
-            raise ValueError("subspaces are not invariant under edge %r" % (e,))
-        mats[e] = m
-    sub = x.with_matrices(dims, mats)
-    incl = Morphism(sub, x, bases, check=False)
-    return sub, incl
-
-
-def quotient_object(x, subspaces):
-    """Quotient by the span of per-slot columns; returns (object, projection).
+def _split(x, subspaces):
+    """(unglue's block reader, {slot: (u, u⁻¹)}, {slot: k}) of x in the bases u = [k cols | complement].
 
     One elimination per slot, of [cols | I]: the columns are independent
     when they are its first pivots, and the identity columns it picks are
-    the complement (the extend_basis choice).  Its pivot columns
-    u = [cols | complement] reduce to the identity in order, so the I part
-    of the rref is u⁻¹, whose bottom rows are the projection.
+    the complement (the extend_basis choice).  Its pivot columns u reduce
+    to the identity in order, so the I part of the rref is u⁻¹.
     """
-    us = {}
-    ks = {}
-    projs = {}
+    bases, ks = {}, {}
     for s in x.slot_ids():
         d = x.slot_dim(s)
         cols = list(subspaces.get(s, ()))
@@ -491,18 +491,23 @@ def quotient_object(x, subspaces):
         red, pivots = rref(Matrix.from_columns(cols, d).hstack(one))
         if pivots[:k] != list(range(k)):
             raise ValueError("subspace basis at slot %r is dependent" % (s,))
-        us[s] = Matrix.from_columns(cols + [one.column(p - k) for p in pivots[k:]], d)
-        projs[s] = red.submatrix(k, d, k, k + d)
-    mats = {}
-    for e in x.edge_ids():
-        u_slot, v_slot = x.edge_ends(e)
-        ku = ks[u_slot]
-        w = projs[v_slot] * x.edge_matrix(e) * us[u_slot]
-        # invariance: the sub block must not leak into the quotient rows
-        if not w.submatrix(0, w.rows, 0, ku).is_zero():
-            raise ValueError("subspaces are not invariant under edge %r" % (e,))
-        mats[e] = w.submatrix(0, w.rows, ku, w.cols)
-    quot = x.with_matrices({s: p.rows for s, p in projs.items()}, mats)
+        u = Matrix.from_columns(cols + [one.column(p - k) for p in pivots[k:]], d)
+        bases[s] = (u, red.submatrix(0, d, k, k + d))
+    return unglue(x, bases, {s: (k, x.slot_dim(s) - k) for s, k in ks.items()}), bases, ks
+
+
+def sub_object(x, subspaces):
+    """Subobject spanned by per-slot column bases; returns (object, inclusion): the top-left blocks of _split."""
+    block, bases, ks = _split(x, subspaces)
+    sub = x.with_matrices(ks, {e: block(e, 0, 0) for e in x.edge_ids()})
+    return sub, Morphism(sub, x, {s: u.submatrix(0, u.rows, 0, ks[s]) for s, (u, _) in bases.items()}, check=False)
+
+
+def quotient_object(x, subspaces):
+    """Quotient by the span of per-slot columns; returns (object, projection): the bottom-right blocks of _split."""
+    block, bases, ks = _split(x, subspaces)
+    quot = x.with_matrices({s: x.slot_dim(s) - k for s, k in ks.items()}, {e: block(e, 1, 1) for e in x.edge_ids()})
+    projs = {s: uinv.submatrix(ks[s], uinv.rows, 0, uinv.cols) for s, (_, uinv) in bases.items()}
     return quot, Morphism(x, quot, projs, check=False)
 
 
@@ -681,46 +686,32 @@ def realize_extension(xi: ExtClass):
 def _extension_cocycle(inj: Morphism, surj: Morphism):
     """(ExtSpace(x, y), cocycle vector) of a short exact sequence inj, surj.
 
-    Verifies exactness (inj injective, surj surjective, composition zero,
-    dimensions add), then reads the correction blocks off a k-linear
-    splitting.  Builds no Z, B or class representatives.
+    Reads the correction blocks, the top-right blocks of z in the splitting
+    basis u = [inj | section], through unglue; builds no Z, B or class
+    representatives.  The splitting also checks exactness: once the
+    composition is zero and the dimensions add, a section exists iff surj
+    is surjective, and then u is invertible iff inj is injective.
     """
     y, z, x = inj.src, inj.dst, surj.dst
     if surj.src != z:
         raise ValueError("inj and surj do not share the middle object")
-    if not inj.is_injective():
-        raise ValueError("inclusion is not injective")
-    if not surj.is_surjective():
-        raise ValueError("surjection is not surjective")
     if not (surj * inj).is_zero():
         raise ValueError("composition is not zero")
+    bases = {}
     for s in z.slot_ids():
         if z.slot_dim(s) != x.slot_dim(s) + y.slot_dim(s):
             raise ValueError("dimensions do not add at slot %r" % (s,))
-    us = {}
-    uinvs = {}
-    for s in z.slot_ids():
         section = solve_matrix(surj.mats[s], Matrix.identity(x.slot_dim(s)))
         if section is None:
-            raise ValueError("no linear section at slot %r" % (s,))
+            raise ValueError("surjection is not surjective at slot %r" % (s,))
         u = inj.mats[s].hstack(section)
         uinv = inverse(u)
         if uinv is None:
-            raise ValueError("splitting is singular at slot %r" % (s,))
-        us[s] = u
-        uinvs[s] = uinv
+            raise ValueError("inclusion is not injective at slot %r" % (s,))
+        bases[s] = (u, uinv)
+    block = unglue(z, bases, {s: (y.slot_dim(s), x.slot_dim(s)) for s in z.slot_ids()})
     space = ExtSpace(x, y)
-    blocks = {}
-    for e in z.edge_ids():
-        u_slot, v_slot = z.edge_ends(e)
-        w = uinvs[v_slot] * z.edge_matrix(e) * us[u_slot]
-        dy = y.slot_dim(v_slot)
-        ky = y.slot_dim(u_slot)
-        # sanity: lower-left block must vanish
-        if not w.submatrix(dy, w.rows, 0, ky).is_zero():
-            raise ValueError("inclusion image is not invariant under edge %r" % (e,))
-        blocks[e] = w.submatrix(0, dy, ky, w.cols)
-    return space, space.cocycle_vector(blocks)
+    return space, space.cocycle_vector({e: block(e, 0, 1) for e in z.edge_ids()})
 
 
 def extract_class(inj: Morphism, surj: Morphism) -> ExtClass:

@@ -15,7 +15,6 @@ vector, so the base node of the deformation data is always the first one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 from . import abcat
 from .abcat import Morphism, total_dim
@@ -369,31 +368,33 @@ class DeformationModule:
 
 
 def _flag_adapted_basis(x, spaces):
-    """Per-slot change of basis adapted to a descending filtration.
+    """Per-slot change of basis adapted to a descending filtration, for abcat.unglue.
 
-    spaces is F_0 .. F_n (F_0 the whole space, F_n zero); the returned
-    per-slot data is (U, U_inverse, block sizes of V_1..V_n) where V_i
-    complements F_i inside F_{i-1}, chosen by extend_basis.
+    spaces is F_0 .. F_n (F_0 the whole space, F_n zero) and V_i
+    complements F_i inside F_{i-1}, chosen by extend_basis.  Returns
+    ({slot: (U, U⁻¹)}, {slot: block sizes}) with U = [V_n | ... | V_1],
+    the subobject F_{n-1} first.
     """
     n = len(spaces) - 1
-    out = {}
+    bases, sizes = {}, {}
     for s in x.slot_ids():
         d = x.slot_dim(s)
-        blocks = [extend_basis(spaces[i][s], spaces[i - 1][s], d) for i in range(1, n + 1)]
+        blocks = [extend_basis(spaces[i][s], spaces[i - 1][s], d) for i in range(n, 0, -1)]
         u = Matrix.from_columns([v for blk in blocks for v in blk], d)
         uinv = inverse(u)
         if uinv is None:
             raise ValueError("filtration levels do not assemble to a basis at slot %r" % (s,))
-        out[s] = (u, uinv, [len(blk) for blk in blocks])
-    return out
+        bases[s] = (u, uinv)
+        sizes[s] = [len(blk) for blk in blocks]
+    return bases, sizes
 
 
 def to_deformation(e: IteratedExtension) -> DeformationModule:
     """Extract the correction maps of a deformation from a cofiltration.
 
-    Splits the object along the dual filtration, conjugates each diagonal
-    block onto the standard simple, and reads the strictly lower blocks
-    as the correction maps between factor positions.
+    Reads the object's blocks along the dual filtration (abcat.unglue),
+    conjugates each diagonal block onto the standard simple, and reads the
+    blocks off the diagonal as the correction maps between factor positions.
     """
     return _deformation_with_conjugation(e)[0]
 
@@ -402,57 +403,39 @@ def _deformation_with_conjugation(e: IteratedExtension):
     x = e.x
     n = e.length
     gamma = extension_type(e)
-    filt = filtration_of(e)
-    adapted = _flag_adapted_basis(x, filt.spaces)
+    bases, sizes = _flag_adapted_basis(x, filtration_of(e).spaces)
+    read = abcat.unglue(x, bases, sizes)
     fam = dict(e.family)
+
+    def block(edge, i, j):
+        """The map from factor j into factor i along the edge; factor i is block n - 1 - i."""
+        return read(edge, n - 1 - i, n - 1 - j)
+
     # diagonal blocks as standalone objects, then isos onto the standard simples
-    diag_mats = [dict() for _ in range(n)]
-    low_mats = {}
-    for edge in x.edge_ids():
-        u, v = x.edge_ends(edge)
-        uu, _, su = adapted[u]
-        _, vinv, sv = adapted[v]
-        w = vinv * x.edge_matrix(edge) * uu
-        ro = list(accumulate(sv, initial=0))
-        co = list(accumulate(su, initial=0))
-        for j in range(n):
-            # the flag is invariant: nothing above block row j in block column j
-            if not w.submatrix(0, ro[j], co[j], co[j + 1]).is_zero():
-                raise ValueError("filtration is not invariant under edge %r" % (edge,))
-            for i in range(j + 1):
-                block = w.submatrix(ro[j], ro[j + 1], co[i], co[i + 1])
-                if i == j:
-                    diag_mats[i][edge] = block
-                else:
-                    low_mats[(edge, i, j)] = block
     isos = []
     for i in range(n):
-        dims = {s: adapted[s][2][i] for s in x.slot_ids()}
-        block_obj = x.with_matrices(dims, {edge: diag_mats[i][edge] for edge in x.edge_ids()})
+        dims = {s: sizes[s][n - 1 - i] for s in x.slot_ids()}
+        block_obj = x.with_matrices(dims, {edge: block(edge, i, i) for edge in x.edge_ids()})
         iso = abcat.find_isomorphism(block_obj, fam[e.order_vector[i]])
         if iso is None:
             raise ValueError("factor %d is not isomorphic to its labelled simple" % (i + 1,))
-        inv_mats = {s: inverse(iso.mats[s]) for s in x.slot_ids()}
-        isos.append((iso, inv_mats))
+        isos.append((iso.mats, {s: inverse(m) for s, m in iso.mats.items()}))
     psi = []
     for i in range(n):
         for j in range(i + 1, n):
             entries = []
             for edge in x.edge_ids():
                 u, v = x.edge_ends(edge)
-                raw = low_mats[(edge, i, j)]
-                m = isos[j][0].mats[v] * raw * isos[i][1][u]
-                entries.append((edge, m))
+                entries.append((edge, isos[j][0][v] * block(edge, j, i) * isos[i][1][u]))
             psi.append(((i + 1, j + 1), tuple(entries)))
     factor_objects = tuple((lbl, fam[lbl]) for lbl in gamma.nodes)
     d = DeformationModule(gamma, 0, factor_objects, tuple(psi))
-    # per-slot conjugation carrying x onto the reassembled block object:
-    # block-diagonal factor isos composed with the inverse adapted basis
+    # per-slot conjugation carrying x onto the object from_deformation glues:
+    # the factor isos in order-vector order, each on its block rows of U⁻¹
     conj = {}
     for s in x.slot_ids():
-        _, uinv, sizes = adapted[s]
-        grid = [[isos[i][0].mats[s] if i == j else None for j in range(n)] for i in range(n)]
-        conj[s] = Matrix.block(grid, sizes, sizes) * uinv
+        grid = [[isos[i][0][s] if j == n - 1 - i else None for j in range(n)] for i in range(n)]
+        conj[s] = Matrix.block(grid, sizes[s][::-1], sizes[s]) * bases[s][1]
     return d, conj
 
 

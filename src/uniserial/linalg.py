@@ -398,7 +398,7 @@ class Matrix:
         """Rows r0..r1-1 and columns c0..c1-1; either range may be empty."""
         if not (0 <= r0 <= r1 <= self.rows and 0 <= c0 <= c1 <= self.cols):
             raise ValueError("submatrix [%d:%d, %d:%d] outside %dx%d" % (r0, r1, c0, c1, self.rows, self.cols))
-        return Matrix(r1 - r0, c1 - c0, [r[c0:c1] for r in self._data[r0:r1]])
+        return _matrix(r1 - r0, c1 - c0, tuple(r[c0:c1] for r in self._data[r0:r1]))
 
     def _check_shape(self, other, same=False):
         if not isinstance(other, Matrix):

@@ -4,7 +4,7 @@ from uniserial import abcat
 from uniserial.abcat import DirectSum, Morphism
 from uniserial.gradedrep import GradedRep
 from uniserial.itext import IteratedExtension, PathAlgebra
-from uniserial.linalg import ONE, ZERO, Matrix, Scalar, extend_basis, inverse
+from uniserial.linalg import ONE, ZERO, Matrix, Scalar, extend_basis, inverse, solve_matrix
 from uniserial.quiverrep import QuiverPresentation, QuiverRep
 from uniserial.weyl import WeylElement
 
@@ -138,6 +138,28 @@ def reference_validate(m):
         if lhs != Matrix.identity(m.dims[w]):
             violations.append("commutation identity fails at weight %d" % w)
     return violations
+
+
+def reference_sub_object(x, subspaces):
+    """sub_object by one solve per edge against the given columns, the construction unglue replaced.
+
+    It does not check that the columns are independent.
+    """
+    bases = {}
+    dims = {}
+    for s in x.slot_ids():
+        cols = list(subspaces.get(s, ()))
+        bases[s] = Matrix.from_columns(cols, x.slot_dim(s))
+        dims[s] = len(cols)
+    mats = {}
+    for e in x.edge_ids():
+        u, v = x.edge_ends(e)
+        m = solve_matrix(bases[v], x.edge_matrix(e) * bases[u])
+        if m is None:
+            raise ValueError("subspaces are not invariant under edge %r" % (e,))
+        mats[e] = m
+    sub = x.with_matrices(dims, mats)
+    return sub, Morphism(sub, x, bases, check=False)
 
 
 def reference_quotient_object(x, subspaces):

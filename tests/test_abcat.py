@@ -9,6 +9,7 @@ from conftest import (
     reference_hom_basis,
     reference_quotient_object,
     reference_realize_extension,
+    reference_sub_object,
     transpose_dual,
 )
 from uniserial import abcat, linalg
@@ -332,6 +333,9 @@ def test_sub_and_quotient_reject_non_invariant_and_dependent_spans():
         abcat.quotient_object(z, top)
     with pytest.raises(ValueError, match="dependent"):
         abcat.quotient_object(z, {"2": [(ONE,), (ONE + ONE,)]})
+    # the spans are the whole of each slot, so only the repeated direction is wrong
+    with pytest.raises(ValueError, match="dependent"):
+        abcat.sub_object(z, {"1": [(ONE,), (ONE + ONE,)], "2": [(ONE,)]})
     # the sub S2 itself is invariant, and both constructions accept it
     bottom = {"2": [(ONE,)]}
     assert total_dim(abcat.sub_object(z, bottom)[0]) == 1
@@ -1084,7 +1088,7 @@ def test_tower_rank_verdict_matches_extract_class():
 
 
 def _quotient_outcome(build, x, spaces):
-    """(quotient object, projection matrices), or the ValueError message."""
+    """(object, matrices of its map) of a sub or quotient construction, or the ValueError message."""
     try:
         quot, proj = build(x, spaces)
     except ValueError as exc:
@@ -1153,3 +1157,41 @@ def test_quotient_object_matches_extend_basis_and_inverse():
         else:
             seen["ok"] += 1
     assert min(seen.values()) >= 10, seen
+
+
+def test_sub_object_matches_solves_per_edge():
+    # the reference solves each edge against the given columns; sub_object
+    # reads the top-left blocks of unglue, so both give the same exact matrices
+    rng = random.Random(41)
+    seen = {"ok": 0, "dependent": 0, "not invariant": 0, "slot of dim >= 2": 0}
+    for x, spaces in quotient_cases(rng):
+        got = _quotient_outcome(abcat.sub_object, x, spaces)
+        if "dependent" in str(_quotient_outcome(reference_quotient_object, x, spaces)):
+            assert isinstance(got, str) and "dependent" in got
+            seen["dependent"] += 1
+            continue
+        want = _quotient_outcome(reference_sub_object, x, spaces)
+        assert got == want
+        if isinstance(want, str):
+            seen["not invariant"] += 1
+        else:
+            seen["ok"] += 1
+            seen["slot of dim >= 2"] += any(len(spaces.get(s, ())) >= 2 for s in x.slot_ids())
+    assert min(seen.values()) >= 10, seen
+
+
+def test_extension_cocycle_rejects_inexact_sequences():
+    xi = ext1_basis(S1, S2)[0]
+    z, inj, surj = realize_extension(xi)
+    y, x = inj.src, surj.dst
+    ds = direct_sum(S1, S2)
+    cases = [
+        (abcat.zero_morphism(y, z), surj, "inclusion is not injective"),
+        (inj, abcat.zero_morphism(z, x), "surjection is not surjective"),
+        (inj, abcat.zero_morphism(z, zero_like(x)), "dimensions do not add"),
+        (ds.inj1, ds.proj1, "composition is not zero"),
+    ]
+    for i, s, message in cases:
+        with pytest.raises(ValueError, match=message):
+            abcat._extension_cocycle(i, s)
+    assert abcat._extension_cocycle(inj, surj)[1] == xi.vector

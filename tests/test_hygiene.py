@@ -7,6 +7,8 @@ point anywhere: no float or complex literal, and no read of the names
 float or complex.  The elimination kernels and the entry table of a
 Matrix stay behind linalg: no other package module names them.  Only
 quiverrep.Rep implements the object protocol of the category engine.
+Block-triangular forms are read in one place: one raise carries the
+invariance error, and itext multiplies no edge matrix itself.
 """
 
 import ast
@@ -115,3 +117,42 @@ def test_no_floating_point_in_the_package():
     for path in sorted(PACKAGE.glob("*.py")):
         found.extend("%s:%d %s" % (path.name, line, text) for line, text in float_uses(parse(path)))
     assert not found, "floating point in the package: %s" % ", ".join(found)
+
+
+def raised_texts(tree):
+    """(line, string constants) of every raise statement in the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            texts = [c.value for c in ast.walk(node.exc) if isinstance(c, ast.Constant)]
+            yield node.lineno, [t for t in texts if isinstance(t, str)]
+
+
+def test_one_invariance_check_reads_block_forms():
+    # abcat.unglue is the one reader of block-triangular forms; its callers keep no check of their own
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for line, texts in raised_texts(parse(path)):
+            if any("not invariant under edge" in t for t in texts):
+                found.append("%s:%d" % (path.name, line))
+    assert len(found) == 1, "invariance errors raised at: %s" % ", ".join(found)
+
+
+def edge_matrix_products(tree):
+    """Lines of every product with an edge_matrix(...) call as a factor."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.MatMult)):
+            for side in (node.left, node.right):
+                func = side.func if isinstance(side, ast.Call) else None
+                if isinstance(func, ast.Attribute) and func.attr == "edge_matrix":
+                    yield node.lineno
+
+
+def test_edge_matrix_products_finds_conjugations():
+    source = "w = vinv * x.edge_matrix(e) * u\nm = a * b\nk = x.edge_matrix(e)\n"
+    assert sorted(set(edge_matrix_products(ast.parse(source)))) == [1]
+
+
+def test_itext_reads_blocks_through_abcat():
+    # the deformation extraction reads its blocks through abcat.unglue and conjugates no edge matrix itself
+    lines = sorted(set(edge_matrix_products(parse(PACKAGE / "itext.py"))))
+    assert not lines, "edge-matrix products in itext.py at lines %s" % lines
