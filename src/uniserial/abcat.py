@@ -21,12 +21,14 @@ edge matrices [[Y_e, c_e], [0, X_e]].  Hom(x, y) = ker δ⁰, the coboundaries
 B = im δ⁰ come from conjugating by [[1, h], [0, 1]], the cocycles are
 Z = ker δ¹, and Ext^1(x, y) = Z / B.  _differential and _relation_rows
 build the two maps as {column: Scalar} rows of their nonzeros, reading
-each edge matrix through its kept nonzero views; hom_basis and ExtSpace
-both read δ⁰ from the first, hom_basis on the source's core window when
-it has one (Rep.hom_core), carrying each map outward from there.  Since
-B lies in Z, dim Ext^1 and dim Hom are two ranks (rank_rows) of δ¹ and
-δ⁰, and a cocycle c has zero class iff rank [δ⁰ | c] = rank δ⁰; ExtSpace
-builds dense rows, Z and B only on first use, for its class callers.
+each edge matrix through its kept nonzero views, over the slots, edges
+and relations they are given.  Dimensions come from the complex of the
+source's core window (_core_window, from Rep.hom_core): hom_basis solves
+δ⁰ there and carries each map outward, and since B lies in Z, dim Ext^1
+and dim Hom are two ranks (rank_rows) of the core's δ¹ and δ⁰.  Vectors
+come from the full window: a cocycle c has zero class iff
+rank [δ⁰ | c] = rank δ⁰, and ExtSpace builds the full rows, Z and B only
+on first use, for its class callers.
 """
 
 from __future__ import annotations
@@ -176,15 +178,36 @@ def _slot_layout(x, y, ids):
     return index
 
 
-def _edge_layout(x, y):
-    """Index of each entry (e, i, j) of the edge blocks Hom(x_u, y_v): the rows of δ⁰."""
+def _edge_layout(x, y, edges):
+    """Index of each entry (e, i, j) of the edge blocks Hom(x_u, y_v) over the edges: the rows of δ⁰."""
     index = {}
-    for e in x.edge_ids():
+    for e in edges:
         u, v = x.edge_ends(e)
         for i in range(y.slot_dim(v)):
             for j in range(x.slot_dim(u)):
                 index[(e, i, j)] = len(index)
     return index
+
+
+def _core_window(x):
+    """(slots, edges, relations) of the source's core window: the whole quiver when x.hom_core() is None.
+
+    The slots run from a to b, the edges are the arrows with both ends
+    among them, and the relations are those whose paths use those edges
+    only; on a GradedRep, the relations at the weights strictly inside
+    (a, b).
+    """
+    core = x.hom_core()
+    if core is None:
+        return x.slot_ids(), x.edge_ids(), x.relations()
+    a, b, _ = core
+    ids = x.slot_ids()
+    slots = ids[ids.index(a) : ids.index(b) + 1]
+    inside = set(slots)
+    edges = tuple(e for e in x.edge_ids() if inside.issuperset(x.edge_ends(e)))
+    inner = set(edges)
+    relations = tuple(rel for rel in x.relations() if all(inner.issuperset(path) for _, path in rel[2]))
+    return slots, edges, relations
 
 
 def _differential(x, y, slots, edges):
@@ -212,17 +235,18 @@ def _differential(x, y, slots, edges):
     return rows
 
 
-def _relation_rows(x, y, edges):
-    """δ¹ as its nonzero {edge column: Scalar} rows, one per entry (i, j) of each relation u -> v.
+def _relation_rows(x, y, edges, relations):
+    """δ¹ on the given relations as its nonzero {edge column: Scalar} rows, one per entry (i, j) of each u -> v.
 
-    A path p = e_1 ... e_n of the relation changes, to first order in the
+    edges is an _edge_layout index covering every arrow on the relations'
+    paths.  A path p = e_1 ... e_n of the relation changes, to first order in the
     corrections, by the sum over positions of Y_{e_n} ... c_{e_pos} ... X_{e_1},
     so entry (i, j) gets coef * suf[i, r] * pre[c, j] at the unknown (e_pos, r, c).
     The prefix and suffix products are built once per term, None standing
     for an identity, and only their nonzero entries are visited.
     """
     out = []
-    for (u, v, terms) in x.relations():
+    for (u, v, terms) in relations:
         dxu = x.slot_dim(u)
         dyv = y.slot_dim(v)
         if not dxu or not dyv:
@@ -325,15 +349,11 @@ def hom_basis(x, y):
 
 def _hom_by_transport(x, y, core):
     """hom_basis's vectors by the core solve, the transport and the check, or None when a check fails."""
-    a, b, transport = core
+    transport = core[2]
     ids = x.slot_ids()
-    inner = ids[ids.index(a) : ids.index(b) + 1]
-    inside = set(inner)
-    carried = {e for e, _ in transport}
-    edges, checked = [], []
-    for e in x.edge_ids():
-        if e not in carried:
-            (edges if inside.issuperset(x.edge_ends(e)) else checked).append(e)
+    inner, edges, _ = _core_window(x)
+    skip = set(edges).union(e for e, _ in transport)
+    checked = [e for e in x.edge_ids() if e not in skip]
     slots = _slot_layout(x, y, inner)
     rows = [row for row in _differential(x, y, slots, edges) if row]
     vecs = []
@@ -554,33 +574,91 @@ def amalgamated_sum(f1: Morphism, f2: Morphism):
 class ExtSpace:
     """The space of extensions of x by y, with a chosen cocycle basis.
 
-    The constructor builds the two maps of the standard complex as sparse
-    rows (see the module docstring) and eliminates nothing.  B = im δ⁰ lies
-    inside Z = ker δ¹, since conjugating the split extension keeps every
-    relation, so dim() = dim Z - dim B = nvars - rank δ¹ - rank δ⁰, and by
-    rank-nullity hom_dim() = dim Hom(x, y) = nslots - rank δ⁰: two ranks of
-    the sparse rows, each taken once.  The vectors are built on first use,
-    by basis, class_coords or class_from_coords: the cocycles `_cocycles`
-    (kernel basis of δ¹), the canonical coboundary basis `cobounds` (of the
-    columns of δ⁰) and the class representatives `reps` (the cocycles that
-    complete B, picked by extend_basis).  Whether a cocycle's class is zero
-    is one more rank, augmented_rank, and needs none of them.
+    The constructor builds nothing.  B = im δ⁰ lies inside Z = ker δ¹,
+    since conjugating the split extension keeps every relation, so
+    dim Ext^1 = dim Z - dim B = nvars - rank δ¹ - rank δ⁰ and, by
+    rank-nullity, dim Hom(x, y) = nslots - rank δ⁰.  dim() and hom_dim()
+    take these two ranks once, on the complex of the source's core window
+    (_core_window), by the statement below.  The full-window rows and
+    their layout (index, nvars, nslots, _d0, _d1) are built on first use,
+    for the class callers: the cocycles `_cocycles` (kernel basis of δ¹),
+    the canonical coboundary basis `cobounds` (of the columns of δ⁰) and
+    the class representatives `reps` (the cocycles that complete B, picked
+    by extend_basis).  Whether a cocycle's class is zero is one more rank,
+    augmented_rank, against the full _rank_d0.
+
+    Statement.  Let x and y satisfy their relations (B ⊆ Z needs it; the
+    CLI validates every graded file before building anything), and let
+    [a, b] be x.hom_core() on a GradedRep, so X_t(w) is invertible for
+    b <= w < wmax and X_p(w) for wmin < w <= a.  The core complex has the
+    slots a..b, the edges with both ends among them and the relations at
+    the weights strictly inside (a, b).  Then Ext^1(x, y) ≅ Z_core / B_core
+    and dim Hom(x, y) is the nullity of the core's δ⁰.  With no core (a
+    plain Rep, a one-weight window) the core complex is the whole one.
+
+    Proof.  A correction changes by δ⁰h, c_e -> c_e + h_v X_e - Y_e h_u,
+    under conjugation by [[1, h], [0, 1]].
+    - Gauge fix.  Every cocycle c is cohomologous to one with c_t(w) = 0
+      for b <= w < wmax and c_p(w) = 0 for wmin < w <= a: take h = 0 on
+      the core, h_{w+1} = (Y_t(w) h_w - c_t(w)) X_t(w)⁻¹ upward from b and
+      h_{w-1} = (Y_p(w) h_w - c_p(w)) X_p(w)⁻¹ downward from a.  Only x's
+      outer arrows need to be invertible, and c is unchanged on the core.
+    - Outer edges are determined.  The linearized relation at w,
+          Y_p(w+1) c_t(w) + c_p(w+1) X_t(w) = Y_t(w-1) c_p(w) + c_t(w-1) X_p(w),
+      fixes c_p(w+1) through X_t(w)⁻¹ at each b <= w < wmax of a
+      gauge-fixed cocycle, from c_t(w-1) and c_p(w), which are core edges,
+      gauged to 0 or already fixed; mirrored, the relation at wmin < w <= a fixes
+      c_t(w-1) through X_p(w)⁻¹.  These relations use up one new unknown
+      each, and the others are the core's, so restriction to the core is
+      a bijection from the gauge-fixed cocycles Z_g onto Z_core.
+    - Coboundaries.  δ⁰h is gauge-fixed exactly when h is carried outward
+      from its core part by h_{w+1} = Y_t(w) h_w X_t(w)⁻¹ and its mirror,
+      and on the core edges δ⁰h reads the core slots only, so restriction
+      maps B ∩ Z_g onto B_core.
+    Every class meets Z_g, so Ext^1 = Z_g / (B ∩ Z_g) ≅ Z_core / B_core.
+    A core map with δ⁰_core h = 0, carried outward, has a gauge-fixed
+    coboundary that restricts to 0, so it is 0: the carried map lies in
+    Hom(x, y), and restriction is injective on Hom (hom_basis), so
+    dim Hom = nslots_core - rank δ⁰_core.  The core does not move when
+    the window grows past it, so neither do the two dimensions.
     """
 
     def __init__(self, x, y):
         _check_pair(x, y)
         self.x = x
         self.y = y
-        slots = _slot_layout(x, y, x.slot_ids())
-        self.nslots = len(slots)
-        self.index = _edge_layout(x, y)
-        self.nvars = len(self.index)
-        self._d1 = _relation_rows(x, y, self.index)
-        self._d0 = _differential(x, y, slots, x.edge_ids())
 
     @cached_property
-    def _rank_d1(self):
-        return rank_rows(self._d1, self.nvars)
+    def _core_dims(self):
+        """(dim Ext^1, dim Hom) from the two ranks of the core complex."""
+        x, y = self.x, self.y
+        slot_ids, edge_ids, relations = _core_window(x)
+        slots = _slot_layout(x, y, slot_ids)
+        index = _edge_layout(x, y, edge_ids)
+        rank_d0 = rank_rows(_differential(x, y, slots, edge_ids), len(slots))
+        rank_d1 = rank_rows(_relation_rows(x, y, index, relations), len(index))
+        return len(index) - rank_d1 - rank_d0, len(slots) - rank_d0
+
+    @cached_property
+    def index(self):
+        return _edge_layout(self.x, self.y, self.x.edge_ids())
+
+    @cached_property
+    def nvars(self):
+        return len(self.index)
+
+    @cached_property
+    def nslots(self):
+        return sum(self.x.slot_dim(s) * self.y.slot_dim(s) for s in self.x.slot_ids())
+
+    @cached_property
+    def _d0(self):
+        x, y = self.x, self.y
+        return _differential(x, y, _slot_layout(x, y, x.slot_ids()), x.edge_ids())
+
+    @cached_property
+    def _d1(self):
+        return _relation_rows(self.x, self.y, self.index, self.x.relations())
 
     @cached_property
     def _rank_d0(self):
@@ -600,10 +678,10 @@ class ExtSpace:
         return extend_basis(self.cobounds, self._cocycles, self.nvars)
 
     def dim(self) -> int:
-        return self.nvars - self._rank_d1 - self._rank_d0
+        return self._core_dims[0]
 
     def hom_dim(self) -> int:
-        return self.nslots - self._rank_d0
+        return self._core_dims[1]
 
     def augmented_rank(self, vector) -> int:
         """rank [δ⁰ | vector], the vector appended as a column.
@@ -792,7 +870,9 @@ def _peel(x, family):
 
     Each stage lists every basis map simple -> stage over the family and
     quotients by the image of the first one.  The socle is simple exactly
-    when one map was found, and then its span is that image.
+    when one map was found, and then its span is that image.  When the
+    image is the whole stage, the quotient is the zero object and the
+    projection the zero map, built without quotient_object.
     """
     current = x
     while total_dim(current) > 0:
@@ -801,7 +881,11 @@ def _peel(x, family):
             raise NotFiniteLengthError("nonzero object admits no simple subobject from the family")
         label, phi = found[0]
         spaces = {s: column_space_basis(phi.mats[s].columns(), current.slot_dim(s)) for s in current.slot_ids()}
-        quot, proj = quotient_object(current, spaces)
+        if sum(map(len, spaces.values())) == total_dim(current):
+            quot = zero_like(current)
+            proj = zero_morphism(current, quot)
+        else:
+            quot, proj = quotient_object(current, spaces)
         yield SeriesStep(label, phi, proj, current), len(found) == 1
         current = quot
 

@@ -9,7 +9,10 @@ reason downstream computations insist on window margins.  A margin is
 enough because a graded module repeats itself outside a finite core of
 weights, where t and d act invertibly: there a degree-0 map is carried
 from one weight to the next, so Hom, and the verdicts read off it, do not
-change when the window grows past the core (GradedRep.hom_core).
+change when the window grows past the core (GradedRep.hom_core).  Nor does
+Ext^1: a cocycle can be gauged to zero on the outer arrows that carry maps,
+and the relations then fix it on the others, so Ext^1 is read off the
+core's complex (the proof is in the abcat.ExtSpace docstring).
 
 Degree-0 morphisms between these objects are handled uniformly by the
 category engine (abcat); this module only builds and validates objects.

@@ -4,9 +4,12 @@ from uniserial import abcat
 from uniserial.abcat import DirectSum, Morphism
 from uniserial.gradedrep import GradedRep
 from uniserial.itext import IteratedExtension, PathAlgebra
-from uniserial.linalg import ONE, ZERO, Matrix, Scalar, extend_basis, inverse, solve_matrix
+from uniserial.linalg import ONE, ZERO, Matrix, Scalar, extend_basis, inverse, parse_scalar, solve_matrix
 from uniserial.quiverrep import QuiverPresentation, QuiverRep
 from uniserial.weyl import WeylElement
+from uniserial.weylcat import CatalogKey
+
+LABELS = (parse_scalar("1/2"), parse_scalar("1/3+1/2*i"))
 
 
 def rewrite_oracle(word, coef=1):
@@ -89,6 +92,16 @@ def graded_dual(m):
         {w: m.edge_matrix(("t", -w - 1)).transpose() for w in range(-wmax, -wmin)},
         {w: -m.edge_matrix(("p", -w + 1)).transpose() for w in range(-wmax + 1, -wmin + 1)},
     )
+
+
+def catalog_keys(n_max, twists=(0,)):
+    """The Euler keys on both labels and the two word keys, for n <= n_max at each twist."""
+    keys = []
+    for n in range(1, n_max + 1):
+        for twist in twists:
+            keys += [CatalogKey("euler", alpha, None, n, twist) for alpha in LABELS]
+            keys += [CatalogKey("word", None, beta, n, twist) for beta in ("0", "inf")]
+    return keys
 
 
 def reference_hom_basis(x, y):

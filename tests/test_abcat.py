@@ -4,6 +4,7 @@ import pytest
 
 from conftest import (
     apply,
+    catalog_keys,
     graded_dual,
     reference_direct_sum,
     reference_hom_basis,
@@ -42,7 +43,7 @@ from uniserial.linalg import ZERO, Matrix, ONE, Scalar, algebra_radical, inverse
 from uniserial.quiverrep import KRONECKER, QuiverPresentation, QuiverRep, parse_presentation, simple_at
 from uniserial.species import species_of
 from uniserial.weyl import euler_power
-from uniserial.weylcat import weyl_simple_family
+from uniserial.weylcat import catalog_module, default_window, weyl_simple_family
 
 HALF = parse_scalar("1/2")
 WINDOW = (-4, 4)
@@ -693,7 +694,7 @@ def _ranks_match_reference_builders(x, y, rng):
     # matrices, and rank [δ⁰ | c] for zero, coboundary and random vectors c
     d1, d0 = reference_complex(x, y)
     space = ExtSpace(x, y)
-    assert (space._rank_d1, space._rank_d0) == (rank(d1), rank(d0))
+    assert (linalg.rank_rows(space._d1, space.nvars), space._rank_d0) == (rank(d1), rank(d0))
     n = space.nvars
     vectors = [tuple([ZERO] * n), apply(d0, tuple([ONE] * d0.cols))]
     vectors.append(apply(d0, tuple(Scalar(rng.randint(-2, 2)) for _ in range(d0.cols))))
@@ -1104,11 +1105,8 @@ def random_combination(maps, rng):
     return out
 
 
-def quotient_cases(rng):
-    """(object, per-slot columns) pairs: images of random endomorphisms and of
-    maps from the simples, socles, the zero and the whole subspace, each in a
-    randomly mixed basis; then random spans, a repeated column and a column
-    too many, which both constructions must answer alike."""
+def quotient_objects():
+    """(object, family of simples) pairs on the Kronecker quiver, random hereditary quivers and the window."""
     from uniserial.weyl import alternating_word
 
     objects = [(x, KRONECKER_FAMILY) for x in (kronecker_double_extension(), direct_sum(S1, S2).obj)]
@@ -1120,7 +1118,15 @@ def quotient_cases(rng):
         objects.append((ideal_quotient_rep(p, WINDOW), weyl_family()))
     m = simple_rep(HALF, 0, WINDOW)
     objects.append((direct_sum(m, realize_extension(ext1_basis(m, m)[0])[0]).obj, weyl_family()))
-    for x, family in objects:
+    return objects
+
+
+def quotient_cases(rng):
+    """(object, per-slot columns) pairs over quotient_objects: images of random
+    endomorphisms and of maps from the simples, socles, the zero and the whole
+    subspace, each in a randomly mixed basis; then random spans, a repeated
+    column and a column too many, which both constructions must answer alike."""
+    for x, family in quotient_objects():
         slots = x.slot_ids()
         maps = [hom_basis(x, x)] + [hom_basis(simple, x) for _, simple in family]
         spans = [random_combination(f, rng).mats for f in maps if f]
@@ -1157,6 +1163,42 @@ def test_quotient_object_matches_extend_basis_and_inverse():
         else:
             seen["ok"] += 1
     assert min(seen.values()) >= 10, seen
+
+
+def reference_peel(x, family):
+    """composition_series's steps by a loop that quotients by the first map's image at every stage."""
+    steps = []
+    while total_dim(x) > 0:
+        label, phi = next((label, phi) for label, simple in family for phi in hom_basis(simple, x))
+        spaces = {s: abcat.column_space_basis(phi.mats[s].columns(), x.slot_dim(s)) for s in x.slot_ids()}
+        quot, proj = abcat.quotient_object(x, spaces)
+        steps.append(abcat.SeriesStep(label, phi, proj, x))
+        x = quot
+    return tuple(steps)
+
+
+def test_peeling_builds_the_last_quotient_as_quotient_object_does():
+    # _peel yields the zero object and the zero map for the stage its map
+    # fills; both must equal what quotient_object builds, on every object
+    cases = [(x, family) for x, family in quotient_objects()]
+    for key in catalog_keys(3):
+        window = default_window(key.n)
+        bases = [key.alpha, "0", "inf"] if key.kind == "euler" else ["0", "inf"]
+        cases.append((catalog_module(key, window), tuple(weyl_simple_family(bases, [0], window))))
+    peeled = 0
+    for x, family in cases:
+        try:
+            steps = composition_series(x, family).steps
+        except abcat.NotFiniteLengthError:
+            with pytest.raises(StopIteration):
+                reference_peel(x, family)
+            continue
+        assert steps == reference_peel(x, family)
+        peeled += bool(steps)
+        if steps:
+            last = steps[-1]
+            assert total_dim(last.proj.dst) == 0 and last.proj.is_zero()
+    assert peeled >= 25
 
 
 def test_sub_object_matches_solves_per_edge():

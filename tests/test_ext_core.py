@@ -1,0 +1,133 @@
+"""ExtSpace dimensions on the source's core window, against the full-window complex.
+
+dim() and hom_dim() rank δ¹ and δ⁰ of the complex restricted to the
+source's core (abcat._core_window; the proof is in the ExtSpace
+docstring).  The same space builds the full-window rows lazily, so every
+pair below is checked against nvars - rank δ¹ - rank δ⁰ and
+nslots - rank δ⁰ of the whole window, and the nonzero spaces against the
+number of class representatives.
+"""
+
+import pytest
+
+from conftest import LABELS, catalog_keys, graded_dual
+from uniserial import abcat
+from uniserial.abcat import ExtSpace, direct_sum
+from uniserial.gradedrep import simple_rep, validate
+from uniserial.linalg import rank_rows
+from uniserial.weylcat import catalog_module, default_window, weyl_simple_family
+
+BASES = LABELS + ("0", "inf")
+
+
+def checked_spaces(pairs):
+    """The ExtSpace of each pair, its two dimensions checked against the full complex."""
+    spaces = []
+    for x, y in pairs:
+        space = ExtSpace(x, y)
+        got = (space.dim(), space.hom_dim())
+        full = (space.nvars - rank_rows(space._d1, space.nvars) - space._rank_d0, space.nslots - space._rank_d0)
+        assert got == full, (x, y, got, full)
+        spaces.append(space)
+    return spaces
+
+
+def nonzero_with_reps(spaces):
+    """The spaces with nonzero Ext, each checked to have one class representative per dimension."""
+    nonzero = [space for space in spaces if space.dim()]
+    for space in nonzero:
+        assert len(space.reps) == space.dim(), (space.x, space.y)
+    return nonzero
+
+
+def twist_table(window):
+    sources = [m for _, m in weyl_simple_family(BASES, [0], window)]
+    targets = [m for _, m in weyl_simple_family(BASES, range(-2, 3), window)]
+    return [(x, y) for x in sources for y in targets]
+
+
+@pytest.mark.parametrize("window", [(-6, 6), (-8, 8), (-10, 10)])
+def test_the_twist_table_matches_the_full_complex(window):
+    assert len(nonzero_with_reps(checked_spaces(twist_table(window)))) == 4
+
+
+def test_catalog_pairs_and_their_duals_match_the_full_complex():
+    objs = [catalog_module(key, default_window(3)) for key in catalog_keys(3) + catalog_keys(2, (-1, 1))]
+    duals = [graded_dual(m) for m in objs]
+    assert all(validate(m) == [] for m in objs + duals)
+    spaces = checked_spaces((x, y) for x in objs for y in objs)
+    spaces += checked_spaces((x, y) for x in duals for y in duals)
+    # representatives for the twist-0 pairs with n <= 2 only: those of the n = 3 modules are the slow part
+    small = {m for key, m in zip(catalog_keys(3), objs) if key.n <= 2}
+    small |= {graded_dual(m) for m in small}
+    assert sum(space.dim() > 0 for space in spaces) >= 100
+    assert len(nonzero_with_reps(s for s in spaces if {s.x, s.y} <= small)) >= 20
+
+
+@pytest.mark.parametrize("window,core", [((3, 9), (3, 4)), ((-9, -3), (-4, -3))])
+def test_windows_with_every_arrow_invertible_match_the_full_complex(window, core):
+    objs = [simple_rep(alpha, twist, window) for alpha in LABELS for twist in range(-2, 3)]
+    assert all(m.hom_core()[:2] == core for m in objs)
+    assert len(nonzero_with_reps(checked_spaces((x, y) for x in objs for y in objs))) == len(objs)
+
+
+WIDE = ((("0", -3), ("inf", 2)), (("inf", -3), ("0", 1)), (("0", -2), ("0", 2)),
+        (("inf", -1), ("inf", 3)), (("0", 3), ("inf", -3)), (("0", -1), ("inf", 1)))
+
+
+def wide_core_sources(window):
+    """Direct sums of two boundary simples at separated twists: the sources whose cores carry relations."""
+    return [direct_sum(simple_rep(k1, s1, window), simple_rep(k2, s2, window)).obj for (k1, s1), (k2, s2) in WIDE]
+
+
+def test_wide_core_sources_match_the_full_complex():
+    # the only sources here whose core complex has relations; dropping them,
+    # or letting in those at the core's end weights, changes these dims
+    window = (-8, 8)
+    sums = wide_core_sources(window)
+    widths = [len(abcat._core_window(x)[0]) for x in sums]
+    assert min(widths) >= 4 and all(abcat._core_window(x)[2] for x in sums), widths
+    simples = [simple_rep(kind, twist, window) for kind in ("0", "inf") for twist in range(-3, 4)]
+    objs = sums + simples
+    assert len(nonzero_with_reps(checked_spaces((x, y) for x in sums for y in objs))) >= 20
+    assert len(nonzero_with_reps(checked_spaces((y, x) for x in sums for y in simples))) >= 10
+
+
+def test_window_growth_changes_neither_ext_nor_hom():
+    keys = catalog_keys(3)
+    for x_key in keys:
+        for y_key in keys:
+            lo, hi = default_window(max(x_key.n, y_key.n))
+            dims = set()
+            for window in ((lo, hi), (lo - 2, hi + 2)):
+                space = ExtSpace(catalog_module(x_key, window), catalog_module(y_key, window))
+                dims.add((space.dim(), space.hom_dim()))
+            assert len(dims) == 1, (x_key, y_key, dims)
+
+
+def test_dimensions_build_no_full_window_system_and_rank_no_wider_than_the_core(monkeypatch):
+    widths = []
+    real = abcat.rank_rows
+
+    def counted(rows, ncols):
+        widths.append(ncols)
+        return real(rows, ncols)
+
+    monkeypatch.setattr(abcat, "rank_rows", counted)
+    window = (-10, 10)
+    half, zero, inf = (simple_rep(base, 0, window) for base in (LABELS[0], "0", "inf"))
+    pairs = [(half, half), (zero, inf)] + [(x, x) for x in wide_core_sources((-8, 8))]
+    for x, y in pairs:
+        space = ExtSpace(x, y)
+        dims = (space.dim(), space.hom_dim())
+        assert not {"index", "nvars", "nslots", "_d0", "_d1"} & set(vars(space))
+        slots, edges, _ = abcat._core_window(x)
+        core_cols = max(len(abcat._slot_layout(x, y, slots)), len(abcat._edge_layout(x, y, edges)))
+        # one rank of δ⁰ and one of δ¹, both on the core, for the two dimensions
+        assert len(widths) == 2 and max(widths) <= core_cols, (widths, core_cols)
+        widths.clear()
+        if y is half:
+            # two weights of 1 x 1 maps against 20 edges of the window
+            assert dims == (1, 1) and core_cols == 2 and space.nvars == 40
+        elif y is inf:
+            assert dims == (1, 0)

@@ -12,25 +12,13 @@ import random
 
 import pytest
 
-from conftest import graded_dual, reference_hom_basis
+from conftest import LABELS, catalog_keys, graded_dual, reference_hom_basis
 from uniserial import abcat
 from uniserial.abcat import hom_basis
 from uniserial.gradedrep import GradedRep, simple_rep, validate
-from uniserial.linalg import Matrix, Scalar, parse_scalar
+from uniserial.linalg import Matrix, Scalar
 from uniserial.quiverrep import KRONECKER, simple_at
 from uniserial.weylcat import CatalogKey, catalog_module, default_window
-
-LABELS = (parse_scalar("1/2"), parse_scalar("1/3+1/2*i"))
-
-
-def catalog_keys(n_max, twists=(0,)):
-    """The Euler keys on both labels and the two word keys, for n <= n_max at each twist."""
-    keys = []
-    for n in range(1, n_max + 1):
-        for twist in twists:
-            keys += [CatalogKey("euler", alpha, None, n, twist) for alpha in LABELS]
-            keys += [CatalogKey("word", None, beta, n, twist) for beta in ("0", "inf")]
-    return keys
 
 
 @pytest.fixture
