@@ -30,7 +30,7 @@ from functools import lru_cache
 
 from .linalg import Matrix, ONE, Scalar, ZERO, format_matrix, inverse, parse_int, parse_matrix
 from .quiverrep import QuiverPresentation, Rep
-from .weyl import EulerPolynomial, WeylElement, theta, to_theta_form
+from .weyl import WeylElement, theta_product, to_theta_form
 
 GRADEDREP_TAG = "specfile gradedrep v1"
 
@@ -129,58 +129,53 @@ def validate(m: GradedRep):
     return ["commutation identity fails at weight %d" % w for (w, _, _), _ in m.violations()]
 
 
-def _raising_factor(w: int) -> EulerPolynomial:
-    # t . theta_w = theta_{w+1} . u_w(E)
-    if w >= 0:
-        return EulerPolynomial.one()
-    return EulerPolynomial([Scalar(w + 1), ONE])
-
-
-def _lowering_factor(w: int) -> EulerPolynomial:
-    # d . theta_w = theta_{w-1} . v_w(E)
-    if w >= 1:
-        return EulerPolynomial([Scalar(w), ONE])
-    return EulerPolynomial.one()
-
-
 def ideal_quotient_rep(p: WeylElement, window) -> GradedRep:
     """Windowed representation of the cyclic quotient by the left ideal of p.
 
-    The weight-w piece is k[E]/(q_w) with q_w the Euler polynomial of
-    theta_{w-d} * p, on the basis of residues of theta_w * E^j; the t and
-    d actions reduce u_w(E) E^j and v_w(E) E^j modulo the neighbouring q.
+    The weight-w piece of A/Ap is theta_w k[E] modulo theta_w q_w(E) k[E],
+    the weight-w part of Ap: it is k[E]/(q_w) on the basis of residues of
+    theta_w * E^j, with q_w the monic Euler polynomial of theta_(w-d) * p.
+    One theta form p = theta_d * g(E) gives every q_w in closed form:
+    theta_(w-d) * theta_d * g(E) = theta_w * c_(w-d,d)(E) * g(E), so
+    q_w = c_(w-d,d) * monic(g), c the monic run weyl.theta_product.  The
+    same rule moves t and d past theta_w: t * theta_w = theta_(w+1) *
+    c_(1,w)(E) and d * theta_w = theta_(w-1) * c_(-1,w)(E), so column j of
+    the t (d) matrix is c * E^j modulo the neighbouring q, and column j+1
+    is E times column j reduced once by that monic q.
     """
     if p.is_zero():
         raise ValueError("zero element generates the unit ideal quotient ambiguously")
-    d = p.weight()
-    if d is None:
-        raise ValueError("element is not homogeneous")
+    d, g = to_theta_form(p)
     wmin, wmax = window
     if wmin > wmax:
         raise ValueError("degenerate window %r" % (window,))
+    g = g.monic()
     qs = {}
-    dims = {}
     for w in range(wmin, wmax + 1):
-        prod = theta(w - d) * p
-        _, q = to_theta_form(prod)
-        if q.is_zero():
-            raise ValueError("unexpected zero weight piece generator")
-        q = q.monic()
-        qs[w] = q
-        dims[w] = q.degree()
+        c = theta_product(w - d, d)
+        qs[w] = c * g if c.degree() else g
+    dims = {w: q.degree() for w, q in qs.items()}
 
-    def reduce_cols(w_src, w_dst, factor: EulerPolynomial) -> Matrix:
+    def action(w_src, w_dst, step) -> Matrix:
         rows = dims[w_dst]
+        if not rows:
+            return Matrix(0, dims[w_src], ())
+        q = qs[w_dst].coeffs[:-1]
+        # c * E^j with a slot for E^rows: c = c_(step,w_src) has degree <= 1 <= rows
+        col = list(theta_product(step, w_src).coeffs)
+        col += [ZERO] * (rows + 1 - len(col))
         cols = []
-        for j in range(dims[w_src]):
-            poly = factor * EulerPolynomial([ZERO] * j + [ONE])
-            rem = poly.mod(qs[w_dst])
-            col = list(rem.coeffs) + [ZERO] * (rows - len(rem.coeffs))
-            cols.append(tuple(col))
+        for _ in range(dims[w_src]):
+            # one subtraction of the monic q takes off the E^rows term
+            lead = col.pop()
+            if lead:
+                col = [x - lead * qi for x, qi in zip(col, q)]
+            cols.append(col)
+            col = [ZERO] + col
         return Matrix.from_columns(cols, rows)
 
-    tm = {w: reduce_cols(w, w + 1, _raising_factor(w)) for w in range(wmin, wmax)}
-    pm = {w: reduce_cols(w, w - 1, _lowering_factor(w)) for w in range(wmin + 1, wmax + 1)}
+    tm = {w: action(w, w + 1, 1) for w in range(wmin, wmax)}
+    pm = {w: action(w, w - 1, -1) for w in range(wmin + 1, wmax + 1)}
     return GradedRep(window, dims, tm, pm)
 
 

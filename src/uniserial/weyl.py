@@ -5,7 +5,10 @@ d's).  The grading gives t weight +1 and d weight -1, so a monomial t^a d^b
 has weight a - b.  Homogeneous elements of weight w factor uniquely as
 theta_w * g(E), where theta_w = t^w (w >= 0) or d^(-w) (w < 0) and E = t*d
 is the Euler operator; that factorization drives all per-weight module
-computations downstream.
+computations downstream.  Two theta factors multiply to one up to an Euler
+polynomial, theta_a * theta_b = theta_(a+b) * c_ab(E), and c_ab is a run of
+consecutive linear factors in closed form (theta_product), so the theta
+form of theta_a * p is read off that of p without a product in the algebra.
 """
 
 from __future__ import annotations
@@ -224,12 +227,17 @@ class EulerPolynomial:
         return EulerPolynomial([c])
 
     @staticmethod
-    def falling(b: int) -> "EulerPolynomial":
-        """E(E-1)...(E-b+1); the normal form of t^b d^b."""
-        acc = EulerPolynomial.one()
-        for j in range(b):
-            acc = acc * EulerPolynomial([Scalar(-j), ONE])
-        return acc
+    def falling(k: int, s: int = 0) -> "EulerPolynomial":
+        """(E+s)(E+s-1)...(E+s-k+1), k consecutive linear factors.
+
+        With s = 0 it is the normal form of t^k d^k, and falling(k, s) is
+        falling(k).shift(s).  The coefficients are integers until the end.
+        """
+        cs = [1]
+        for c in range(s, s - k, -1):
+            # times (E + c)
+            cs = [c * cs[0]] + [a + c * b for a, b in zip(cs, cs[1:])] + [1]
+        return EulerPolynomial([Scalar(c) for c in cs])
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -335,12 +343,28 @@ def to_theta_form(p: WeylElement):
         raise ValueError("element is not homogeneous")
     g = EulerPolynomial.zero()
     for (a, b), c in p.terms():
-        if d >= 0:
-            piece = EulerPolynomial.falling(b)
-        else:
-            piece = EulerPolynomial.falling(a).shift(d)
+        piece = EulerPolynomial.falling(b) if d >= 0 else EulerPolynomial.falling(a, d)
         g = g + piece.scale(c)
     return d, g
+
+
+def theta_product(a: int, b: int) -> EulerPolynomial:
+    """c_ab with theta_a * theta_b = theta_(a+b) * c_ab(E), in closed form.
+
+    c_ab is the run falling(k, s) = (E+s)(E+s-1)...(E+s-k+1): c = 1 when
+    a and b have the same sign or one is 0; k = min(a, -b), s = min(0, a+b)
+    when a > 0 > b; k = min(-a, b), s = b when a < 0 < b.  From E = t*d,
+    d*t = E + 1, g(E)*t = t*g(E+1) and g(E)*d = d*g(E-1), with m = -b and
+    n = -a: t^a d^m is t^(a-m) * t^m d^m = t^(a-m) * falling(m) when
+    a >= m, and t^a d^a * d^(m-a) = d^(m-a) * falling(a, a+b) when a < m;
+    d^n t^b is d^n t^n * t^(b-n) = t^(b-n) * falling(n, b) when b >= n,
+    since d^n t^n = falling(n, n), and d^(n-b) * falling(b, b) when b < n.
+    """
+    if a > 0 > b:
+        return EulerPolynomial.falling(min(a, -b), min(0, a + b))
+    if a < 0 < b:
+        return EulerPolynomial.falling(min(-a, b), b)
+    return EulerPolynomial.one()
 
 
 def theta_times(d: int, g: EulerPolynomial) -> WeylElement:

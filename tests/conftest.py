@@ -6,7 +6,7 @@ from uniserial.gradedrep import GradedRep
 from uniserial.itext import IteratedExtension, PathAlgebra
 from uniserial.linalg import ONE, ZERO, Matrix, Scalar, extend_basis, inverse, parse_scalar, solve_matrix
 from uniserial.quiverrep import QuiverPresentation, QuiverRep
-from uniserial.weyl import WeylElement
+from uniserial.weyl import EulerPolynomial, WeylElement, theta, to_theta_form
 from uniserial.weylcat import CatalogKey
 
 LABELS = (parse_scalar("1/2"), parse_scalar("1/3+1/2*i"))
@@ -138,6 +138,47 @@ def reference_hom_basis(x, y):
             mats[s] = Matrix(dy, dx, [[vec[index[(s, i, j)]] for j in range(dx)] for i in range(dy)])
         out.append(Morphism(x, y, mats, check=False))
     return out
+
+
+def reference_ideal_quotient_rep(p, window):
+    """ideal_quotient_rep by a Weyl-algebra product per weight, the construction the closed form replaced.
+
+    q_w is the monic Euler polynomial of theta_(w-d) * p, factored back by
+    to_theta_form; column j of the t (d) matrix is u_w(E) E^j (v_w(E) E^j)
+    modulo the neighbouring q, with t . theta_w = theta_(w+1) u_w(E) and
+    d . theta_w = theta_(w-1) v_w(E).
+    """
+    if p.is_zero():
+        raise ValueError("zero element generates the unit ideal quotient ambiguously")
+    d = p.weight()
+    if d is None:
+        raise ValueError("element is not homogeneous")
+    wmin, wmax = window
+    if wmin > wmax:
+        raise ValueError("degenerate window %r" % (window,))
+    qs = {}
+    for w in range(wmin, wmax + 1):
+        _, q = to_theta_form(theta(w - d) * p)
+        qs[w] = q.monic()
+    dims = {w: q.degree() for w, q in qs.items()}
+
+    def raising(w):
+        return EulerPolynomial.one() if w >= 0 else EulerPolynomial([Scalar(w + 1), ONE])
+
+    def lowering(w):
+        return EulerPolynomial([Scalar(w), ONE]) if w >= 1 else EulerPolynomial.one()
+
+    def reduce_cols(w_src, w_dst, factor):
+        rows = dims[w_dst]
+        cols = []
+        for j in range(dims[w_src]):
+            rem = (factor * EulerPolynomial([ZERO] * j + [ONE])).mod(qs[w_dst])
+            cols.append(tuple(rem.coeffs) + (ZERO,) * (rows - len(rem.coeffs)))
+        return Matrix.from_columns(cols, rows)
+
+    tm = {w: reduce_cols(w, w + 1, raising(w)) for w in range(wmin, wmax)}
+    pm = {w: reduce_cols(w, w - 1, lowering(w)) for w in range(wmin + 1, wmax + 1)}
+    return GradedRep(window, dims, tm, pm)
 
 
 def reference_validate(m):

@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from conftest import from_rows, graded_dual, reference_validate
+from conftest import from_rows, graded_dual, reference_ideal_quotient_rep, reference_validate
+from uniserial import gradedrep
 from uniserial.gradedrep import (
     GradedRep,
     from_text,
@@ -124,6 +126,80 @@ def test_ideal_quotient_rejects():
         ideal_quotient_rep(WeylElement.zero(), (-2, 2))
     with pytest.raises(ValueError):
         ideal_quotient_rep(WeylElement.gen_t() + WeylElement.gen_d(), (-2, 2))
+
+
+def random_homogeneous(rng):
+    """A nonzero element of weight -3..3 with 1-3 monomials and Gaussian-rational coefficients."""
+    w = rng.randint(-3, 3)
+    low = max(0, -w)
+    terms = {}
+    for b in rng.sample(range(low, low + 4), rng.randint(1, 3)):
+        coef = Scalar(0)
+        while not coef:
+            coef = Scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+        terms[(b + w, b)] = coef
+    return WeylElement(terms)
+
+
+def quotient_generators():
+    gens = [euler_power(parse_scalar(a), n) for a in ("1/2", "2/3", "1/3+1/2*i") for n in range(1, 5)]
+    gens += [alternating_word(beta, n) for beta in ("0", "inf") for n in range(1, 5)]
+    gens += [WeylElement.monomial(1, 1) - WeylElement.monomial(0, 0, HALF), WeylElement.gen_d(), WeylElement.gen_t()]
+    rng = random.Random(20)
+    return gens + [random_homogeneous(rng) for _ in range(30)]
+
+
+@pytest.mark.parametrize("window", [(-9, 9), (3, 9), (-9, -3), (0, 0)])
+def test_ideal_quotient_matches_the_weight_by_weight_products(window):
+    for p in quotient_generators():
+        m = ideal_quotient_rep(p, window)
+        ref = reference_ideal_quotient_rep(p, window)
+        assert m.dims == ref.dims, p
+        assert m.mats.keys() == ref.mats.keys()
+        for arrow, mat in ref.mats.items():
+            assert m.mats[arrow] == mat, (p, arrow)
+
+
+@pytest.mark.parametrize(
+    "p, window",
+    [
+        (WeylElement.zero(), (-2, 2)),
+        (WeylElement.zero(), (2, -2)),
+        (WeylElement.gen_t() + WeylElement.gen_d(), (-2, 2)),
+        (WeylElement.gen_t() + WeylElement.gen_d(), (2, -2)),
+        (WeylElement.gen_t(), (2, -2)),
+    ],
+)
+def test_ideal_quotient_raises_the_reference_errors(p, window):
+    with pytest.raises(ValueError) as ref:
+        reference_ideal_quotient_rep(p, window)
+    with pytest.raises(ValueError) as got:
+        ideal_quotient_rep(p, window)
+    assert str(got.value) == str(ref.value)
+
+
+def test_ideal_quotient_takes_one_theta_form_and_no_weyl_product(monkeypatch):
+    factorings = []
+    products = []
+    real_form = gradedrep.to_theta_form
+    real_mul = WeylElement.__mul__
+
+    def form(p):
+        factorings.append(p)
+        return real_form(p)
+
+    def mul(x, y):
+        products.append((x, y))
+        return real_mul(x, y)
+
+    p = euler_power(MIXED, 3)
+    monkeypatch.setattr(gradedrep, "to_theta_form", form)
+    monkeypatch.setattr(WeylElement, "__mul__", mul)
+    m = ideal_quotient_rep(p, (-9, 9))
+    monkeypatch.undo()
+    assert factorings == [p]
+    assert products == []
+    assert m == reference_ideal_quotient_rep(p, (-9, 9))
 
 
 def test_validate_zero_rep():

@@ -14,6 +14,7 @@ from uniserial.weyl import (
     normal_form,
     parse_weyl,
     theta,
+    theta_product,
     theta_times,
     to_theta_form,
 )
@@ -142,6 +143,18 @@ def test_theta_negative_weight():
     d, g = to_theta_form(WeylElement.monomial(1, 2))
     assert d == -1 and g == EulerPolynomial([Scalar(-1), ONE])
     assert theta_times(d, g) == WeylElement.monomial(1, 2)
+
+
+def test_theta_product_matches_the_algebra_product():
+    for a in range(-12, 13):
+        for b in range(-12, 13):
+            assert theta_product(a, b) == to_theta_form(theta(a) * theta(b))[1], (a, b)
+
+
+def test_shifted_falling_run_matches_the_horner_shift():
+    for k in range(7):
+        for s in range(-6, 7):
+            assert EulerPolynomial.falling(k, s) == EulerPolynomial.falling(k).shift(s), (k, s)
 
 
 def test_euler_polynomial_mod_and_shift():
