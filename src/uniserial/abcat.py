@@ -23,9 +23,10 @@ Z = ker δ¹, and Ext^1(x, y) = Z / B.  _differential and _relation_rows
 build the two maps as {column: Scalar} rows of their nonzeros, reading
 each edge matrix through its kept nonzero views, over the slots, edges
 and relations they are given.  Dimensions come from the complex of the
-source's core window (_core_window, from Rep.hom_core): hom_basis solves
-δ⁰ there and carries each map outward, and since B lies in Z, dim Ext^1
-and dim Hom are two ranks (rank_rows) of the core's δ¹ and δ⁰.  Vectors
+source's core window, which the source states once (Rep.core_window,
+beside Rep.hom_core): hom_basis solves δ⁰ there and carries each map
+outward, and since B lies in Z, dim Ext^1 and dim Hom are two ranks
+(rank_rows) of the core's δ¹ and δ⁰.  Vectors
 come from the full window: a cocycle c has zero class iff
 rank [δ⁰ | c] = rank δ⁰, and ExtSpace builds the full rows, Z and B only
 on first use, for its class callers.
@@ -189,27 +190,6 @@ def _edge_layout(x, y, edges):
     return index
 
 
-def _core_window(x):
-    """(slots, edges, relations) of the source's core window: the whole quiver when x.hom_core() is None.
-
-    The slots run from a to b, the edges are the arrows with both ends
-    among them, and the relations are those whose paths use those edges
-    only; on a GradedRep, the relations at the weights strictly inside
-    (a, b).
-    """
-    core = x.hom_core()
-    if core is None:
-        return x.slot_ids(), x.edge_ids(), x.relations()
-    a, b, _ = core
-    ids = x.slot_ids()
-    slots = ids[ids.index(a) : ids.index(b) + 1]
-    inside = set(slots)
-    edges = tuple(e for e in x.edge_ids() if inside.issuperset(x.edge_ends(e)))
-    inner = set(edges)
-    relations = tuple(rel for rel in x.relations() if all(inner.issuperset(path) for _, path in rel[2]))
-    return slots, edges, relations
-
-
 def _differential(x, y, slots, edges):
     """δ⁰ on the given edges: h -> (h_v X_e - Y_e h_u)_e as {slot column: Scalar} rows of its nonzeros.
 
@@ -308,9 +288,10 @@ def hom_basis(x, y):
 
     When the source has a core (Rep.hom_core: the slots a..b, and the
     arrows e: u -> v that carry a map outward from them, each with X_e
-    invertible), Hom is solved on the core and carried outward.  On a
-    GradedRep these arrows are ("t", w) for b <= w < wmax and ("p", w) for
-    wmin < w <= a; only x's arrows matter.
+    invertible), Hom is solved on the core window (Rep.core_window: the
+    slots a..b and the arrows with both ends among them) and carried
+    outward.  On a GradedRep the carrying arrows are ("t", w) for
+    b <= w < wmax and ("p", w) for wmin < w <= a; only x's arrows matter.
 
     Statement.  Restriction to the core is injective on Hom(x, y): the
     constraint h_v X_e = Y_e h_u forces h_v = Y_e h_u X_e⁻¹, so a map is
@@ -351,9 +332,7 @@ def _hom_by_transport(x, y, core):
     """hom_basis's vectors by the core solve, the transport and the check, or None when a check fails."""
     transport = core[2]
     ids = x.slot_ids()
-    inner, edges, _ = _core_window(x)
-    skip = set(edges).union(e for e, _ in transport)
-    checked = [e for e in x.edge_ids() if e not in skip]
+    inner, edges, _, checks = x.core_window()
     slots = _slot_layout(x, y, inner)
     rows = [row for row in _differential(x, y, slots, edges) if row]
     vecs = []
@@ -362,7 +341,7 @@ def _hom_by_transport(x, y, core):
         for e, inv in transport:
             u, v = x.edge_ends(e)
             h[v] = y.edge_matrix(e) * h[u] * inv
-        for e in checked:
+        for e in checks:
             u, v = x.edge_ends(e)
             if h[v] * x.edge_matrix(e) != y.edge_matrix(e) * h[u]:
                 return None
@@ -579,7 +558,7 @@ class ExtSpace:
     dim Ext^1 = dim Z - dim B = nvars - rank δ¹ - rank δ⁰ and, by
     rank-nullity, dim Hom(x, y) = nslots - rank δ⁰.  dim() and hom_dim()
     take these two ranks once, on the complex of the source's core window
-    (_core_window), by the statement below.  The full-window rows and
+    (x.core_window()), by the statement below.  The full-window rows and
     their layout (index, nvars, nslots, _d0, _d1) are built on first use,
     for the class callers: the cocycles `_cocycles` (kernel basis of δ¹),
     the canonical coboundary basis `cobounds` (of the columns of δ⁰) and
@@ -632,7 +611,7 @@ class ExtSpace:
     def _core_dims(self):
         """(dim Ext^1, dim Hom) from the two ranks of the core complex."""
         x, y = self.x, self.y
-        slot_ids, edge_ids, relations = _core_window(x)
+        slot_ids, edge_ids, relations, _ = x.core_window()
         slots = _slot_layout(x, y, slot_ids)
         index = _edge_layout(x, y, edge_ids)
         rank_d0 = rank_rows(_differential(x, y, slots, edge_ids), len(slots))

@@ -59,7 +59,7 @@ class GradedRep(Rep):
     are not checked on construction; validate reports them.
     """
 
-    __slots__ = ("_core",)
+    __slots__ = ("_core", "_window")
 
     def __init__(self, window, dims, tmat, pmat):
         wmin, wmax = window
@@ -78,7 +78,7 @@ class GradedRep(Rep):
         return "%s matrix at weight %d" % arrow
 
     def hom_core(self):
-        """(a, b, transport): the core window a < b of this module as a source of Hom, built once.
+        """(a, b, transport): the core window a < b of this module as a source of Hom, built once, with core_window.
 
         Every ("t", w) with b <= w < wmax and every ("p", w) with
         wmin < w <= a is invertible, and transport lists them with their
@@ -92,8 +92,34 @@ class GradedRep(Rep):
         computed is one the transport uses.  None on a one-weight window.
         """
         if not hasattr(self, "_core"):
-            object.__setattr__(self, "_core", self._find_core())
+            core = self._find_core()
+            object.__setattr__(self, "_core", core)
+            object.__setattr__(self, "_window", self._window_of(core))
         return self._core
+
+    def core_window(self):
+        """(slots, edges, relations, checks) of the core [a, b] of hom_core, in closed form and built with it.
+
+        The slots a..b, the arrows with both ends among them in edge_ids
+        order, ("t", w) for a <= w < b then ("p", w) for a < w <= b, the
+        commutation relations at a < w < b, the ones whose paths use those
+        arrows only, and the checks: ("t", w) for wmin <= w < a then
+        ("p", w) for b < w <= wmax, the outer arrows the transport does not
+        use.  The whole quiver on a one-weight window.
+        """
+        if not hasattr(self, "_window"):
+            self.hom_core()
+        return self._window
+
+    def _window_of(self, core):
+        if core is None:
+            return super().core_window()
+        a, b, _ = core
+        wmin, wmax = self.window
+        slots = self.pres.nodes[a - wmin : b - wmin + 1]
+        edges = tuple(("t", w) for w in range(a, b)) + tuple(("p", w) for w in range(a + 1, b + 1))
+        checks = tuple(("t", w) for w in range(wmin, a)) + tuple(("p", w) for w in range(b + 1, wmax + 1))
+        return slots, edges, self.pres.relation_list[a - wmin : b - wmin - 1], checks
 
     def _find_core(self):
         wmin, wmax = self.window

@@ -229,6 +229,18 @@ class Rep:
         """
         return None
 
+    def core_window(self):
+        """(slots, edges, relations, checks): the complex abcat solves Hom and ranks Ext^1 on, with this source.
+
+        A subclass with a hom_core returns the slots a..b, the edges with
+        both ends among them, the relations whose paths use those edges
+        only, and as checks the arrows outside them that the transport of
+        hom_core does not use, on which abcat.hom_basis checks each carried
+        map.  A plain Rep returns its whole quiver, so no arrow is left to
+        check.
+        """
+        return self.pres.nodes, tuple(self.pres.ends), self.pres.relation_list, ()
+
 
 class QuiverRep(Rep):
     """A representation whose relations are checked on every construction."""

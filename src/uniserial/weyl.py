@@ -223,15 +223,12 @@ class EulerPolynomial:
         return EulerPolynomial([ONE])
 
     @staticmethod
-    def constant(c: Scalar) -> "EulerPolynomial":
-        return EulerPolynomial([c])
-
-    @staticmethod
     def falling(k: int, s: int = 0) -> "EulerPolynomial":
         """(E+s)(E+s-1)...(E+s-k+1), k consecutive linear factors.
 
         With s = 0 it is the normal form of t^k d^k, and falling(k, s) is
-        falling(k).shift(s).  The coefficients are integers until the end.
+        falling(k) with E replaced by E + s.  The coefficients are integers
+        until the end.
         """
         cs = [1]
         for c in range(s, s - k, -1):
@@ -282,14 +279,6 @@ class EulerPolynomial:
                 if b:
                     out[i + j] = out[i + j] + a * b
         return EulerPolynomial(out)
-
-    def shift(self, s: int) -> "EulerPolynomial":
-        """g(E) -> g(E + s)."""
-        var = EulerPolynomial([Scalar(s), ONE])
-        acc = EulerPolynomial.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * var + EulerPolynomial.constant(c)
-        return acc
 
     def monic(self) -> "EulerPolynomial":
         if self.is_zero():

@@ -1,7 +1,7 @@
 """ExtSpace dimensions on the source's core window, against the full-window complex.
 
 dim() and hom_dim() rank δ¹ and δ⁰ of the complex restricted to the
-source's core (abcat._core_window; the proof is in the ExtSpace
+source's core (Rep.core_window; the proof is in the ExtSpace
 docstring).  The same space builds the full-window rows lazily, so every
 pair below is checked against nvars - rank δ¹ - rank δ⁰ and
 nslots - rank δ⁰ of the whole window, and the nonzero spaces against the
@@ -85,8 +85,8 @@ def test_wide_core_sources_match_the_full_complex():
     # or letting in those at the core's end weights, changes these dims
     window = (-8, 8)
     sums = wide_core_sources(window)
-    widths = [len(abcat._core_window(x)[0]) for x in sums]
-    assert min(widths) >= 4 and all(abcat._core_window(x)[2] for x in sums), widths
+    widths = [len(x.core_window()[0]) for x in sums]
+    assert min(widths) >= 4 and all(x.core_window()[2] for x in sums), widths
     simples = [simple_rep(kind, twist, window) for kind in ("0", "inf") for twist in range(-3, 4)]
     objs = sums + simples
     assert len(nonzero_with_reps(checked_spaces((x, y) for x in sums for y in objs))) >= 20
@@ -121,7 +121,7 @@ def test_dimensions_build_no_full_window_system_and_rank_no_wider_than_the_core(
         space = ExtSpace(x, y)
         dims = (space.dim(), space.hom_dim())
         assert not {"index", "nvars", "nslots", "_d0", "_d1"} & set(vars(space))
-        slots, edges, _ = abcat._core_window(x)
+        slots, edges, _, _ = x.core_window()
         core_cols = max(len(abcat._slot_layout(x, y, slots)), len(abcat._edge_layout(x, y, edges)))
         # one rank of δ⁰ and one of δ¹, both on the core, for the two dimensions
         assert len(widths) == 2 and max(widths) <= core_cols, (widths, core_cols)

@@ -8,7 +8,9 @@ float or complex.  The elimination kernels and the entry table of a
 Matrix stay behind linalg: no other package module names them.  Only
 quiverrep.Rep implements the object protocol of the category engine.
 Block-triangular forms are read in one place: one raise carries the
-invariance error, and itext multiplies no edge matrix itself.
+invariance error, and itext multiplies no edge matrix itself.  The
+window quiver's layout stays behind gradedrep: abcat names none of its
+arrows.
 """
 
 import ast
@@ -156,3 +158,23 @@ def test_itext_reads_blocks_through_abcat():
     # the deformation extraction reads its blocks through abcat.unglue and conjugates no edge matrix itself
     lines = sorted(set(edge_matrix_products(parse(PACKAGE / "itext.py"))))
     assert not lines, "edge-matrix products in itext.py at lines %s" % lines
+
+
+def window_arrow_literals(tree):
+    """Lines of every tuple literal ("t", ...) or ("p", ...): a named arrow of the window quiver."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Tuple) and len(node.elts) == 2:
+            head = node.elts[0]
+            if isinstance(head, ast.Constant) and head.value in ("t", "p"):
+                yield node.lineno
+
+
+def test_window_arrow_literals_finds_named_arrows_and_skips_docstrings():
+    source = 'def f(w):\n    """The arrow ("t", w)."""\n    return ("p", w + 1), ("q", w), "t"\n'
+    assert list(window_arrow_literals(ast.parse(source))) == [3]
+
+
+def test_abcat_names_no_window_quiver_arrow():
+    # a graded source states its core window itself (GradedRep.core_window); the engine reads slots and edges
+    lines = sorted(set(window_arrow_literals(parse(PACKAGE / "abcat.py"))))
+    assert not lines, "window-quiver arrows named in abcat.py at lines %s" % lines
