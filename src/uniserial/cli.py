@@ -577,6 +577,12 @@ def main(argv=None) -> int:
     except CriterionError as exc:
         print("refused: %s" % exc, file=sys.stderr)
         return 1
+    except MemoryError:
+        # reported below, once the handler has let go of the frames that hold the command's data
+        text = None
+    if text is None:
+        print("input error: out of memory; the input is too large for this machine", file=sys.stderr)
+        return 2
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

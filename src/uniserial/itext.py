@@ -348,7 +348,6 @@ class DeformationModule:
     """
 
     gamma: ExtensionType
-    base_index: int  # position of the base node in gamma.nodes (always 0 here)
     factor_objects: tuple  # ((node label, simple object), ...)
     psi: tuple  # (((i, j), ((edge, Matrix), ...)), ...)
 
@@ -429,7 +428,7 @@ def _deformation_with_conjugation(e: IteratedExtension):
                 entries.append((edge, isos[j][0][v] * block(edge, j, i) * isos[i][1][u]))
             psi.append(((i + 1, j + 1), tuple(entries)))
     factor_objects = tuple((lbl, fam[lbl]) for lbl in gamma.nodes)
-    d = DeformationModule(gamma, 0, factor_objects, tuple(psi))
+    d = DeformationModule(gamma, factor_objects, tuple(psi))
     # per-slot conjugation carrying x onto the object from_deformation glues:
     # the factor isos in order-vector order, each on its block rows of U⁻¹
     conj = {}

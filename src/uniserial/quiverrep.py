@@ -297,7 +297,7 @@ def _split_relation_factors(term: str, orig: str):
     return factors
 
 
-def _parse_relation_text(text: str, pres_nodes, arrow_ends):
+def _parse_relation_text(text: str, arrow_ends):
     terms = []
     chunk = ""
     depth = 0
@@ -384,7 +384,7 @@ def parse_presentation(text: str):
         else:
             raise ValueError("unknown line %r in quiver file" % ln)
     arrow_ends = {a: (s, t) for a, s, t in arrows}
-    relations = [_parse_relation_text(t, nodes, arrow_ends) for t in relation_texts]
+    relations = [_parse_relation_text(t, arrow_ends) for t in relation_texts]
     pres = QuiverPresentation(nodes, arrows, relations)
     unknown = sorted(set(rep_dims) - set(pres.nodes)) + sorted(set(rep_mats_raw) - set(arrow_ends))
     if unknown:

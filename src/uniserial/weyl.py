@@ -288,23 +288,6 @@ class EulerPolynomial:
             return self
         return self.scale(ONE / lead)
 
-    def mod(self, divisor: "EulerPolynomial") -> "EulerPolynomial":
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial modulo zero")
-        d = divisor.monic()
-        rem = list(self.coeffs)
-        dd = d.degree()
-        while len(rem) - 1 >= dd and rem:
-            if not rem[-1]:
-                rem.pop()
-                continue
-            lead = rem[-1]
-            off = len(rem) - 1 - dd
-            for i, c in enumerate(d.coeffs):
-                rem[off + i] = rem[off + i] - lead * c
-            rem.pop()
-        return EulerPolynomial(rem)
-
     def to_weyl(self) -> WeylElement:
         """Expand g(E) as a normal-form Weyl element."""
         e = euler()

@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 
 from . import abcat, species as species_mod
 from .gradedrep import GradedRep, ideal_quotient_rep, in_alpha_range, simple_rep, twist_rep, validate
-from .linalg import Matrix, Scalar, ZERO, ONE, format_scalar, parse_int, parse_scalar
-from .weyl import EulerPolynomial, alternating_word, euler_power, to_theta_form
+from .linalg import Matrix, Scalar, format_scalar, parse_int, parse_scalar
+from .weyl import alternating_word, euler_power, to_theta_form
 
 DEFAULT_MARGIN = 2
 
@@ -168,28 +168,26 @@ def euler_tower_class(alpha: Scalar, n: int, window, margin: int = DEFAULT_MARGI
 
 
 def _tower_cocycle(key: CatalogKey, big: GradedRep, simple: GradedRep, window, margin: int):
-    """(ExtSpace, cocycle vector) of the tower of an Euler key (n >= 2) at its twist.
+    """(ExtSpace, cocycle vector) of the tower of an Euler key (n >= 2) at its twist, on the caller's big and simple.
 
-    big is the key's catalog module and simple the simple for key.alpha at
-    key.twist; the caller builds both.
+    With g = g_0 + ... + E^(n-1) the monic theta form of (E - alpha)^(n-1),
+    the inclusion simple -> big is the column g at every weight and the
+    reduction big -> small is [I | -(g_0 ... g_(n-2))].  An Euler power's
+    theta form has d = 0, so each weight piece of the length-m module is
+    k[E]/((E - alpha)^m) on the residues of E^j, with t and d acting by a
+    multiplier c(E).  Reduction modulo g commutes with c(E), and its kernel
+    is spanned by g; E g = alpha g modulo (E - alpha)^n, so c(E) acts on g
+    as c(alpha), the simple's matrix: the identification scalar is 1 at
+    every weight.  Morphism checks both maps on every edge, and
+    _extension_cocycle checks that the sequence is exact.
     """
+    _, g = to_theta_form(euler_power(key.alpha, key.n - 1))
+    g = g.monic().coeffs
+    red = Matrix.identity(key.n - 1).hstack(Matrix.from_columns([[-c for c in g[:-1]]], key.n - 1))
     small = catalog_module(replace(key, n=key.n - 1), window, margin)
-    _, qpoly = to_theta_form(euler_power(key.alpha, key.n - 1))
-    qpoly = qpoly.monic()
-    mats = {}
-    for w in big.slot_ids():
-        rows = small.slot_dim(w)
-        # the residue basis E^j (j <= rows, one more than the quotient's) maps
-        # along polynomial reduction; only the top power reduces nontrivially
-        rem = EulerPolynomial([ZERO] * rows + [ONE]).mod(qpoly)
-        top = tuple(rem.coeffs[i] if i < len(rem.coeffs) else ZERO for i in range(rows))
-        mats[w] = Matrix.identity(rows).hstack(Matrix.from_columns([top], rows))
-    surj = abcat.Morphism(big, small, mats)
-    ker_obj, ker_incl = abcat.kernel(surj)
-    iso = abcat.find_isomorphism(simple, ker_obj)
-    if iso is None:
-        raise RuntimeError("tower kernel is not the expected simple")
-    return abcat._extension_cocycle(ker_incl * iso, surj)
+    mono = abcat.Morphism(simple, big, dict.fromkeys(big.slot_ids(), Matrix.from_columns([g], key.n)))
+    surj = abcat.Morphism(big, small, dict.fromkeys(big.slot_ids(), red))
+    return abcat._extension_cocycle(mono, surj)
 
 
 # -- theorem verification -------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 from uniserial import abcat
 from uniserial.abcat import DirectSum, Morphism
@@ -6,8 +7,8 @@ from uniserial.gradedrep import GradedRep
 from uniserial.itext import IteratedExtension, PathAlgebra
 from uniserial.linalg import ONE, ZERO, Matrix, Scalar, extend_basis, inverse, parse_scalar, solve_matrix
 from uniserial.quiverrep import QuiverPresentation, QuiverRep
-from uniserial.weyl import EulerPolynomial, WeylElement, theta, to_theta_form
-from uniserial.weylcat import CatalogKey
+from uniserial.weyl import EulerPolynomial, WeylElement, euler_power, theta, to_theta_form
+from uniserial.weylcat import CatalogKey, catalog_module
 
 LABELS = (parse_scalar("1/2"), parse_scalar("1/3+1/2*i"))
 
@@ -163,6 +164,25 @@ def reference_core_window(x):
     return slots, edges, relations, tuple(e for e in x.edge_ids() if e not in skip)
 
 
+def polynomial_mod(p, divisor):
+    """The remainder of the Euler polynomial p on division by a nonzero divisor, by long division."""
+    if divisor.is_zero():
+        raise ZeroDivisionError("polynomial modulo zero")
+    d = divisor.monic()
+    rem = list(p.coeffs)
+    dd = d.degree()
+    while len(rem) - 1 >= dd and rem:
+        if not rem[-1]:
+            rem.pop()
+            continue
+        lead = rem[-1]
+        off = len(rem) - 1 - dd
+        for i, c in enumerate(d.coeffs):
+            rem[off + i] = rem[off + i] - lead * c
+        rem.pop()
+    return EulerPolynomial(rem)
+
+
 def reference_ideal_quotient_rep(p, window):
     """ideal_quotient_rep by a Weyl-algebra product per weight, the construction the closed form replaced.
 
@@ -195,13 +215,37 @@ def reference_ideal_quotient_rep(p, window):
         rows = dims[w_dst]
         cols = []
         for j in range(dims[w_src]):
-            rem = (factor * EulerPolynomial([ZERO] * j + [ONE])).mod(qs[w_dst])
+            rem = polynomial_mod(factor * EulerPolynomial([ZERO] * j + [ONE]), qs[w_dst])
             cols.append(tuple(rem.coeffs) + (ZERO,) * (rows - len(rem.coeffs)))
         return Matrix.from_columns(cols, rows)
 
     tm = {w: reduce_cols(w, w + 1, raising(w)) for w in range(wmin, wmax)}
     pm = {w: reduce_cols(w, w - 1, lowering(w)) for w in range(wmin + 1, wmax + 1)}
     return GradedRep(window, dims, tm, pm)
+
+
+def reference_tower_cocycle(key, big, simple, window, margin):
+    """weylcat._tower_cocycle by search, the route the closed form replaced.
+
+    The reduction big -> small sends E^j to its remainder modulo the
+    smaller module's monic q; the simple is found inside its kernel by
+    find_isomorphism.
+    """
+    small = catalog_module(replace(key, n=key.n - 1), window, margin)
+    _, qpoly = to_theta_form(euler_power(key.alpha, key.n - 1))
+    qpoly = qpoly.monic()
+    mats = {}
+    for w in big.slot_ids():
+        rows = small.slot_dim(w)
+        rem = polynomial_mod(EulerPolynomial([ZERO] * rows + [ONE]), qpoly)
+        top = tuple(rem.coeffs[i] if i < len(rem.coeffs) else ZERO for i in range(rows))
+        mats[w] = Matrix.identity(rows).hstack(Matrix.from_columns([top], rows))
+    surj = Morphism(big, small, mats)
+    ker_obj, ker_incl = abcat.kernel(surj)
+    iso = abcat.find_isomorphism(simple, ker_obj)
+    if iso is None:
+        raise RuntimeError("tower kernel is not the expected simple")
+    return abcat._extension_cocycle(ker_incl * iso, surj)
 
 
 def reference_validate(m):

@@ -1,3 +1,9 @@
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from uniserial.cli import main, parse_report
@@ -474,3 +480,22 @@ def test_malformed_object_and_species_files_exit_2(tmp_path, capsys, case):
     status, _, err = run(capsys, *argv)
     assert status == 2
     assert "error" in err
+
+
+def test_running_out_of_memory_exits_2_with_one_line():
+    # one child, with an address-space limit of its own, asked for an 800001-weight window
+    limit = 128 * 2**20
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = ["weyl-module", "--kind", "word", "--beta", "0", "--n", "1", "--window", "-400000", "400000"]
+    child = subprocess.run(
+        [sys.executable, "-m", "uniserial.cli"] + argv,
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        timeout=120,
+    )
+    assert child.returncode == 2
+    assert child.stdout == ""
+    # one line, so no traceback
+    assert child.stderr == "input error: out of memory; the input is too large for this machine\n"

@@ -10,7 +10,8 @@ quiverrep.Rep implements the object protocol of the category engine.
 Block-triangular forms are read in one place: one raise carries the
 invariance error, and itext multiplies no edge matrix itself.  The
 window quiver's layout stays behind gradedrep: abcat names none of its
-arrows.
+arrows.  Every parameter of a package function is read, the instance
+aside, in all but dunder methods.
 """
 
 import ast
@@ -178,3 +179,40 @@ def test_abcat_names_no_window_quiver_arrow():
     # a graded source states its core window itself (GradedRep.core_window); the engine reads slots and edges
     lines = sorted(set(window_arrow_literals(parse(PACKAGE / "abcat.py"))))
     assert not lines, "window-quiver arrows named in abcat.py at lines %s" % lines
+
+
+def unread_parameters(tree):
+    """(line, function, parameter) for every parameter its function never reads.
+
+    Dunder methods (protocol signatures) and lambdas are left aside, as is
+    the instance or class of a method.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [v for v in (a.vararg, a.kwarg) if v]]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            for name in params:
+                if name not in read and name not in ("self", "cls"):
+                    yield node.lineno, node.name, name
+
+
+def test_unread_parameters_finds_dead_parameters():
+    source = (
+        "def f(a, b, *rest, c=1, **kw):\n    return a + len(kw)\n"
+        "def g(x):\n    def inner(y):\n        return x\n    return inner\n"
+        "class C:\n    def __init__(self, unused):\n        pass\n    def m(self, z):\n        z = 1\n"
+        "h = lambda q: 0\n"
+    )
+    assert sorted(unread_parameters(ast.parse(source))) == [
+        (1, "f", "b"), (1, "f", "c"), (1, "f", "rest"), (4, "inner", "y"), (10, "m", "z"),
+    ]
+
+
+def test_every_parameter_is_read():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found.extend("%s:%d %s(%s)" % (path.name, *hit) for hit in unread_parameters(parse(path)))
+    assert not found, "parameters their function never reads: %s" % ", ".join(found)

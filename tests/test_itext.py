@@ -309,7 +309,7 @@ def test_from_deformation_rejects_invalid_corrections():
         if edge == ("t", 0):
             m = Matrix(m.rows, m.cols, [[Scalar(7)] * m.cols] * m.rows)
         bad_entries.append((edge, m))
-    bad = DeformationModule(d.gamma, d.base_index, d.factor_objects, ((pair, tuple(bad_entries)),))
+    bad = DeformationModule(d.gamma, d.factor_objects, ((pair, tuple(bad_entries)),))
     with pytest.raises(ValueError, match="correction maps violate the backend relations"):
         from_deformation(bad)
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import rewrite_oracle, words_up_to
+from conftest import polynomial_mod, rewrite_oracle, words_up_to
 from uniserial.linalg import ONE, ZERO, Scalar, parse_scalar
 from uniserial.weyl import (
     EulerPolynomial,
@@ -170,10 +170,10 @@ def test_euler_polynomial_mod_and_shift():
     g = EulerPolynomial.falling(2)  # E^2 - E
     assert horner_shift(g, 1) == EulerPolynomial([Scalar(0), ONE, ONE])
     # E^2 - E = (E - 1)E, so both linear factors divide it exactly
-    assert g.mod(EulerPolynomial([Scalar(-1), ONE])) == EulerPolynomial.zero()
-    assert g.mod(EulerPolynomial([ZERO, ONE])) == EulerPolynomial.zero()
+    assert polynomial_mod(g, EulerPolynomial([Scalar(-1), ONE])) == EulerPolynomial.zero()
+    assert polynomial_mod(g, EulerPolynomial([ZERO, ONE])) == EulerPolynomial.zero()
     # remainder mod (E - 2) is the value at 2
-    assert g.mod(EulerPolynomial([Scalar(-2), ONE])) == EulerPolynomial([Scalar(2)])
+    assert polynomial_mod(g, EulerPolynomial([Scalar(-2), ONE])) == EulerPolynomial([Scalar(2)])
 
 
 def test_parse_format_roundtrip():

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import reference_tower_cocycle
 from uniserial import abcat, species as species_mod, weylcat
 from uniserial.gradedrep import simple_rep, twist_rep, validate
 from uniserial.linalg import ZERO, Scalar, parse_scalar
@@ -155,6 +156,30 @@ def test_euler_tower_class_nonzero():
         win = default_window(n)
         cls = euler_tower_class(HALF, n, win)
         assert not cls.is_zero(), n
+
+
+def test_stated_tower_matches_the_searched_one():
+    # the closed-form inclusion and reduction give the cocycle of the kernel-and-search route, exactly
+    for alpha in (HALF, parse_scalar("2/3"), MIXED):
+        for n in range(2, 6):
+            for twist in (0, -2):
+                for pad in (0, 6):
+                    base = default_window(n)
+                    win = (base[0] - pad, base[1] + pad)
+                    key = CatalogKey("euler", alpha, None, n, twist)
+                    args = (key, catalog_module(key, win), simple_rep(alpha, twist, win), win, weylcat.DEFAULT_MARGIN)
+                    space, vec = weylcat._tower_cocycle(*args)
+                    ref_space, ref_vec = reference_tower_cocycle(*args)
+                    assert (space.x, space.y, vec) == (ref_space.x, ref_space.y, ref_vec), (alpha, n, twist, pad)
+
+
+def test_the_tower_builds_no_sub_object(monkeypatch):
+    calls = []
+    for name in ("kernel", "sub_object"):
+        real = getattr(abcat, name)
+        monkeypatch.setattr(abcat, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    assert verify_key(CatalogKey("euler", HALF, None, 3), default_window(3)).ok
+    assert calls == []
 
 
 def test_verify_key_passes():
