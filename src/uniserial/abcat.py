@@ -22,14 +22,12 @@ B = im δ⁰ come from conjugating by [[1, h], [0, 1]], the cocycles are
 Z = ker δ¹, and Ext^1(x, y) = Z / B.  _differential and _relation_rows
 build the two maps as {column: Scalar} rows of their nonzeros, reading
 each edge matrix through its kept nonzero views, over the slots, edges
-and relations they are given.  Dimensions come from the complex of the
+and relations they are given.  Ranks and solves read the complex of the
 source's core window, which the source states once (Rep.core_window,
 beside Rep.hom_core): hom_basis solves δ⁰ there and carries each map
-outward, and since B lies in Z, dim Ext^1 and dim Hom are two ranks
-(rank_rows) of the core's δ¹ and δ⁰.  Vectors
-come from the full window: a cocycle c has zero class iff
-rank [δ⁰ | c] = rank δ⁰, and ExtSpace builds the full rows, Z and B only
-on first use, for its class callers.
+outward; since B lies in Z, dim Ext^1 and dim Hom are two ranks
+(rank_rows) of the core's δ¹ and δ⁰; and a cocycle, restricted to the
+core edges, has zero class iff rank [δ⁰ | c] = rank δ⁰ there.
 """
 
 from __future__ import annotations
@@ -553,27 +551,22 @@ def amalgamated_sum(f1: Morphism, f2: Morphism):
 class ExtSpace:
     """The space of extensions of x by y, with a chosen cocycle basis.
 
-    The constructor builds nothing.  B = im δ⁰ lies inside Z = ker δ¹,
-    since conjugating the split extension keeps every relation, so
-    dim Ext^1 = dim Z - dim B = nvars - rank δ¹ - rank δ⁰ and, by
-    rank-nullity, dim Hom(x, y) = nslots - rank δ⁰.  dim() and hom_dim()
-    take these two ranks once, on the complex of the source's core window
-    (x.core_window()), by the statement below.  The full-window rows and
-    their layout (index, nvars, nslots, _d0, _d1) are built on first use,
-    for the class callers: the cocycles `_cocycles` (kernel basis of δ¹),
-    the canonical coboundary basis `cobounds` (of the columns of δ⁰) and
-    the class representatives `reps` (the cocycles that complete B, picked
-    by extend_basis).  Whether a cocycle's class is zero is one more rank,
-    augmented_rank, against the full _rank_d0.
+    B = im δ⁰ lies inside Z = ker δ¹, since conjugating the split extension
+    keeps every relation, so dim Ext^1 = dim Z - dim B.  By the statement
+    below, every rank and solve reads the complex of the core window
+    (x.core_window()) through R, which takes a full-window vector (layout
+    index) to its core-edge entries.  Only _cocycles, the kernel basis of
+    δ¹, eliminates on the full window; reps are the cocycles, in order,
+    whose R images extend_basis picks over the core's coboundary basis.
 
     Statement.  Let x and y satisfy their relations (B ⊆ Z needs it; the
     CLI validates every graded file before building anything), and let
     [a, b] be x.hom_core() on a GradedRep, so X_t(w) is invertible for
     b <= w < wmax and X_p(w) for wmin < w <= a.  The core complex has the
     slots a..b, the edges with both ends among them and the relations at
-    the weights strictly inside (a, b).  Then Ext^1(x, y) ≅ Z_core / B_core
-    and dim Hom(x, y) is the nullity of the core's δ⁰.  With no core (a
-    plain Rep, a one-weight window) the core complex is the whole one.
+    the weights strictly inside (a, b).  Then R induces Ext^1(x, y) ≅
+    Z_core / B_core, and dim Hom(x, y) is the nullity of the core's δ⁰.
+    With no core (a plain Rep, a one-weight window) it is the whole complex.
 
     Proof.  A correction changes by δ⁰h, c_e -> c_e + h_v X_e - Y_e h_u,
     under conjugation by [[1, h], [0, 1]].
@@ -595,6 +588,9 @@ class ExtSpace:
       and on the core edges δ⁰h reads the core slots only, so restriction
       maps B ∩ Z_g onto B_core.
     Every class meets Z_g, so Ext^1 = Z_g / (B ∩ Z_g) ≅ Z_core / B_core.
+    R induces it with no gauge fix: Z_core ⊇ R Z ⊇ R Z_g = Z_core, R B =
+    B_core (extend a core h by 0), and if R z = 0 the gauge fix z + δ⁰h,
+    h = 0 on the core, restricts to 0, so it is 0 and z lies in B.
     A core map with δ⁰_core h = 0, carried outward, has a gauge-fixed
     coboundary that restricts to 0, so it is 0: the carried map lies in
     Hom(x, y), and restriction is injective on Hom (hom_basis), so
@@ -619,6 +615,14 @@ class ExtSpace:
         return len(index) - rank_d1 - rank_d0, len(slots) - rank_d0
 
     @cached_property
+    def _core(self):
+        """The core complex (slot count, edge layout, δ⁰ rows) for the class callers; _core_dims keeps none."""
+        x, y = self.x, self.y
+        slot_ids, edge_ids, _, _ = x.core_window()
+        slots = _slot_layout(x, y, slot_ids)
+        return len(slots), _edge_layout(x, y, edge_ids), _differential(x, y, slots, edge_ids)
+
+    @cached_property
     def index(self):
         return _edge_layout(self.x, self.y, self.x.edge_ids())
 
@@ -627,34 +631,34 @@ class ExtSpace:
         return len(self.index)
 
     @cached_property
-    def nslots(self):
-        return sum(self.x.slot_dim(s) * self.y.slot_dim(s) for s in self.x.slot_ids())
-
-    @cached_property
-    def _d0(self):
-        x, y = self.x, self.y
-        return _differential(x, y, _slot_layout(x, y, x.slot_ids()), x.edge_ids())
-
-    @cached_property
     def _d1(self):
         return _relation_rows(self.x, self.y, self.index, self.x.relations())
-
-    @cached_property
-    def _rank_d0(self):
-        return rank_rows(self._d0, self.nslots)
 
     @cached_property
     def _cocycles(self):
         return kernel_basis(_dense(self._d1, self.nvars))
 
     @cached_property
-    def cobounds(self):
-        return column_space_basis(_dense(self._d0, self.nslots).columns(), self.nvars)
+    def _core_cobounds(self):
+        """The canonical basis of B_core, of the columns of the core's δ⁰."""
+        n, index, d0 = self._core
+        return column_space_basis(_dense(d0, n).columns(), len(index))
+
+    def _restrict(self, vector):
+        """R: the vector's entries on the core edges, in the core's edge order."""
+        return tuple(vector[self.index[key]] for key in self._core[1])
+
+    def _check_cocycle(self, vector):
+        """Raise unless δ¹ vector = 0 on the whole window: R does not see the relations outside the core."""
+        if any(sum((a * vector[k] for k, a in row.items() if vector[k]), ZERO) for row in self._d1):
+            raise ValueError("vector is not a cocycle for this extension space")
 
     @cached_property
     def reps(self):
-        """The cocycles, in order, that complete the coboundary basis: one per class."""
-        return extend_basis(self.cobounds, self._cocycles, self.nvars)
+        """The cocycles, in order, whose R images complete B_core: one per class."""
+        # extend_basis reads a column's first len(index) entries, so each cocycle rides behind its image
+        rides = [self._restrict(z) + (z,) for z in self._cocycles]
+        return [v[-1] for v in extend_basis(self._core_cobounds, rides, len(self._core[1]))]
 
     def dim(self) -> int:
         return self._core_dims[0]
@@ -662,25 +666,21 @@ class ExtSpace:
     def hom_dim(self) -> int:
         return self._core_dims[1]
 
-    def augmented_rank(self, vector) -> int:
-        """rank [δ⁰ | vector], the vector appended as a column.
-
-        It exceeds rank δ⁰ exactly when the vector is not a coboundary, so
-        on a cocycle it decides whether the class is nonzero without
-        building Z, B or the class representatives.
-        """
-        n = self.nslots
-        return rank_rows([{**row, n: a} if a else row for row, a in zip(self._d0, vector)], n + 1)
+    def coboundary_ranks(self, vector):
+        """(rank [δ⁰_core | R vector], rank δ⁰_core): a cocycle's class is nonzero iff the first is larger."""
+        self._check_cocycle(vector)
+        n, _, d0 = self._core
+        rows = [{**row, n: a} if a else row for row, a in zip(d0, self._restrict(vector))]
+        return rank_rows(rows, n + 1), n - self.hom_dim()
 
     def class_coords(self, vector):
-        """Coordinates of a cocycle vector in the chosen Ext basis."""
+        """Coordinates of a cocycle vector in the chosen Ext basis, solved on the core."""
         if not any(vector):
             return tuple([ZERO] * self.dim())
-        aug = Matrix.from_columns(list(self.cobounds) + list(self.reps), self.nvars)
-        sol = solve(aug, tuple(vector))
-        if sol is None:
-            raise ValueError("vector is not a cocycle for this extension space")
-        return tuple(sol[len(self.cobounds) :])
+        self._check_cocycle(vector)
+        cobounds = self._core_cobounds
+        aug = Matrix.from_columns(cobounds + [self._restrict(rep) for rep in self.reps], len(self._core[1]))
+        return tuple(solve(aug, self._restrict(vector))[len(cobounds) :])
 
     def cocycle_vector(self, blocks):
         """The vector whose correction block at each edge is blocks[edge]."""

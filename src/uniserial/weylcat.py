@@ -262,7 +262,7 @@ def verify_key(key: CatalogKey, window, margin: int = DEFAULT_MARGIN) -> KeyResu
         )
     if key.kind == "euler" and key.n >= 2:
         space, vec = _tower_cocycle(key, cat, dict(family)[key.start_label()], window, margin)
-        ranks = (space.augmented_rank(vec), space._rank_d0)
+        ranks = space.coboundary_ranks(vec)
         ok = ranks[0] > ranks[1]
         checks.append(("tower non-split", ok, "" if ok else "rank [d0 | c] = %d, rank d0 = %d" % ranks))
     return KeyResult(key, tuple(checks))

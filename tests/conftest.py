@@ -1,11 +1,23 @@
 import itertools
 from dataclasses import replace
+from functools import cached_property
 
 from uniserial import abcat
 from uniserial.abcat import DirectSum, Morphism
 from uniserial.gradedrep import GradedRep
 from uniserial.itext import IteratedExtension, PathAlgebra
-from uniserial.linalg import ONE, ZERO, Matrix, Scalar, extend_basis, inverse, parse_scalar, solve_matrix
+from uniserial.linalg import (
+    ONE,
+    ZERO,
+    Matrix,
+    Scalar,
+    column_space_basis,
+    extend_basis,
+    inverse,
+    parse_scalar,
+    rank_rows,
+    solve_matrix,
+)
 from uniserial.quiverrep import QuiverPresentation, QuiverRep
 from uniserial.weyl import EulerPolynomial, WeylElement, euler_power, theta, to_theta_form
 from uniserial.weylcat import CatalogKey, catalog_module
@@ -246,6 +258,53 @@ def reference_tower_cocycle(key, big, simple, window, margin):
     if iso is None:
         raise RuntimeError("tower kernel is not the expected simple")
     return abcat._extension_cocycle(ker_incl * iso, surj)
+
+
+class FullWindowExt:
+    """The full-window class machinery ExtSpace ran before its class callers moved to the core.
+
+    δ⁰ over every slot and edge of the window, its canonical column basis
+    B, the representatives that extend_basis picks over all nvars entries,
+    the class coordinates from one solve against [B | reps], and the
+    verdict rank [δ⁰ | c] > rank δ⁰.  It shares the space's layout and its
+    cocycles, the kernel of the full δ¹.
+    """
+
+    def __init__(self, space):
+        x, y = space.x, space.y
+        self.space = space
+        slots = abcat._slot_layout(x, y, x.slot_ids())
+        self.nslots = len(slots)
+        self.d0 = abcat._differential(x, y, slots, x.edge_ids())
+
+    @cached_property
+    def rank_d0(self):
+        return rank_rows(self.d0, self.nslots)
+
+    @cached_property
+    def cobounds(self):
+        return column_space_basis(abcat._dense(self.d0, self.nslots).columns(), self.space.nvars)
+
+    @cached_property
+    def reps(self):
+        return extend_basis(self.cobounds, self.space._cocycles, self.space.nvars)
+
+    def coboundary(self, h):
+        """δ⁰ h of the vector h of slot entries."""
+        return tuple(sum((a * h[k] for k, a in row.items()), ZERO) for row in self.d0)
+
+    def augmented_rank(self, vector):
+        """rank [δ⁰ | vector], the vector appended as a column."""
+        n = self.nslots
+        return rank_rows([{**row, n: a} if a else row for row, a in zip(self.d0, vector)], n + 1)
+
+    def class_coords(self, vectors):
+        """The coordinates of each cocycle vector, from one solve against [B | reps]."""
+        n, k = self.space.nvars, len(self.cobounds)
+        sol = solve_matrix(Matrix.from_columns(self.cobounds + self.reps, n), Matrix.from_columns(vectors, n))
+        if sol is None:
+            raise ValueError("vector is not a cocycle for this extension space")
+        return [tuple(sol.column(j)[k:]) for j in range(len(vectors))]
 
 
 def reference_validate(m):

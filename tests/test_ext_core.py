@@ -2,20 +2,22 @@
 
 dim() and hom_dim() rank δ¹ and δ⁰ of the complex restricted to the
 source's core (Rep.core_window; the proof is in the ExtSpace
-docstring).  The same space builds the full-window rows lazily, so every
-pair below is checked against nvars - rank δ¹ - rank δ⁰ and
-nslots - rank δ⁰ of the whole window, and the nonzero spaces against the
-number of class representatives.
+docstring).  Every pair below is checked against nvars - rank δ¹ - rank δ⁰
+and nslots - rank δ⁰ of the whole window (δ⁰ from conftest.FullWindowExt),
+and the nonzero spaces against the number of class representatives.
 """
+
+import random
 
 import pytest
 
-from conftest import LABELS, catalog_keys, graded_dual
-from uniserial import abcat
+from conftest import LABELS, FullWindowExt, catalog_keys, graded_dual
+from test_abcat import chain_objects, loop_objects, random_hereditary_pairs
+from uniserial import abcat, weylcat
 from uniserial.abcat import ExtSpace, direct_sum
 from uniserial.gradedrep import simple_rep, validate
-from uniserial.linalg import rank_rows
-from uniserial.weylcat import catalog_module, default_window, weyl_simple_family
+from uniserial.linalg import ZERO, Scalar, parse_scalar, rank_rows
+from uniserial.weylcat import CatalogKey, catalog_module, default_window, weyl_simple_family
 
 BASES = LABELS + ("0", "inf")
 
@@ -26,7 +28,8 @@ def checked_spaces(pairs):
     for x, y in pairs:
         space = ExtSpace(x, y)
         got = (space.dim(), space.hom_dim())
-        full = (space.nvars - rank_rows(space._d1, space.nvars) - space._rank_d0, space.nslots - space._rank_d0)
+        ref = FullWindowExt(space)
+        full = (space.nvars - rank_rows(space._d1, space.nvars) - ref.rank_d0, ref.nslots - ref.rank_d0)
         assert got == full, (x, y, got, full)
         spaces.append(space)
     return spaces
@@ -131,3 +134,111 @@ def test_dimensions_build_no_full_window_system_and_rank_no_wider_than_the_core(
             assert dims == (1, 1) and core_cols == 2 and space.nvars == 40
         elif y is inf:
             assert dims == (1, 0)
+
+
+# -- the class callers on the core against the full-window reference -------------
+
+
+def classes_match_the_full_window(space, rng, cocycles=()):
+    """The space's reps, class_coords and zero-class verdicts against conftest.FullWindowExt.
+
+    The vectors are the given cocycles and each plus a random coboundary,
+    the representatives, a pure coboundary and a random class plus a
+    random coboundary.  Returns the verdicts (nonzero class) in that order.
+    """
+    full = FullWindowExt(space)
+    assert space.reps == full.reps, (space.x, space.y)
+
+    def plus_coboundary(vec):
+        h = tuple(Scalar(rng.randint(-2, 2)) for _ in range(full.nslots))
+        return tuple(a + b for a, b in zip(vec, full.coboundary(h)))
+
+    zero = tuple([ZERO] * space.nvars)
+    combo = space.class_from_coords(tuple(Scalar(rng.randint(-2, 2)) for _ in full.reps)).vector
+    vectors = [*cocycles, *map(plus_coboundary, cocycles), *full.reps, plus_coboundary(zero), plus_coboundary(combo)]
+    verdicts = []
+    for vec, coords in zip(vectors, full.class_coords(vectors)):
+        assert space.class_coords(vec) == coords, (space.x, space.y, vec)
+        ranks = space.coboundary_ranks(vec)
+        verdicts.append(ranks[0] > ranks[1])
+        assert verdicts[-1] == (full.augmented_rank(vec) > full.rank_d0), (space.x, space.y, vec)
+    return verdicts
+
+
+def test_class_callers_match_the_full_window_on_the_catalog_and_its_duals():
+    # the n <= 4 modules against the simples and every pair with n <= 2; on the
+    # larger pairs the full-window reference is the slow part of the suite
+    rng = random.Random(53)
+    keys = catalog_keys(4)
+    count = 0
+    for x_key in keys:
+        for y_key in keys:
+            if min(x_key.n, y_key.n) > 1 and max(x_key.n, y_key.n) > 2:
+                continue
+            window = default_window(max(x_key.n, y_key.n))
+            x, y = catalog_module(x_key, window), catalog_module(y_key, window)
+            for a, b in ((x, y), (graded_dual(y), graded_dual(x))):
+                count += any(classes_match_the_full_window(ExtSpace(a, b), rng))
+    assert count >= 40
+
+
+@pytest.mark.parametrize("window", [(-8, 8), (-10, 10)])
+def test_class_callers_match_the_full_window_on_the_twist_table(window):
+    rng = random.Random(59)
+    verdicts = [classes_match_the_full_window(ExtSpace(x, y), rng) for x, y in twist_table(window)]
+    assert sum(map(any, verdicts)) == 4
+
+
+@pytest.mark.parametrize("pad,twists", [(0, (0, 1, -2)), (6, (0,))])
+def test_class_callers_match_the_full_window_on_the_towers(pad, twists):
+    rng = random.Random(61)
+    for alpha in (LABELS[0], parse_scalar("2/3"), LABELS[1]):
+        for n in range(2, 6):
+            for twist in twists:
+                lo, hi = default_window(n)
+                window = (lo - pad, hi + pad)
+                key = CatalogKey("euler", alpha, None, n, twist)
+                space, vec = weylcat._tower_cocycle(
+                    key, catalog_module(key, window), simple_rep(alpha, twist, window), window, 2
+                )
+                # the tower and the tower plus a coboundary are nonzero, the pure coboundary is zero
+                verdicts = classes_match_the_full_window(space, rng, [vec])
+                assert verdicts[:2] == [True, True] and not verdicts[-2]
+
+
+def test_class_callers_match_the_full_window_on_plain_reps():
+    # with no core, R is the identity; the relations of the loop and the chain cut the cocycles
+    rng = random.Random(67)
+    pairs = [pair for _, _, x, y in random_hereditary_pairs() for pair in ((x, y), (y, x), (x, x))]
+    pairs += [(a, b) for objs in (loop_objects(), chain_objects()) for a in objs for b in objs]
+    assert all(x.hom_core() is None for x, _ in pairs)
+    verdicts = [classes_match_the_full_window(ExtSpace(x, y), rng) for x, y in pairs]
+    assert sum(map(any, verdicts)) >= 10
+
+
+def test_verify_key_builds_no_full_window_differential(monkeypatch):
+    calls = []
+    real = abcat._differential
+
+    def recorded(x, y, slots, edges):
+        calls.append(tuple(edges) == tuple(x.core_window()[1]))
+        return real(x, y, slots, edges)
+
+    monkeypatch.setattr(abcat, "_differential", recorded)
+    assert weylcat.verify_key(CatalogKey("euler", LABELS[0], None, 3), default_window(3)).ok
+    assert calls and all(calls)
+
+
+def test_a_vector_broken_outside_the_core_is_refused():
+    # R sees the core edges only; the δ¹ check over the whole window refuses the vector
+    window = default_window(3)
+    key = CatalogKey("euler", LABELS[0], None, 3)
+    space, vec = weylcat._tower_cocycle(key, catalog_module(key, window), simple_rep(LABELS[0], 0, window), window, 2)
+    core = set(space.x.core_window()[1])
+    k = next(k for (e, _, _), k in space.index.items() if e not in core)
+    bad = vec[:k] + (vec[k] + Scalar(1),) + vec[k + 1 :]
+    ranks = space.coboundary_ranks(vec)
+    assert space._restrict(bad) == space._restrict(vec) and ranks[0] > ranks[1]
+    for method in (space.class_coords, space.coboundary_ranks):
+        with pytest.raises(ValueError, match="not a cocycle"):
+            method(bad)

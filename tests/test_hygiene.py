@@ -11,7 +11,8 @@ Block-triangular forms are read in one place: one raise carries the
 invariance error, and itext multiplies no edge matrix itself.  The
 window quiver's layout stays behind gradedrep: abcat names none of its
 arrows.  Every parameter of a package function is read, the instance
-aside, in all but dunder methods.
+aside, in all but dunder methods.  A private attribute read off a value
+names one its own module defines, unless the value is an imported module.
 """
 
 import ast
@@ -216,3 +217,49 @@ def test_every_parameter_is_read():
     for path in sorted(PACKAGE.glob("*.py")):
         found.extend("%s:%d %s(%s)" % (path.name, *hit) for hit in unread_parameters(parse(path)))
     assert not found, "parameters their function never reads: %s" % ", ".join(found)
+
+
+def foreign_private_reads(tree):
+    """(line, name) for every read v._name of a private name the module does not define, v not an imported module.
+
+    A module defines its def and class names, the names and attributes it
+    assigns, and the identifier strings it holds (__slots__ entries and
+    setattr names); a private name read off an imported module, such as
+    abcat._peel, is that module's own.
+    """
+    modules = {a.asname or a.name.split(".")[0] for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    modules |= {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module is None for a in n.names}
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            defined.add(node.value)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+            if name.startswith("_") and not name.startswith("__") and name not in defined:
+                if not (isinstance(node.value, ast.Name) and node.value.id in modules):
+                    yield node.lineno, name
+
+
+def test_foreign_private_reads_finds_another_modules_internals():
+    source = (
+        "from . import abcat\nimport os\nfrom .linalg import Matrix\n"
+        "class C:\n    __slots__ = ('_t',)\n    def m(self, other, space):\n        self._cache = 1\n"
+        "        return other._t, self._cache, self._helper(), abcat._peel, os._exit, space._rank_d0, Matrix._data\n"
+        "    def _helper(self):\n        return 0\n"
+    )
+    assert sorted(foreign_private_reads(ast.parse(source))) == [(8, "_data"), (8, "_rank_d0")]
+
+
+def test_no_private_attribute_of_another_module_is_read():
+    # a module reads its own private attributes only, and another module's through its public methods
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found.extend("%s:%d %s" % (path.name, *hit) for hit in foreign_private_reads(parse(path)))
+    assert not found, "private attributes read outside their module: %s" % ", ".join(found)
