@@ -229,7 +229,14 @@ def _keys_for(start_bases, n):
 
 
 def verify_key(key: CatalogKey, window, margin: int = DEFAULT_MARGIN) -> KeyResult:
-    """Run the classification pipeline for one start and length."""
+    """Run the classification pipeline for one start and length.
+
+    A matched catalog module is not peeled.  classify's non-split-steps
+    lemma certifies the built object uniserial with series
+    built.order_vector, and uniseriality and the socle series are
+    isomorphism invariants, so an isomorphism built -> cat gives both for
+    cat.  Only a key that fails the match peels cat, for its witness.
+    """
     check_window(window, [key.twist], key.n, margin)
     if key.kind == "euler":
         bases = [key.alpha, "0", "inf"]
@@ -250,7 +257,7 @@ def verify_key(key: CatalogKey, window, margin: int = DEFAULT_MARGIN) -> KeyResu
         # classify certified the built object indecomposable, so the search decides
         same = abcat.find_isomorphism(built.obj, cat) is not None
         checks.append(("isomorphic to catalog", same, "" if same else _iso_witness(built.obj, cat)))
-        uni, series = abcat.is_uniserial(cat, family)
+        uni, series = (True, built.order_vector) if same else abcat.is_uniserial(cat, family)
         checks.append(("catalog uniserial", uni, "" if uni else _socle_witness(cat, family)))
         expected = expected_factors(key)
         checks.append(

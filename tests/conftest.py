@@ -107,6 +107,26 @@ def graded_dual(m):
     )
 
 
+def fourier(m):
+    """F(M) on the negated window: F(M)_w = M_{-w}, t acting by p_{-w} and d by -t_{-w}.
+
+    F is M with the Weyl algebra acting through the Fourier automorphism
+    t -> d, d -> -t, which keeps d t - t d = 1 and sends E = t d to
+    -(E + 1).  It is a covariant self-equivalence of graded modules that
+    negates weights, so Hom(Fx, Fy) = Hom(x, y) and Ext^1(Fx, Fy) =
+    Ext^1(x, y); a map h is carried to (Fh)_w = h_{-w}.  It sends the
+    Euler module of alpha at twist s to that of -1 - alpha at twist -s,
+    and swaps the boundary labels 0 and inf with twist s -> 1 - s.
+    """
+    wmin, wmax = m.window
+    return GradedRep(
+        (-wmax, -wmin),
+        {w: m.dims[-w] for w in range(-wmax, -wmin + 1)},
+        {w: m.edge_matrix(("p", -w)) for w in range(-wmax, -wmin)},
+        {w: -m.edge_matrix(("t", -w)) for w in range(-wmax + 1, -wmin + 1)},
+    )
+
+
 def catalog_keys(n_max, twists=(0,)):
     """The Euler keys on both labels and the two word keys, for n <= n_max at each twist."""
     keys = []

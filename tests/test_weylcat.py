@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import reference_tower_cocycle
+from conftest import catalog_keys, reference_tower_cocycle
 from uniserial import abcat, species as species_mod, weylcat
 from uniserial.gradedrep import simple_rep, twist_rep, validate
 from uniserial.linalg import ZERO, Scalar, parse_scalar
@@ -180,6 +180,52 @@ def test_the_tower_builds_no_sub_object(monkeypatch):
         monkeypatch.setattr(abcat, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
     assert verify_key(CatalogKey("euler", HALF, None, 3), default_window(3)).ok
     assert calls == []
+
+
+def key_family(key, window):
+    """The simple family verify_key peels over: the key's bases at its twist."""
+    bases = [key.alpha, "0", "inf"] if key.kind == "euler" else ["0", "inf"]
+    return weyl_simple_family(bases, [key.twist], window)
+
+
+def test_catalog_modules_peel_to_their_expected_factors():
+    # the independent route verify_key no longer runs on a matched key
+    for key in catalog_keys(4, twists=(0, 1)):
+        win = default_window(key.n)
+        cat = catalog_module(key, win)
+        assert abcat.is_uniserial(cat, key_family(key, win)) == (True, expected_factors(key)), key.describe()
+
+
+def count_peels(monkeypatch):
+    calls = []
+    real = abcat.is_uniserial
+    monkeypatch.setattr(abcat, "is_uniserial", lambda x, family: calls.append(x) or real(x, family))
+    return calls
+
+
+def test_a_matched_catalog_module_is_not_peeled(monkeypatch):
+    peeled = count_peels(monkeypatch)
+    for key in (CatalogKey("euler", HALF, None, 3), replace(WORD, n=3)):
+        assert verify_key(key, default_window(3)).ok
+    assert peeled == []
+
+
+def test_an_unmatched_catalog_module_is_peeled_for_its_witness(monkeypatch):
+    for key in (CatalogKey("euler", MIXED, None, 3), replace(WORD, beta="inf", n=3)):
+        win = default_window(3)
+        passing = verify_key(key, win).checks
+        with monkeypatch.context() as m:
+            peeled = count_peels(m)
+            m.setattr(abcat, "find_isomorphism", lambda x, y: None)
+            got = verify_key(key, win).checks
+        assert len(peeled) == 1
+        (iso,) = [c for c in got if c[0] == "isomorphic to catalog"]
+        # built ≅ cat, so Hom(built, cat) has the dimension of End(cat)
+        cat = catalog_module(key, win)
+        detail = "none of the %d Hom(built, cat) basis maps is invertible" % len(abcat.hom_basis(cat, cat))
+        assert iso == ("isomorphic to catalog", False, detail)
+        # every other line, "catalog uniserial" and "factors" included, reads as on the passing key
+        assert [c for c in got if c is not iso] == [c for c in passing if c[0] != "isomorphic to catalog"]
 
 
 def test_verify_key_passes():
