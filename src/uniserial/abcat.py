@@ -23,11 +23,12 @@ Z = ker δ¹, and Ext^1(x, y) = Z / B.  _differential and _relation_rows
 build the two maps as {column: Scalar} rows of their nonzeros, reading
 each edge matrix through its kept nonzero views, over the slots, edges
 and relations they are given.  Ranks and solves read the complex of the
-source's core window, which the source states once (Rep.core_window,
-beside Rep.hom_core): hom_basis solves δ⁰ there and carries each map
-outward; since B lies in Z, dim Ext^1 and dim Hom are two ranks
-(rank_rows) of the core's δ¹ and δ⁰; and a cocycle, restricted to the
-core edges, has zero class iff rank [δ⁰ | c] = rank δ⁰ there.
+source's core window, which the source states once with the transport
+that carries a map outward from it (Rep.core_window): hom_basis solves
+δ⁰ there and carries each map outward; since B lies in Z, dim Ext^1 and
+dim Hom are two ranks (rank_rows) of the core's δ¹ and δ⁰; and a
+cocycle, restricted to the core edges, has zero class iff
+rank [δ⁰ | c] = rank δ⁰ there.
 """
 
 from __future__ import annotations
@@ -284,12 +285,15 @@ def _slot_matrices(x, y, ids, vec):
 def hom_basis(x, y):
     """Basis of the space of structure-preserving maps x -> y: ker δ⁰ in kernel_basis's canonical form.
 
-    When the source has a core (Rep.hom_core: the slots a..b, and the
-    arrows e: u -> v that carry a map outward from them, each with X_e
-    invertible), Hom is solved on the core window (Rep.core_window: the
-    slots a..b and the arrows with both ends among them) and carried
+    When the source's core window (Rep.core_window: the slots a..b, the
+    arrows with both ends among them, and the transport, the arrows
+    e: u -> v that carry a map outward from them, each with X_e
+    invertible) has a transport, Hom is solved on the core and carried
     outward.  On a GradedRep the carrying arrows are ("t", w) for
     b <= w < wmax and ("p", w) for wmin < w <= a; only x's arrows matter.
+    With nothing to carry the core is the whole quiver (a plain Rep, a
+    one-weight window, or a = wmin and b = wmax), and the full system is
+    the core's.
 
     Statement.  Restriction to the core is injective on Hom(x, y): the
     constraint h_v X_e = Y_e h_u forces h_v = Y_e h_u X_e⁻¹, so a map is
@@ -317,8 +321,8 @@ def hom_basis(x, y):
     both paths return the same basis.
     """
     _check_pair(x, y)
-    core = x.hom_core()
-    vecs = None if core is None else _hom_by_transport(x, y, core)
+    window = x.core_window()
+    vecs = _hom_by_transport(x, y, window) if window[4] else None
     if vecs is None:
         slots = _slot_layout(x, y, x.slot_ids())
         rows = [row for row in _differential(x, y, slots, x.edge_ids()) if row]
@@ -326,11 +330,10 @@ def hom_basis(x, y):
     return [Morphism(x, y, _slot_matrices(x, y, x.slot_ids(), vec), check=False) for vec in vecs]
 
 
-def _hom_by_transport(x, y, core):
-    """hom_basis's vectors by the core solve, the transport and the check, or None when a check fails."""
-    transport = core[2]
+def _hom_by_transport(x, y, window):
+    """hom_basis's vectors by the core solve, transport and check of x's core window, or None when a check fails."""
     ids = x.slot_ids()
-    inner, edges, _, checks = x.core_window()
+    inner, edges, _, checks, transport = window
     slots = _slot_layout(x, y, inner)
     rows = [row for row in _differential(x, y, slots, edges) if row]
     vecs = []
@@ -561,12 +564,12 @@ class ExtSpace:
 
     Statement.  Let x and y satisfy their relations (B ⊆ Z needs it; the
     CLI validates every graded file before building anything), and let
-    [a, b] be x.hom_core() on a GradedRep, so X_t(w) is invertible for
-    b <= w < wmax and X_p(w) for wmin < w <= a.  The core complex has the
-    slots a..b, the edges with both ends among them and the relations at
-    the weights strictly inside (a, b).  Then R induces Ext^1(x, y) ≅
+    a..b be the slots of x.core_window() on a GradedRep, so X_t(w) is
+    invertible for b <= w < wmax and X_p(w) for wmin < w <= a.  The core
+    complex has the slots a..b, the edges with both ends among them and
+    the relations at the weights strictly inside (a, b).  Then R induces Ext^1(x, y) ≅
     Z_core / B_core, and dim Hom(x, y) is the nullity of the core's δ⁰.
-    With no core (a plain Rep, a one-weight window) it is the whole complex.
+    A plain Rep and a one-weight window state their whole complex.
 
     Proof.  A correction changes by δ⁰h, c_e -> c_e + h_v X_e - Y_e h_u,
     under conjugation by [[1, h], [0, 1]].
@@ -607,7 +610,7 @@ class ExtSpace:
     def _core_dims(self):
         """(dim Ext^1, dim Hom) from the two ranks of the core complex."""
         x, y = self.x, self.y
-        slot_ids, edge_ids, relations, _ = x.core_window()
+        slot_ids, edge_ids, relations, _, _ = x.core_window()
         slots = _slot_layout(x, y, slot_ids)
         index = _edge_layout(x, y, edge_ids)
         rank_d0 = rank_rows(_differential(x, y, slots, edge_ids), len(slots))
@@ -618,7 +621,7 @@ class ExtSpace:
     def _core(self):
         """The core complex (slot count, edge layout, δ⁰ rows) for the class callers; _core_dims keeps none."""
         x, y = self.x, self.y
-        slot_ids, edge_ids, _, _ = x.core_window()
+        slot_ids, edge_ids, _, _, _ = x.core_window()
         slots = _slot_layout(x, y, slot_ids)
         return len(slots), _edge_layout(x, y, edge_ids), _differential(x, y, slots, edge_ids)
 
@@ -671,7 +674,7 @@ class ExtSpace:
         self._check_cocycle(vector)
         n, _, d0 = self._core
         rows = [{**row, n: a} if a else row for row, a in zip(d0, self._restrict(vector))]
-        return rank_rows(rows, n + 1), n - self.hom_dim()
+        return rank_rows(rows, n + 1), rank_rows(d0, n)
 
     def class_coords(self, vector):
         """Coordinates of a cocycle vector in the chosen Ext basis, solved on the core."""
@@ -845,17 +848,19 @@ class CompositionSeries:
 
 
 def _peel(x, family):
-    """Peel x one simple subobject at a time: yields (SeriesStep, socle is simple).
+    """Peel x one simple subobject at a time: yields (SeriesStep, ((label, dim Hom(simple, stage)), ...)).
 
     Each stage lists every basis map simple -> stage over the family and
-    quotients by the image of the first one.  The socle is simple exactly
-    when one map was found, and then its span is that image.  When the
-    image is the whole stage, the quotient is the zero object and the
-    projection the zero map, built without quotient_object.
+    quotients by the image of the first one.  The counts are the socle's
+    multiplicities: it is simple exactly when they sum to 1, and then its
+    span is that image.  When the image is the whole stage, the quotient
+    is the zero object and the projection the zero map, built without
+    quotient_object.
     """
     current = x
     while total_dim(current) > 0:
-        found = [(label, phi) for label, homs in _maps_from(family, current) for phi in homs]
+        maps = _maps_from(family, current)
+        found = [(label, phi) for label, homs in maps for phi in homs]
         if not found:
             raise NotFiniteLengthError("nonzero object admits no simple subobject from the family")
         label, phi = found[0]
@@ -865,7 +870,7 @@ def _peel(x, family):
             proj = zero_morphism(current, quot)
         else:
             quot, proj = quotient_object(current, spaces)
-        yield SeriesStep(label, phi, proj, current), len(found) == 1
+        yield SeriesStep(label, phi, proj, current), tuple((label, len(homs)) for label, homs in maps)
         current = quot
 
 
@@ -876,20 +881,25 @@ def composition_series(x, family) -> CompositionSeries:
     return CompositionSeries(tuple(step.label for step in reversed(steps)), steps)
 
 
-def _slot_trace(x, a, b):
-    """Slot-summed tr(a∘b) for endomorphisms a, b of x."""
-    return sum((trace_product(a.mats[s], b.mats[s]) for s in x.slot_ids()), ZERO)
+def _slot_trace(slots, a, b):
+    """tr(a∘b) summed over the slots, for endomorphisms a, b."""
+    return sum((trace_product(a.mats[s], b.mats[s]) for s in slots), ZERO)
 
 
 def end_algebra_dims(x):
-    """(dim End, dim rad End); rad End is the kernel of the trace form.
+    """(dim End, dim rad End); rad End is the kernel of the trace form on the core slots.
 
-    In characteristic zero the Jacobson radical of a matrix algebra is the
-    radical of (f, g) -> tr(f∘g), so dim rad = dim End - rank of its Gram
-    matrix on the hom_basis(x, x) basis.
+    Restriction to the slots of x.core_window() is injective on End(x)
+    (hom_basis's statement) and multiplicative, so End(x) acts faithfully
+    on V, the sum of x's spaces at those slots.  In characteristic zero the
+    kernel N of (f, g) -> tr_V(f∘g) is rad End: rad ⊆ N, since f∘g lies
+    in rad and is nilpotent for f in rad; and f in N has tr_V(f^k) = 0 for every k >= 1, so f is
+    nilpotent on V, hence in End, and the ideal N is nil.  So dim rad =
+    dim End - rank of the Gram matrix on the hom_basis(x, x) basis.
     """
+    slots = x.core_window()[0]
     endos = hom_basis(x, x)
-    gram = Matrix(len(endos), len(endos), [[_slot_trace(x, f, g) for g in endos] for f in endos])
+    gram = Matrix(len(endos), len(endos), [[_slot_trace(slots, f, g) for g in endos] for f in endos])
     return len(endos), len(endos) - rank(gram)
 
 
@@ -925,8 +935,8 @@ def is_uniserial(x, family):
     Stops at the first stage whose socle over the family is not simple.
     """
     series = []
-    for step, simple_socle in _peel(x, family):
-        if not simple_socle:
+    for step, counts in _peel(x, family):
+        if sum(n for _, n in counts) != 1:
             return False, None
         series.append(step.label)
     return True, tuple(reversed(series))

@@ -9,7 +9,7 @@ reason downstream computations insist on window margins.  A margin is
 enough because a graded module repeats itself outside a finite core of
 weights, where t and d act invertibly: there a degree-0 map is carried
 from one weight to the next, so Hom, and the verdicts read off it, do not
-change when the window grows past the core (GradedRep.hom_core).  Nor does
+change when the window grows past the core (GradedRep.core_window).  Nor does
 Ext^1: a cocycle can be gauged to zero on the outer arrows that carry maps,
 and the relations then fix it on the others, so Ext^1 is read off the
 core's complex (the proof is in the abcat.ExtSpace docstring).
@@ -59,7 +59,7 @@ class GradedRep(Rep):
     are not checked on construction; validate reports them.
     """
 
-    __slots__ = ("_core", "_window")
+    __slots__ = ("_window",)
 
     def __init__(self, window, dims, tmat, pmat):
         wmin, wmax = window
@@ -77,54 +77,34 @@ class GradedRep(Rep):
     def _matrix_name(self, arrow):
         return "%s matrix at weight %d" % arrow
 
-    def hom_core(self):
-        """(a, b, transport): the core window a < b of this module as a source of Hom, built once, with core_window.
+    def core_window(self):
+        """(slots, edges, relations, checks, transport) of the core window a < b of this module, built once.
 
         Every ("t", w) with b <= w < wmax and every ("p", w) with
-        wmin < w <= a is invertible, and transport lists them with their
-        inverses, ((arrow, inverse), ...), in the order that carries a map
-        outward from [a, b]: the t arrows from b up, then the p arrows from
-        a down.  A walk from each end of the window moves inward while the
-        next arrow is invertible, toward the pair (c, c + 1) with c the
-        window weight nearest 0; when one walk stops short, the other goes
-        on until it meets it, so [a, b] is the narrowest such core, and the
-        pair (c, c + 1) when every arrow is invertible.  Each inverse
-        computed is one the transport uses.  None on a one-weight window.
-        """
-        if not hasattr(self, "_core"):
-            core = self._find_core()
-            object.__setattr__(self, "_core", core)
-            object.__setattr__(self, "_window", self._window_of(core))
-        return self._core
-
-    def core_window(self):
-        """(slots, edges, relations, checks) of the core [a, b] of hom_core, in closed form and built with it.
-
-        The slots a..b, the arrows with both ends among them in edge_ids
-        order, ("t", w) for a <= w < b then ("p", w) for a < w <= b, the
-        commutation relations at a < w < b, the ones whose paths use those
-        arrows only, and the checks: ("t", w) for wmin <= w < a then
-        ("p", w) for b < w <= wmax, the outer arrows the transport does not
-        use.  The whole quiver on a one-weight window.
+        wmin < w <= a is invertible.  A walk from each end of the window
+        moves inward while the next arrow is invertible, toward the pair
+        (c, c + 1) with c the window weight nearest 0; when one walk stops
+        short, the other goes on until it meets it, so [a, b] is the
+        narrowest such core, and the pair (c, c + 1) when every arrow is
+        invertible.  The window is stated in closed form: the slots a..b,
+        the arrows with both ends among them in edge_ids order, ("t", w)
+        for a <= w < b then ("p", w) for a < w <= b, the commutation
+        relations at a < w < b, the ones whose paths use those arrows only,
+        and the checks: ("t", w) for wmin <= w < a then ("p", w) for
+        b < w <= wmax.  The transport lists the invertible outer arrows with
+        their inverses, ((arrow, inverse), ...), in the order that carries
+        a map outward: the t arrows from b up, then the p arrows from a
+        down; each inverse computed is one it uses.  The whole quiver, with
+        nothing to check or carry, on a one-weight window.
         """
         if not hasattr(self, "_window"):
-            self.hom_core()
+            object.__setattr__(self, "_window", self._find_core())
         return self._window
-
-    def _window_of(self, core):
-        if core is None:
-            return super().core_window()
-        a, b, _ = core
-        wmin, wmax = self.window
-        slots = self.pres.nodes[a - wmin : b - wmin + 1]
-        edges = tuple(("t", w) for w in range(a, b)) + tuple(("p", w) for w in range(a + 1, b + 1))
-        checks = tuple(("t", w) for w in range(wmin, a)) + tuple(("p", w) for w in range(b + 1, wmax + 1))
-        return slots, edges, self.pres.relation_list[a - wmin : b - wmin - 1], checks
 
     def _find_core(self):
         wmin, wmax = self.window
         if wmin == wmax:
-            return None
+            return super().core_window()
         inverses = {}
 
         def walk(kind, w, stop, step):
@@ -146,8 +126,12 @@ class GradedRep(Rep):
             a = walk("p", a, b - 1, 1)
         elif b == c + 1 and a < c:
             b = walk("t", b, a + 1, -1)
+        slots = self.pres.nodes[a - wmin : b - wmin + 1]
+        edges = tuple(("t", w) for w in range(a, b)) + tuple(("p", w) for w in range(a + 1, b + 1))
+        checks = tuple(("t", w) for w in range(wmin, a)) + tuple(("p", w) for w in range(b + 1, wmax + 1))
         outward = [("t", w) for w in range(b, wmax)] + [("p", w) for w in range(a, wmin, -1)]
-        return a, b, tuple((arrow, inverses[arrow]) for arrow in outward)
+        transport = tuple((arrow, inverses[arrow]) for arrow in outward)
+        return slots, edges, self.pres.relation_list[a - wmin : b - wmin - 1], checks, transport
 
 
 def validate(m: GradedRep):

@@ -219,27 +219,18 @@ class Rep:
     def same_space(self, other) -> bool:
         return type(other) is type(self) and self.pres == other.pres
 
-    def hom_core(self):
-        """The core through which abcat.hom_basis may solve Hom from this source, or None.
-
-        A subclass returns (a, b, transport): Hom is solved on the run of
-        slots from a to b, and transport lists ((arrow, inverse), ...), the
-        invertible arrows that carry a map outward from them, each from a
-        slot already reached.  A plain Rep has no such core.
-        """
-        return None
-
     def core_window(self):
-        """(slots, edges, relations, checks): the complex abcat solves Hom and ranks Ext^1 on, with this source.
+        """(slots, edges, relations, checks, transport): the complex abcat solves Hom and ranks Ext^1 on.
 
-        A subclass with a hom_core returns the slots a..b, the edges with
-        both ends among them, the relations whose paths use those edges
-        only, and as checks the arrows outside them that the transport of
-        hom_core does not use, on which abcat.hom_basis checks each carried
-        map.  A plain Rep returns its whole quiver, so no arrow is left to
-        check.
+        A subclass may return a core: the slots a..b, the edges with both
+        ends among them, the relations whose paths use those edges only,
+        the arrows outside them on which abcat.hom_basis checks each
+        carried map, and the transport ((arrow, inverse), ...), the
+        invertible arrows that carry a map outward from the core, each from
+        a slot already reached.  A plain Rep returns its whole quiver, with
+        nothing to check or carry.
         """
-        return self.pres.nodes, tuple(self.pres.ends), self.pres.relation_list, ()
+        return self.pres.nodes, tuple(self.pres.ends), self.pres.relation_list, (), ()
 
 
 class QuiverRep(Rep):

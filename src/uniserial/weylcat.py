@@ -285,10 +285,9 @@ def _iso_witness(built, cat) -> str:
 
 
 def _socle_witness(x, family) -> str:
-    """The first peeling stage of x whose socle is not simple, with its Hom count per simple."""
-    for depth, (step, simple_socle) in enumerate(abcat._peel(x, family)):
-        if not simple_socle:
-            counts = abcat.socle(step.stage, family).multiplicities
+    """The first peeling stage of x whose socle is not simple, with the peel's Hom count per simple."""
+    for depth, (step, counts) in enumerate(abcat._peel(x, family)):
+        if sum(n for _, n in counts) != 1:
             return "stage %d (dim %d): Hom counts %r" % (depth, abcat.total_dim(step.stage), counts)
 
 

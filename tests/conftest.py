@@ -173,19 +173,23 @@ def reference_hom_basis(x, y):
     return out
 
 
-def reference_core_window(x):
-    """(slots, edges, relations, checks) of the source's core window, found by scanning the whole quiver.
+def core_ends(x):
+    """(a, b): the first and last slot of the source's core window."""
+    slots = x.core_window()[0]
+    return slots[0], slots[-1]
 
-    The slots run from a to b of x.hom_core(), the edges are the arrows
+
+def reference_core_window(x):
+    """(slots, edges, relations, checks, transport) of the source's core window, found by scanning the whole quiver.
+
+    The slots run from a to b of core_ends(x), the edges are the arrows
     with both ends among them, the relations those whose paths use those
-    edges only, and the checks the other arrows that the transport does
-    not use, each in the quiver's order; the whole quiver and no checks
-    when x has no core.  This is the scan Rep.core_window replaced.
+    edges only, and the checks the other arrows that the transport (x's
+    own) does not use, each in the quiver's order.  This is the scan
+    Rep.core_window replaced.
     """
-    core = x.hom_core()
-    if core is None:
-        return x.slot_ids(), x.edge_ids(), x.relations(), ()
-    a, b, transport = core
+    transport = x.core_window()[4]
+    a, b = core_ends(x)
     ids = x.slot_ids()
     slots = ids[ids.index(a) : ids.index(b) + 1]
     inside = set(slots)
@@ -193,7 +197,7 @@ def reference_core_window(x):
     inner = set(edges)
     relations = tuple(rel for rel in x.relations() if all(inner.issuperset(path) for _, path in rel[2]))
     skip = inner.union(e for e, _ in transport)
-    return slots, edges, relations, tuple(e for e in x.edge_ids() if e not in skip)
+    return slots, edges, relations, tuple(e for e in x.edge_ids() if e not in skip), transport
 
 
 def polynomial_mod(p, divisor):

@@ -1,7 +1,7 @@
 """The core window each source states, against the scan of its whole quiver.
 
 Rep.core_window is the complex abcat solves Hom and ranks Ext^1 on.  A
-GradedRep states it in closed form from its hom_core: the slots a..b, the
+GradedRep states it in closed form with its transport: the slots a..b, the
 arrows ("t", w) for a <= w < b then ("p", w) for a < w <= b, the
 relations at a < w < b, and the arrows hom_basis checks carried maps on,
 ("t", w) for w < a then ("p", w) for w > b.  reference_core_window finds
@@ -14,10 +14,11 @@ import random
 
 import pytest
 
-from conftest import LABELS, catalog_keys, graded_dual, reference_core_window
+from conftest import LABELS, catalog_keys, core_ends, graded_dual, reference_core_window
 from test_hom_core import perturbed
 from uniserial.abcat import direct_sum
 from uniserial.gradedrep import GradedRep, simple_rep, validate
+from uniserial.linalg import Matrix
 from uniserial.quiverrep import KRONECKER, QuiverRep, simple_at
 from uniserial.weylcat import catalog_module, default_window, weyl_simple_family
 
@@ -45,7 +46,7 @@ def test_simples_on_windows_with_and_without_weight_zero(window):
     simples = [m for _, m in weyl_simple_family(BASES, range(-3, 4), window)]
     assert_matches_the_scan(simples)
     if 0 in range(window[0], window[1] + 1):
-        assert any(0 in (s.slot_dim(a), s.slot_dim(b)) for s in simples for a, b, _ in [s.hom_core()])
+        assert any(0 in (s.slot_dim(a), s.slot_dim(b)) for s in simples for a, b in [core_ends(s)])
 
 
 WIDE = ((("0", -3), ("inf", 2)), (("inf", -3), ("0", 1)), (("0", -2), ("0", 2)),
@@ -58,9 +59,9 @@ def test_wide_cores_carry_their_inner_relations():
     sums = [direct_sum(simple_rep(k1, s1, window), simple_rep(k2, s2, window)).obj for (k1, s1), (k2, s2) in WIDE]
     assert_matches_the_scan(sums)
     for x in sums:
-        slots, edges, relations, checks = x.core_window()
+        slots, edges, relations, checks, transport = x.core_window()
         assert len(edges) == 2 * (len(slots) - 1) and len(relations) == len(slots) - 2 >= 2
-        assert len(edges) + len(checks) + len(x.hom_core()[2]) == len(x.edge_ids())
+        assert len(edges) + len(checks) + len(transport) == len(x.edge_ids())
 
 
 def test_padded_windows():
@@ -79,22 +80,24 @@ def test_perturbed_sources():
     broken = [b for b in (perturbed(m, rng) for m in cat for _ in range(3)) if validate(b)]
     assert len(broken) >= 30
     assert_matches_the_scan(broken)
-    assert {b.hom_core()[:2] for b in broken} - {m.hom_core()[:2] for m in cat}
+    assert {core_ends(b) for b in broken} - {core_ends(m) for m in cat}
 
 
 def test_sources_without_a_core_state_the_whole_quiver():
     one = GradedRep((2, 2), {2: 1}, {}, {})
     plain = [simple_at(KRONECKER, "1"), QuiverRep(KRONECKER, {"1": 1, "2": 1}, {})]
     for x in [one] + plain:
-        assert x.hom_core() is None
-        assert x.core_window() == (x.slot_ids(), x.edge_ids(), x.relations(), ()) == reference_core_window(x)
+        assert x.core_window() == (x.slot_ids(), x.edge_ids(), x.relations(), (), ()) == reference_core_window(x)
 
 
 def test_the_window_is_built_with_the_core_and_kept():
     x = simple_rep(LABELS[0], 0, (-8, 8))
     # nothing is built on construction
-    assert not hasattr(x, "_core") and not hasattr(x, "_window")
+    assert not hasattr(x, "_window")
     window = x.core_window()
-    assert x.core_window() is window and x.hom_core()[:2] == (0, 1)
+    assert x.core_window() is window and core_ends(x) == (0, 1)
     checks = tuple(("t", w) for w in range(-8, 0)) + tuple(("p", w) for w in range(2, 9))
-    assert window == ((0, 1), (("t", 0), ("p", 1)), (), checks)
+    assert window[:4] == ((0, 1), (("t", 0), ("p", 1)), (), checks)
+    # the t arrows from b up, then the p arrows from a down, each with its inverse
+    outward = [("t", w) for w in range(1, 8)] + [("p", w) for w in range(0, -8, -1)]
+    assert [(e, inv * x.edge_matrix(e)) for e, inv in window[4]] == [(e, Matrix.identity(1)) for e in outward]

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from conftest import LABELS, FullWindowExt, catalog_keys, graded_dual
+from conftest import LABELS, FullWindowExt, catalog_keys, core_ends, graded_dual
 from test_abcat import chain_objects, loop_objects, random_hereditary_pairs
 from uniserial import abcat, weylcat
 from uniserial.abcat import ExtSpace, direct_sum
@@ -70,7 +70,7 @@ def test_catalog_pairs_and_their_duals_match_the_full_complex():
 @pytest.mark.parametrize("window,core", [((3, 9), (3, 4)), ((-9, -3), (-4, -3))])
 def test_windows_with_every_arrow_invertible_match_the_full_complex(window, core):
     objs = [simple_rep(alpha, twist, window) for alpha in LABELS for twist in range(-2, 3)]
-    assert all(m.hom_core()[:2] == core for m in objs)
+    assert all(core_ends(m) == core for m in objs)
     assert len(nonzero_with_reps(checked_spaces((x, y) for x in objs for y in objs))) == len(objs)
 
 
@@ -124,7 +124,7 @@ def test_dimensions_build_no_full_window_system_and_rank_no_wider_than_the_core(
         space = ExtSpace(x, y)
         dims = (space.dim(), space.hom_dim())
         assert not {"index", "nvars", "nslots", "_d0", "_d1"} & set(vars(space))
-        slots, edges, _, _ = x.core_window()
+        slots, edges = x.core_window()[:2]
         core_cols = max(len(abcat._slot_layout(x, y, slots)), len(abcat._edge_layout(x, y, edges)))
         # one rank of δ⁰ and one of δ¹, both on the core, for the two dimensions
         assert len(widths) == 2 and max(widths) <= core_cols, (widths, core_cols)
@@ -211,7 +211,7 @@ def test_class_callers_match_the_full_window_on_plain_reps():
     rng = random.Random(67)
     pairs = [pair for _, _, x, y in random_hereditary_pairs() for pair in ((x, y), (y, x), (x, x))]
     pairs += [(a, b) for objs in (loop_objects(), chain_objects()) for a in objs for b in objs]
-    assert all(x.hom_core() is None for x, _ in pairs)
+    assert all(x.core_window()[4] == () for x, _ in pairs)
     verdicts = [classes_match_the_full_window(ExtSpace(x, y), rng) for x, y in pairs]
     assert sum(map(any, verdicts)) >= 10
 

@@ -1,6 +1,6 @@
 """hom_basis on the source's core window, against the full δ⁰ system.
 
-A graded source solves Hom on its core (GradedRep.hom_core), carries each
+A graded source solves Hom on its core (GradedRep.core_window), carries each
 map outward along its invertible outer arrows, checks the carried maps and
 puts them in kernel_basis's canonical form.  reference_hom_basis builds the
 whole constraint system directly, so every comparison below is entry for
@@ -12,11 +12,13 @@ import random
 
 import pytest
 
-from conftest import LABELS, catalog_keys, graded_dual, reference_hom_basis
+from conftest import LABELS, catalog_keys, core_ends, graded_dual, reference_hom_basis
+from test_abcat import chain_objects, loop_objects, random_hereditary_pairs
+from test_ext_core import wide_core_sources
 from uniserial import abcat
-from uniserial.abcat import hom_basis
+from uniserial.abcat import direct_sum, hom_basis, total_dim
 from uniserial.gradedrep import GradedRep, simple_rep, validate
-from uniserial.linalg import Matrix, Scalar
+from uniserial.linalg import ZERO, Matrix, Scalar, rank, trace_product
 from uniserial.quiverrep import KRONECKER, simple_at
 from uniserial.weylcat import CatalogKey, catalog_module, default_window
 
@@ -27,8 +29,8 @@ def core_calls(monkeypatch):
     calls = []
     real = abcat._hom_by_transport
 
-    def record(x, y, core):
-        calls.append(real(x, y, core))
+    def record(x, y, window):
+        calls.append(real(x, y, window))
         return calls[-1]
 
     monkeypatch.setattr(abcat, "_hom_by_transport", record)
@@ -48,7 +50,7 @@ def test_core_path_matches_the_full_system_on_the_catalog(core_calls):
     assert_matches_full_system((x, y) for x in objs for y in objs)
     # modules that satisfy their relations never fall back
     assert len(core_calls) == len(objs) ** 2 and None not in core_calls
-    assert {x.hom_core()[:2] for x in objs} == {(-2, -1), (-1, 0), (0, 1)}
+    assert {core_ends(x) for x in objs} == {(-2, -1), (-1, 0), (0, 1)}
 
 
 def test_core_path_matches_the_full_system_on_duals_and_boundary_simples(core_calls):
@@ -57,7 +59,7 @@ def test_core_path_matches_the_full_system_on_duals_and_boundary_simples(core_ca
     duals = [graded_dual(m) for m in cat]
     # the boundary simples are zero on half the window, so their cores have zero-dimensional slots
     simples = [simple_rep(base, twist, window) for base in LABELS + ("0", "inf") for twist in (-1, 0, 1)]
-    assert any(0 in (s.slot_dim(a), s.slot_dim(b)) for s in simples for a, b, _ in [s.hom_core()])
+    assert any(0 in (s.slot_dim(a), s.slot_dim(b)) for s in simples for a, b in [core_ends(s)])
     objs = cat + duals + simples
     assert_matches_full_system((x, y) for x in objs for y in objs)
     assert None not in core_calls
@@ -68,7 +70,7 @@ def test_sources_with_every_arrow_invertible_take_two_adjacent_weights_inside_th
     # the two walks cross: the core is the pair nearest weight 0, clamped to the window's edges
     objs = [simple_rep(alpha, twist, window) for alpha in LABELS for twist in (-1, 0, 1)]
     objs += [catalog_module(CatalogKey("euler", alpha, None, 2), (-6, 6)) for alpha in LABELS if window == (-6, 6)]
-    assert all(m.hom_core()[:2] == core for m in objs)
+    assert all(core_ends(m) == core for m in objs)
     assert_matches_full_system((x, y) for x in objs for y in objs)
     assert None not in core_calls
 
@@ -104,7 +106,7 @@ def test_window_growth_changes_neither_hom_nor_the_core():
             for window in ((lo, hi), (lo - 2, hi + 2)):
                 x, y = catalog_module(x_key, window), catalog_module(y_key, window)
                 dims.add(len(hom_basis(x, y)))
-                cores.add(x.hom_core()[:2])
+                cores.add(core_ends(x))
             assert len(dims) == len(cores) == 1, (x_key, y_key, dims, cores)
 
 
@@ -126,6 +128,35 @@ def test_end_of_the_longest_euler_module_solves_no_system_wider_than_its_core(mo
     assert homs == reference_hom_basis(x, x) and len(homs) == 3
 
 
-def test_plain_reps_and_one_weight_windows_have_no_core():
-    assert simple_at(KRONECKER, "1").hom_core() is None
-    assert GradedRep((2, 2), {2: 1}, {}, {}).hom_core() is None
+def all_slot_end_dims(x):
+    """(dim End, dim rad End) from the trace form summed over every slot of x."""
+    endos = hom_basis(x, x)
+    n = len(endos)
+
+    def trace(f, g):
+        return sum((trace_product(f.mats[s], g.mats[s]) for s in x.slot_ids()), ZERO)
+
+    return n, n - rank(Matrix(n, n, [[trace(f, g) for g in endos] for f in endos]))
+
+
+def test_the_end_certificate_on_the_core_slots_matches_the_all_slot_trace_form():
+    # End(x) acts faithfully on its core slots, so the trace form there has the same radical
+    cat = [catalog_module(key, default_window(4)) for key in catalog_keys(4)]
+    rng = random.Random(17)
+    small = [catalog_module(key, default_window(3)) for key in catalog_keys(3)]
+    broken = [b for b in (perturbed(m, rng) for m in small for _ in range(3)) if validate(b)]
+    sums = [direct_sum(x, y).obj for x, y in zip(cat, cat[1:4] + cat[8:12])] + wide_core_sources((-8, 8))
+    plain = [obj for *_, x, y in random_hereditary_pairs() for obj in (x, y)] + loop_objects() + chain_objects()
+    objs = [x for x in cat + [graded_dual(m) for m in cat] + broken + sums + plain if total_dim(x)]
+    dims = [abcat.end_algebra_dims(x) for x in objs]
+    assert dims == [all_slot_end_dims(x) for x in objs]
+    # local and split objects, with and without a radical
+    assert {(end - rad == 1, rad > 0) for end, rad in dims} == {(a, b) for a in (True, False) for b in (True, False)}
+
+
+def test_plain_reps_and_one_weight_windows_have_no_core(core_calls):
+    # their core window is the whole quiver, with nothing to carry, so hom_basis solves the full system
+    for x in (simple_at(KRONECKER, "1"), GradedRep((2, 2), {2: 1}, {}, {})):
+        assert x.core_window()[3:] == ((), ())
+        assert_matches_full_system([(x, x)])
+    assert core_calls == []

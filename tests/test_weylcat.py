@@ -372,6 +372,18 @@ def test_isomorphism_and_socle_witnesses_on_a_split_catalog(monkeypatch):
     )
 
 
+def test_the_socle_witness_reads_the_peels_own_counts(monkeypatch):
+    # the failing stage's Hom counts come from the peel, so no socle is built again
+    win = default_window(2)
+    split = abcat.direct_sum(simple_rep("0", 0, win), simple_rep("inf", 0, win)).obj
+    monkeypatch.setattr(weylcat, "catalog_module", lambda key, window, margin=2: split)
+    socles = []
+    real = abcat.socle
+    monkeypatch.setattr(abcat, "socle", lambda x, family: socles.append(x) or real(x, family))
+    assert "catalog uniserial" in failed(verify_key(WORD, win))
+    assert socles == []
+
+
 def test_classifier_factors_witness_gives_the_two_series(monkeypatch):
     monkeypatch.setattr(weylcat, "expected_factors", lambda key: ("inf@0", "0@0"))
     got = failed(verify_key(WORD, default_window(2)))

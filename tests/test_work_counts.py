@@ -3,7 +3,9 @@
 Each count is taken by wrapping a function for the length of one run:
 Matrix products (Matrix.__mul__), the systems handed to the two
 elimination kernels (linalg._rref_rows and linalg._rank_rows calls, and
-their rows * cols cells), and the hom_basis and is_uniserial calls.
+their rows * cols cells), the hom_basis and is_uniserial calls, the
+ExtSpaces built, the core windows built (GradedRep._find_core) and the
+trace_product calls of the End certificate.
 These counts are the same on every run and under every PYTHONHASHSEED,
 so they show a change of work that a timing on a noisy host cannot.  Scalar results are left out: how many
 _reduced calls a run makes depends on what earlier calls left cached.
@@ -15,7 +17,7 @@ prints the table in the form of PINNED below.
 import pytest
 
 from uniserial import abcat, linalg
-from uniserial.gradedrep import simple_rep
+from uniserial.gradedrep import GradedRep, simple_rep
 from uniserial.linalg import parse_scalar
 from uniserial.weylcat import verify_theorem
 
@@ -27,6 +29,9 @@ COUNTS = (
     "_rank_rows cells",
     "hom_basis calls",
     "is_uniserial calls",
+    "ExtSpaces built",
+    "core builds",
+    "trace_product calls",
 )
 LABELS = (parse_scalar("1/2"), parse_scalar("1/3+1/2*i"))
 
@@ -54,9 +59,9 @@ WORKLOADS = {
 }
 
 PINNED = {
-    "verify_theorem(4) pad 0": (5818, 883, 45501, 843, 2031, 32, 0),
-    "verify_theorem(4) pad 12": (16330, 2035, 206901, 1803, 4503, 32, 0),
-    "ext_table 160 dims": (0, 34, 0, 320, 288, 0, 0),
+    "verify_theorem(4) pad 0": (5818, 883, 45501, 837, 2031, 32, 0, 158, 70, 160),
+    "verify_theorem(4) pad 12": (16330, 2035, 206901, 1797, 4503, 32, 0, 158, 70, 160),
+    "ext_table 160 dims": (0, 34, 0, 320, 288, 0, 0, 160, 8, 0),
 }
 
 
@@ -81,6 +86,9 @@ def count_work(run):
             mp.setattr(linalg, kernel, counted(kernel + " calls", real, kernel + " cells"))
         mp.setattr(abcat, "hom_basis", counted("hom_basis calls", abcat.hom_basis))
         mp.setattr(abcat, "is_uniserial", counted("is_uniserial calls", abcat.is_uniserial))
+        mp.setattr(abcat.ExtSpace, "__init__", counted("ExtSpaces built", abcat.ExtSpace.__init__))
+        mp.setattr(GradedRep, "_find_core", counted("core builds", GradedRep._find_core))
+        mp.setattr(abcat, "trace_product", counted("trace_product calls", abcat.trace_product))
         run()
     return tuple(counts[name] for name in COUNTS)
 
