@@ -25,10 +25,10 @@ each edge matrix through its kept nonzero views, over the slots, edges
 and relations they are given.  Ranks and solves read the complex of the
 source's core window, which the source states once with the transport
 that carries a map outward from it (Rep.core_window): hom_basis solves
-δ⁰ there and carries each map outward; since B lies in Z, dim Ext^1 and
-dim Hom are two ranks (rank_rows) of the core's δ¹ and δ⁰; and a
-cocycle, restricted to the core edges, has zero class iff
-rank [δ⁰ | c] = rank δ⁰ there.
+δ⁰ there and carries each map outward; the End certificate solves it
+there and carries nothing; since B lies in Z, dim Ext^1 and dim Hom are
+two ranks (rank_rows) of the core's δ¹ and δ⁰; and a cocycle, restricted
+to the core edges, has zero class iff rank [δ⁰ | c] = rank δ⁰ there.
 """
 
 from __future__ import annotations
@@ -322,23 +322,25 @@ def hom_basis(x, y):
     """
     _check_pair(x, y)
     window = x.core_window()
-    vecs = _hom_by_transport(x, y, window) if window[4] else None
-    if vecs is None:
-        slots = _slot_layout(x, y, x.slot_ids())
-        rows = [row for row in _differential(x, y, slots, x.edge_ids()) if row]
-        vecs = kernel_basis(_dense(rows, len(slots)))
-    return [Morphism(x, y, _slot_matrices(x, y, x.slot_ids(), vec), check=False) for vec in vecs]
+    maps = _hom_by_transport(x, y, window) if window[4] else None
+    if maps is None:
+        maps = _core_maps(x, y, x.slot_ids(), x.edge_ids())
+    return [Morphism(x, y, h, check=False) for h in maps]
+
+
+def _core_maps(x, y, ids, edges):
+    """The {slot: matrix} maps x -> y over the slots ids of kernel_basis's basis of δ⁰ on the edges."""
+    slots = _slot_layout(x, y, ids)
+    rows = [row for row in _differential(x, y, slots, edges) if row]
+    return [_slot_matrices(x, y, ids, vec) for vec in kernel_basis(_dense(rows, len(slots)))]
 
 
 def _hom_by_transport(x, y, window):
-    """hom_basis's vectors by the core solve, transport and check of x's core window, or None when a check fails."""
+    """hom_basis's maps by the core solve, transport and check of x's core window, or None when a check fails."""
     ids = x.slot_ids()
     inner, edges, _, checks, transport = window
-    slots = _slot_layout(x, y, inner)
-    rows = [row for row in _differential(x, y, slots, edges) if row]
     vecs = []
-    for vec in kernel_basis(_dense(rows, len(slots))):
-        h = _slot_matrices(x, y, inner, vec)
+    for h in _core_maps(x, y, inner, edges):
         for e, inv in transport:
             u, v = x.edge_ends(e)
             h[v] = y.edge_matrix(e) * h[u] * inv
@@ -346,12 +348,8 @@ def _hom_by_transport(x, y, window):
             u, v = x.edge_ends(e)
             if h[v] * x.edge_matrix(e) != y.edge_matrix(e) * h[u]:
                 return None
-        vec = []
-        for s in ids:
-            for i in range(h[s].rows):
-                vec.extend(h[s].row(i))
-        vecs.append(vec)
-    return _kernel_form(vecs)
+        vecs.append([a for s in ids for i in range(h[s].rows) for a in h[s].row(i)])
+    return [_slot_matrices(x, y, ids, vec) for vec in _kernel_form(vecs)]
 
 
 def _kernel_form(vecs):
@@ -557,8 +555,10 @@ class ExtSpace:
     B = im δ⁰ lies inside Z = ker δ¹, since conjugating the split extension
     keeps every relation, so dim Ext^1 = dim Z - dim B.  By the statement
     below, every rank and solve reads the complex of the core window
-    (x.core_window()) through R, which takes a full-window vector (layout
-    index) to its core-edge entries.  Only _cocycles, the kernel basis of
+    (x.core_window()), built once by the constructor, through R, which
+    takes a full-window vector (layout index) to its core-edge entries.
+    The dimensions rank its δ⁰ and δ¹; the class callers read its δ⁰ and
+    edge layout.  Only _cocycles, the kernel basis of
     δ¹, eliminates on the full window; reps are the cocycles, in order,
     whose R images extend_basis picks over the core's coboundary basis.
 
@@ -605,25 +605,18 @@ class ExtSpace:
         _check_pair(x, y)
         self.x = x
         self.y = y
+        slot_ids, edge_ids, relations, _, _ = x.core_window()
+        slots = _slot_layout(x, y, slot_ids)
+        # the core complex: (slot count, edge layout, δ⁰ rows, relations)
+        self._complex = len(slots), _edge_layout(x, y, edge_ids), _differential(x, y, slots, edge_ids), relations
 
     @cached_property
     def _core_dims(self):
         """(dim Ext^1, dim Hom) from the two ranks of the core complex."""
-        x, y = self.x, self.y
-        slot_ids, edge_ids, relations, _, _ = x.core_window()
-        slots = _slot_layout(x, y, slot_ids)
-        index = _edge_layout(x, y, edge_ids)
-        rank_d0 = rank_rows(_differential(x, y, slots, edge_ids), len(slots))
-        rank_d1 = rank_rows(_relation_rows(x, y, index, relations), len(index))
-        return len(index) - rank_d1 - rank_d0, len(slots) - rank_d0
-
-    @cached_property
-    def _core(self):
-        """The core complex (slot count, edge layout, δ⁰ rows) for the class callers; _core_dims keeps none."""
-        x, y = self.x, self.y
-        slot_ids, edge_ids, _, _, _ = x.core_window()
-        slots = _slot_layout(x, y, slot_ids)
-        return len(slots), _edge_layout(x, y, edge_ids), _differential(x, y, slots, edge_ids)
+        n, index, d0, relations = self._complex
+        rank_d0 = rank_rows(d0, n)
+        rank_d1 = rank_rows(_relation_rows(self.x, self.y, index, relations), len(index))
+        return len(index) - rank_d1 - rank_d0, n - rank_d0
 
     @cached_property
     def index(self):
@@ -644,12 +637,12 @@ class ExtSpace:
     @cached_property
     def _core_cobounds(self):
         """The canonical basis of B_core, of the columns of the core's δ⁰."""
-        n, index, d0 = self._core
+        n, index, d0, _ = self._complex
         return column_space_basis(_dense(d0, n).columns(), len(index))
 
     def _restrict(self, vector):
         """R: the vector's entries on the core edges, in the core's edge order."""
-        return tuple(vector[self.index[key]] for key in self._core[1])
+        return tuple(vector[self.index[key]] for key in self._complex[1])
 
     def _check_cocycle(self, vector):
         """Raise unless δ¹ vector = 0 on the whole window: R does not see the relations outside the core."""
@@ -661,7 +654,7 @@ class ExtSpace:
         """The cocycles, in order, whose R images complete B_core: one per class."""
         # extend_basis reads a column's first len(index) entries, so each cocycle rides behind its image
         rides = [self._restrict(z) + (z,) for z in self._cocycles]
-        return [v[-1] for v in extend_basis(self._core_cobounds, rides, len(self._core[1]))]
+        return [v[-1] for v in extend_basis(self._core_cobounds, rides, len(self._complex[1]))]
 
     def dim(self) -> int:
         return self._core_dims[0]
@@ -672,7 +665,7 @@ class ExtSpace:
     def coboundary_ranks(self, vector):
         """(rank [δ⁰_core | R vector], rank δ⁰_core): a cocycle's class is nonzero iff the first is larger."""
         self._check_cocycle(vector)
-        n, _, d0 = self._core
+        n, _, d0, _ = self._complex
         rows = [{**row, n: a} if a else row for row, a in zip(d0, self._restrict(vector))]
         return rank_rows(rows, n + 1), rank_rows(d0, n)
 
@@ -682,7 +675,7 @@ class ExtSpace:
             return tuple([ZERO] * self.dim())
         self._check_cocycle(vector)
         cobounds = self._core_cobounds
-        aug = Matrix.from_columns(cobounds + [self._restrict(rep) for rep in self.reps], len(self._core[1]))
+        aug = Matrix.from_columns(cobounds + [self._restrict(rep) for rep in self.reps], len(self._complex[1]))
         return tuple(solve(aug, self._restrict(vector))[len(cobounds) :])
 
     def cocycle_vector(self, blocks):
@@ -881,13 +874,8 @@ def composition_series(x, family) -> CompositionSeries:
     return CompositionSeries(tuple(step.label for step in reversed(steps)), steps)
 
 
-def _slot_trace(slots, a, b):
-    """tr(a∘b) summed over the slots, for endomorphisms a, b."""
-    return sum((trace_product(a.mats[s], b.mats[s]) for s in slots), ZERO)
-
-
 def end_algebra_dims(x):
-    """(dim End, dim rad End); rad End is the kernel of the trace form on the core slots.
+    """(dim End, dim rad End): the trace form of End(x) on its core slots, solved there and carried nowhere.
 
     Restriction to the slots of x.core_window() is injective on End(x)
     (hom_basis's statement) and multiplicative, so End(x) acts faithfully
@@ -895,12 +883,20 @@ def end_algebra_dims(x):
     kernel N of (f, g) -> tr_V(f∘g) is rad End: rad ⊆ N, since f∘g lies
     in rad and is nilpotent for f in rad; and f in N has tr_V(f^k) = 0 for every k >= 1, so f is
     nilpotent on V, hence in End, and the ideal N is nil.  So dim rad =
-    dim End - rank of the Gram matrix on the hom_basis(x, x) basis.
+    dim End - rank of the Gram matrix, on any basis of the core parts.
+    When x satisfies its relations the carried core maps pass hom_basis's
+    check ("Why the check passes", y = x), so restriction maps End(x) onto
+    ker δ⁰ on the core, and kernel_basis's basis of it is such a basis.
+    When x breaks a relation a core map may not extend and the core
+    nullity may exceed dim End, so the whole quiver is solved.
     """
-    slots = x.core_window()[0]
-    endos = hom_basis(x, x)
-    gram = Matrix(len(endos), len(endos), [[_slot_trace(slots, f, g) for g in endos] for f in endos])
-    return len(endos), len(endos) - rank(gram)
+    slots, edges, _, _, transport = x.core_window()
+    if transport and x.violations():
+        slots, edges = x.slot_ids(), x.edge_ids()
+    endos = _core_maps(x, x, slots, edges)
+    n = len(endos)
+    gram = Matrix(n, n, [[sum((trace_product(f[s], g[s]) for s in slots), ZERO) for g in endos] for f in endos])
+    return n, n - rank(gram)
 
 
 def is_indecomposable(x):

@@ -5,14 +5,22 @@ direction of maps, so it checks the same answers from the other side of
 the weight line.
 """
 
+import random
 from dataclasses import replace
 
-from conftest import LABELS, catalog_keys, fourier
-from uniserial import abcat
+from conftest import LABELS, FullWindowExt, catalog_keys, fourier
+from uniserial import abcat, weylcat
 from uniserial.abcat import ExtSpace, Morphism
-from uniserial.gradedrep import validate
-from uniserial.linalg import ONE, format_scalar, parse_scalar
-from uniserial.weylcat import CatalogKey, catalog_module, default_window, normalize_alpha, weyl_simple_family
+from uniserial.gradedrep import simple_rep, validate
+from uniserial.linalg import ONE, ZERO, Scalar, format_scalar, parse_scalar
+from uniserial.weylcat import (
+    CatalogKey,
+    catalog_module,
+    default_window,
+    normalize_alpha,
+    verify_theorem,
+    weyl_simple_family,
+)
 
 SIMPLE_BASES = LABELS + ("0", "inf")
 
@@ -93,3 +101,52 @@ def test_fourier_swaps_the_word_modules():
                 image = fourier(catalog_module(key, win))
                 assert abcat.find_isomorphism(image, catalog_module(fourier_key(key), win)), key.describe()
                 assert not abcat.find_isomorphism(image, catalog_module(replace(key, twist=1 - twist), win))
+
+
+def fourier_cocycle(space, vec):
+    """(ExtSpace(Fx, Fy), F of the cocycle vector): F relabels a correction as it does an edge matrix.
+
+    The middle object of c has edge matrices [[Y_e, c_e], [0, X_e]], so F
+    of it has the correction c_("p", -w) at ("t", w) and -c_("t", -w) at
+    ("p", w), and it is the extension of Fx by Fy.
+    """
+    fspace = ExtSpace(fourier(space.x), fourier(space.y))
+    flip = {"t": ("p", ONE), "p": ("t", -ONE)}
+    fvec = [ZERO] * fspace.nvars
+    for ((kind, w), i, j), k in fspace.index.items():
+        old, sign = flip[kind]
+        fvec[k] = sign * vec[space.index[((old, -w), i, j)]]
+    return fspace, tuple(fvec)
+
+
+def test_fourier_keeps_the_zero_class_verdicts_of_the_towers():
+    # the tower, the tower plus a coboundary and a pure coboundary; coboundary_ranks
+    # also checks that each image is a cocycle on the whole negated window
+    rng = random.Random(71)
+    verdicts = []
+    for alpha in LABELS:
+        for n in range(2, 5):
+            key = CatalogKey("euler", alpha, None, n)
+            window = default_window(n)
+            big, simple = catalog_module(key, window), simple_rep(alpha, 0, window)
+            space, vec = weylcat._tower_cocycle(key, big, simple, window, 2)
+            full = FullWindowExt(space)
+            cob = full.coboundary([Scalar(rng.randint(-2, 2)) for _ in range(full.nslots)])
+            for v in (vec, tuple(a + b for a, b in zip(vec, cob)), cob):
+                fspace, fv = fourier_cocycle(space, v)
+                ranks, franks = space.coboundary_ranks(v), fspace.coboundary_ranks(fv)
+                assert (ranks[0] > ranks[1]) == (franks[0] > franks[1]), (key.describe(), v)
+                verdicts.append(ranks[0] > ranks[1])
+    assert verdicts == [True, True, False] * 6
+
+
+def test_verify_theorem_passes_on_the_labels_and_on_their_fourier_images():
+    # 1/2 -> 1/2 and 1/3+1/2*i -> 2/3-1/2*i; the two runs make the same checks on each key
+    images = tuple(fourier_key(CatalogKey("euler", alpha, None, 1)).alpha for alpha in LABELS)
+    assert [format_scalar(a) for a in images] == ["1/2", "2/3-1/2*i"]
+    names = []
+    for alphas in (LABELS, images):
+        report = verify_theorem(3, alphas=alphas)
+        assert report.ok, report.failures()
+        names.append([(r.key.kind, r.key.n, [name for name, _, _ in r.checks]) for r in report.results])
+    assert names[0] == names[1] and len(names[0]) == 12

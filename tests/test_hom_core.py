@@ -5,7 +5,8 @@ map outward along its invertible outer arrows, checks the carried maps and
 puts them in kernel_basis's canonical form.  reference_hom_basis builds the
 whole constraint system directly, so every comparison below is entry for
 entry.  A recorder on abcat._hom_by_transport tells whether a call took the
-core path or fell back to the full system.
+core path or fell back to the full system.  The End certificate solves the
+core alone and carries nothing, unless its source breaks a relation.
 """
 
 import random
@@ -152,6 +153,48 @@ def test_the_end_certificate_on_the_core_slots_matches_the_all_slot_trace_form()
     assert dims == [all_slot_end_dims(x) for x in objs]
     # local and split objects, with and without a radical
     assert {(end - rad == 1, rad > 0) for end, rad in dims} == {(a, b) for a in (True, False) for b in (True, False)}
+
+
+def end_certificate_systems(monkeypatch, x):
+    """(end_algebra_dims(x), the widths of the systems it hands to kernel_basis, its hom_basis and transport calls)."""
+    widths, calls = [], []
+    real = abcat.kernel_basis
+
+    def counted(m):
+        widths.append(m.cols)
+        return real(m)
+
+    monkeypatch.setattr(abcat, "kernel_basis", counted)
+    for name in ("hom_basis", "_hom_by_transport"):
+        monkeypatch.setattr(abcat, name, lambda *args, name=name: calls.append(name))
+    dims = abcat.end_algebra_dims(x)
+    monkeypatch.undo()
+    return dims, widths, calls
+
+
+def test_the_end_certificate_solves_the_core_and_carries_nothing(monkeypatch):
+    # End of the n = 3 Euler module on (-7, 7) is one system on two weights
+    # of 3 x 3 maps; the wide-core source's core carries relations
+    euler = catalog_module(CatalogKey("euler", LABELS[0], None, 3), (-7, 7))
+    wide = wide_core_sources((-8, 8))[0]
+    assert wide.core_window()[2]
+    for x, cols, end in ((euler, 18, (3, 2)), (wide, 22, all_slot_end_dims(wide))):
+        slots, _, _, _, transport = x.core_window()
+        assert transport and validate(x) == []
+        dims, widths, calls = end_certificate_systems(monkeypatch, x)
+        assert calls == [] and widths == [cols] and dims == end
+        assert cols == len(abcat._slot_layout(x, x, slots)) < len(abcat._slot_layout(x, x, x.slot_ids()))
+
+
+def test_the_end_certificate_of_a_source_that_breaks_a_relation_solves_the_whole_quiver(monkeypatch):
+    # a core map of this source does not extend, so the core nullity (ExtSpace.hom_dim) exceeds dim End
+    rng = random.Random(17)
+    cat = [catalog_module(key, default_window(3)) for key in catalog_keys(3)]
+    broken = [b for b in (perturbed(m, rng) for m in cat for _ in range(3)) if validate(b)]
+    x = next(b for b in broken if abcat.ExtSpace(b, b).hom_dim() > len(hom_basis(b, b)))
+    dims, widths, calls = end_certificate_systems(monkeypatch, x)
+    assert calls == [] and widths == [len(abcat._slot_layout(x, x, x.slot_ids()))]
+    assert dims == all_slot_end_dims(x)
 
 
 def test_plain_reps_and_one_weight_windows_have_no_core(core_calls):

@@ -1,5 +1,9 @@
 """Exact work counts of fixed workloads, pinned as the digests pin reports.
 
+The workloads are verify_theorem(4) at pads 0 and 12, the 160 ext_table
+dims, and one pass of the benchmark's verify workload at seed 1, built by
+bench/workloads.py itself.
+
 Each count is taken by wrapping a function for the length of one run:
 Matrix products (Matrix.__mul__), the systems handed to the two
 elimination kernels (linalg._rref_rows and linalg._rank_rows calls, and
@@ -11,12 +15,18 @@ so they show a change of work that a timing on a noisy host cannot.  Scalar resu
 _reduced calls a run makes depends on what earlier calls left cached.
 
 A change that moves a count re-pins it.  `python tests/test_work_counts.py`
-prints the table in the form of PINNED below.
+prints the table in the form of PINNED below, then each cell that differs
+from PINNED as old -> new.
 """
+
+import importlib
+import importlib.util
+import random
+from pathlib import Path
 
 import pytest
 
-from uniserial import abcat, linalg
+from uniserial import abcat, linalg, weylcat
 from uniserial.gradedrep import GradedRep, simple_rep
 from uniserial.linalg import parse_scalar
 from uniserial.weylcat import verify_theorem
@@ -52,16 +62,36 @@ def ext_table():
                 abcat.ExtSpace(a, y).dim()
 
 
+WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bench_verify_pass():
+    """One pass of the benchmark's seed-1 verify workload: the 12 keys n <= 3 on labels 1/3 and 1/3+1/3*i."""
+    ops, pass_check = load_workloads().build("verify", {"weylcat": weylcat, "linalg": linalg}, random.Random(1), None)
+    assert [op.label for op in ops[:2]] == ["euler 1/3 n=1 twist=0", "euler 1/3+1/3*i n=1 twist=0"]
+    outcomes = [op.judge(op.run()) for op in ops]
+    assert outcomes == ["ok"] * 12 and pass_check(outcomes) == []
+
+
 WORKLOADS = {
     "verify_theorem(4) pad 0": lambda: verify_pass(0),
     "verify_theorem(4) pad 12": lambda: verify_pass(12),
     "ext_table 160 dims": ext_table,
+    "bench verify seed 1": bench_verify_pass,
 }
 
 PINNED = {
-    "verify_theorem(4) pad 0": (5818, 883, 45501, 837, 2031, 32, 0, 158, 70, 160),
-    "verify_theorem(4) pad 12": (16330, 2035, 206901, 1797, 4503, 32, 0, 158, 70, 160),
+    "verify_theorem(4) pad 0": (4554, 867, 41826, 837, 2031, 16, 0, 158, 70, 160),
+    "verify_theorem(4) pad 12": (12762, 2019, 197730, 1797, 4503, 16, 0, 158, 70, 160),
     "ext_table 160 dims": (0, 34, 0, 320, 288, 0, 0, 160, 8, 0),
+    "bench verify seed 1": (2664, 477, 12240, 505, 863, 12, 0, 106, 46, 80),
 }
 
 
@@ -99,8 +129,13 @@ def test_work_counts_are_pinned(name):
 
 
 if __name__ == "__main__":
+    table = {name: count_work(run) for name, run in WORKLOADS.items()}
     print("PINNED = {")
-    for name, run in WORKLOADS.items():
-        print("    %r: %r," % (name, count_work(run)))
+    for name, counts in table.items():
+        print("    %r: %r," % (name, counts))
     print("}")
     print("# columns: %s" % ", ".join(COUNTS))
+    for name, counts in table.items():
+        for count, old, new in zip(COUNTS, PINNED.get(name, (None,) * len(COUNTS)), counts):
+            if old != new:
+                print("# %s, %s: %s -> %s" % (name, count, old, new))
