@@ -447,29 +447,25 @@ def unglue(x, bases, sizes):
     return block
 
 
-def part_maps(obj, parts, k):
-    """(inclusion parts[k] -> obj, projection obj -> parts[k]) of part k of obj = glue(parts, ...).
+def part_map(obj, parts, k, inclusion):
+    """The inclusion parts[k] -> obj, or else the projection obj -> parts[k], of part k of obj = glue(parts, ...).
 
     Built unchecked: the inclusion is a morphism when block column k has
     no correction, the projection when block row k has none.  Any
     consecutive run of parts may stand as one part.
     """
-    part = parts[k]
-    inc = {}
-    proj = {}
+    part, mats = parts[k], {}
     for s in obj.slot_ids():
         d, w = obj.slot_dim(s), part.slot_dim(s)
         lo = sum(p.slot_dim(s) for p in parts[:k])
-        inc[s] = Matrix(d, w, [[ONE if i == lo + j else ZERO for j in range(w)] for i in range(d)])
-        proj[s] = Matrix(w, d, [[ONE if j == lo + i else ZERO for j in range(d)] for i in range(w)])
-    return Morphism(part, obj, inc, check=False), Morphism(obj, part, proj, check=False)
+        mats[s] = (Matrix(d, w, [[ONE if i == lo + j else ZERO for j in range(w)] for i in range(d)]) if inclusion
+                   else Matrix(w, d, [[ONE if j == lo + i else ZERO for j in range(d)] for i in range(w)]))
+    return Morphism(part, obj, mats, check=False) if inclusion else Morphism(obj, part, mats, check=False)
 
 
 def direct_sum(x, y) -> DirectSum:
     z = glue((x, y), lambda i, j, e: None)
-    inj1, proj1 = part_maps(z, (x, y), 0)
-    inj2, proj2 = part_maps(z, (x, y), 1)
-    return DirectSum(z, inj1, inj2, proj1, proj2)
+    return DirectSum(z, *(part_map(z, (x, y), k, inclusion) for inclusion in (True, False) for k in (0, 1)))
 
 
 def _split(x, subspaces):
@@ -733,7 +729,7 @@ def realize_extension(xi: ExtClass):
     """Middle object of the extension with its inclusion and surjection."""
     parts = (xi.space.y, xi.space.x)
     z = glue(parts, lambda i, j, e: xi.correction_matrix(e) if i < j else None)
-    return z, part_maps(z, parts, 0)[0], part_maps(z, parts, 1)[1]
+    return z, part_map(z, parts, 0, inclusion=True), part_map(z, parts, 1, inclusion=False)
 
 
 def _extension_cocycle(inj: Morphism, surj: Morphism):

@@ -563,10 +563,15 @@ COMMANDS = {
 }
 
 
+# The parser of this process: the first main call builds it, later calls reuse it.
+_PARSER = []
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    if not _PARSER:
+        _PARSER.append(build_parser())
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER[0].parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -481,8 +481,8 @@ def from_deformation(d: DeformationModule) -> IteratedExtension:
         if m == 1:
             fs.append(abcat.zero_morphism(obj, abcat.zero_like(obj)))
         else:
-            fs.append(abcat.part_maps(obj, (cs[-1], simples[m - 1]), 0)[1])
-        monos.append(abcat.part_maps(obj, simples[:m], m - 1)[0])
+            fs.append(abcat.part_map(obj, (cs[-1], simples[m - 1]), 0, inclusion=False))
+        monos.append(abcat.part_map(obj, simples[:m], m - 1, inclusion=True))
         cs.append(obj)
     return IteratedExtension(d.factor_objects, order, cs, fs, monos)
 

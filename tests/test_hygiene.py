@@ -13,6 +13,9 @@ window quiver's layout stays behind gradedrep: abcat names none of its
 arrows.  Every parameter of a package function is read, the instance
 aside, in all but dunder methods.  A private attribute read off a value
 names one its own module defines, unless the value is an imported module.
+Every function, class and method is reached from cli.main or from what
+the acceptance suite imports, or is on the TEST_ONLY list of what only
+tests call.
 """
 
 import ast
@@ -263,3 +266,169 @@ def test_no_private_attribute_of_another_module_is_read():
     for path in sorted(PACKAGE.glob("*.py")):
         found.extend("%s:%d %s" % (path.name, *hit) for hit in foreign_private_reads(parse(path)))
     assert not found, "private attributes read outside their module: %s" % ", ".join(found)
+
+
+def top_level_definitions(trees):
+    """{qualified name: node} of every top-level function and class of the modules, and of every method."""
+    out = {}
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                out["%s.%s" % (mod, node.name)] = node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        out["%s.%s.%s" % (mod, node.name, item.name)] = item
+    return out
+
+
+def local_names(func):
+    """Names a function binds, its nested functions' included: its parameters, assignments and imports."""
+    out = set()
+    for node in ast.walk(func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            out.update(p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [v for v in (a.vararg, a.kwarg) if v])
+            if node is not func and not isinstance(node, ast.Lambda):
+                out.add(node.name)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update(alias.asname or alias.name for alias in node.names)
+    return out
+
+
+def unreached_definitions(trees, roots, root_attrs=()):
+    """Qualified names of the functions, classes and methods of trees that no root reaches.
+
+    trees maps a module name to its syntax tree; a module binds the names
+    it defines and those it imports with "from .m import name", and
+    "from . import m" makes m.name read m's name.  The roots are qualified
+    names, and root_attrs the attribute names their caller reads.  Module
+    code outside definitions runs on import, so it is reached.  A reached
+    function reaches the module names it reads but does not bind itself,
+    and a reached class its bases, decorators and class-level code.  A
+    method is reached when its class is and it is a dunder (operators,
+    construction, dataclass machinery) or some reached code reads its name
+    as an attribute, on whatever value.
+    """
+    defs = top_level_definitions(trees)
+    names, modules = {}, {}
+    for mod, tree in trees.items():
+        names[mod] = {d.split(".")[1]: "%s.%s" % (mod, d.split(".")[1]) for d in defs if d.startswith(mod + ".")}
+        modules[mod] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules[mod][alias.asname or alias.name] = alias.name
+                    else:
+                        names[mod][alias.asname or alias.name] = "%s.%s" % (node.module, alias.name)
+    reached, attrs = set(), set(root_attrs)
+    todo = [(mod, stmt, set()) for mod, tree in trees.items() for stmt in tree.body
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+    def reach(qualified):
+        if qualified in defs and qualified not in reached:
+            reached.add(qualified)
+            node, mod = defs[qualified], qualified.split(".")[0]
+            if isinstance(node, ast.ClassDef):
+                parts = node.decorator_list + node.bases + node.keywords
+                parts += [s for s in node.body if not isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))]
+                todo.extend((mod, part, set()) for part in parts)
+            else:
+                todo.append((mod, node, local_names(node)))
+
+    for root in roots:
+        reach(root)
+    while todo:
+        while todo:
+            mod, node, local = todo.pop()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) and sub.id not in local:
+                    reach(names[mod].get(sub.id, ""))
+                elif isinstance(sub, ast.Attribute):
+                    attrs.add(sub.attr)
+                    if isinstance(sub.value, ast.Name) and sub.value.id in modules[mod]:
+                        reach("%s.%s" % (modules[mod][sub.value.id], sub.attr))
+        for qualified in defs:
+            owner, _, name = qualified.rpartition(".")
+            if owner in reached and owner.count(".") == 1 and (name in attrs or name.startswith("__")):
+                reach(qualified)
+    return sorted(set(defs) - reached)
+
+
+def package_client_roots(tree):
+    """(roots, attribute names) of a client module: the uniserial names it imports and the attributes it reads."""
+    roots, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("uniserial"):
+            for alias in node.names:
+                if node.module == "uniserial":
+                    modules.add(alias.asname or alias.name)
+                else:
+                    roots.append("%s.%s" % (node.module.split(".")[1], alias.name))
+    attrs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            attrs.add(node.attr)
+            if isinstance(node.value, ast.Name) and node.value.id in modules:
+                roots.append("%s.%s" % (node.value.id, node.attr))
+    return roots, attrs
+
+
+def test_unreached_definitions_finds_what_only_tests_call():
+    trees = {
+        "core": ast.parse(
+            "def used():\n    return Shape(2).area()\n"
+            "def only_tested():\n    return 0\n"
+            "def shadowed():\n    return 1\n"
+            "class Shape:\n    def __init__(self, side):\n        self.side = side\n"
+            "    def area(self):\n        return self.side * self.side\n"
+            "    def perimeter(self):\n        return 4 * self.side\n"
+            "class Unused:\n    def area(self):\n        return 0\n"
+        ),
+        "front": ast.parse(
+            "from . import core\nfrom .core import used as run\n"
+            "COMMANDS = {'run': run}\n"
+            "def main(shadowed):\n    return core.Shape(shadowed).side, COMMANDS\n"
+            "def helper():\n    return 2\n"
+        ),
+    }
+    assert unreached_definitions(trees, ["front.main"]) == [
+        "core.Shape.perimeter", "core.Unused", "core.Unused.area", "core.only_tested", "core.shadowed", "front.helper",
+    ]
+    client = ast.parse("from uniserial import core\nfrom uniserial.front import helper\nx = core.only_tested()\ny.perimeter\n")
+    roots, attrs = package_client_roots(client)
+    assert unreached_definitions(trees, ["front.main"] + roots, attrs) == ["core.Unused", "core.Unused.area", "core.shadowed"]
+
+
+# Definitions that only tests call, each with the reason it stays.  Delete
+# an entry when its name is deleted or comes into use; the list only shrinks.
+TEST_ONLY = {
+    "abcat.change_basis": "planned deletion; bench/tracer.py LAYERS 'abcat.obj' names it",
+    "abcat.extract_class": "called only by itext.extension_classes; bench/tracer.py LAYERS 'abcat.ext' names it",
+    "abcat.image": "planned deletion; bench/tracer.py LAYERS 'abcat.obj' names it",
+    "cli.parse_report": "the documented reader of machine reports (README, the --format flag)",
+    "itext.IteratedExtension.family_object": "read only by IteratedExtension.validate",
+    "itext.IteratedExtension.validate": "the tests' check of a built iterated extension; a planned deletion",
+    "itext.extension_classes": "kept only if a test checks a paper statement with it; LAYERS 'itext' names it",
+    "itext.is_morphism_of_iterated_extensions": "kept only if a test checks a paper statement with it; LAYERS 'itext'",
+    "linalg.algebra_radical": "planned deletion; bench/tracer.py LAYERS 'linalg' names it",
+    "linalg.in_span": "planned deletion; bench/tracer.py LAYERS 'linalg' names it",
+    "weyl._parse_exponent": "helper of weyl.parse_weyl, a planned deletion",
+    "weyl._parse_weyl_term": "helper of weyl.parse_weyl, a planned deletion",
+    "weyl._split_factors": "helper of weyl.parse_weyl, a planned deletion",
+    "weyl.parse_weyl": "planned deletion; bench/tracer.py LAYERS 'weyl' names it",
+    "weyl.theta": "planned deletion; bench/tracer.py LAYERS 'weyl' names it",
+    "weyl.theta_times": "planned deletion; bench/tracer.py LAYERS 'weyl' names it",
+}
+
+
+def test_no_api_that_only_tests_call():
+    # roots: cli.main (COMMANDS is module code, reached on import) and what the acceptance criteria import and read
+    trees = {path.stem: parse(path) for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"}
+    roots, attrs = package_client_roots(parse(ROOT / "tests" / "test_acceptance.py"))
+    found = set(unreached_definitions(trees, ["cli.main"] + roots, attrs))
+    assert not found - set(TEST_ONLY), "reached from no CLI command or acceptance criterion: %s" % sorted(found - set(TEST_ONLY))
+    assert not set(TEST_ONLY) - found, "allowlisted but reached or gone; drop from TEST_ONLY: %s" % sorted(set(TEST_ONLY) - found)

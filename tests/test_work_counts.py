@@ -1,15 +1,16 @@
 """Exact work counts of fixed workloads, pinned as the digests pin reports.
 
 The workloads are verify_theorem(4) at pads 0 and 12, the 160 ext_table
-dims, and one pass of the benchmark's verify workload at seed 1, built by
-bench/workloads.py itself.
+dims, and one pass each of the benchmark's verify and cli_session
+workloads at seed 1, built by bench/workloads.py itself.  The cli_session
+pass starts as a new process would, with no argument parser built.
 
 Each count is taken by wrapping a function for the length of one run:
 Matrix products (Matrix.__mul__), the systems handed to the two
 elimination kernels (linalg._rref_rows and linalg._rank_rows calls, and
 their rows * cols cells), the hom_basis and is_uniserial calls, the
-ExtSpaces built, the core windows built (GradedRep._find_core) and the
-trace_product calls of the End certificate.
+ExtSpaces built, the core windows built (GradedRep._find_core), the
+trace_product calls of the End certificate and the cli.build_parser calls.
 These counts are the same on every run and under every PYTHONHASHSEED,
 so they show a change of work that a timing on a noisy host cannot.  Scalar results are left out: how many
 _reduced calls a run makes depends on what earlier calls left cached.
@@ -22,11 +23,12 @@ from PINNED as old -> new.
 import importlib
 import importlib.util
 import random
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from uniserial import abcat, linalg, weylcat
+from uniserial import abcat, cli, gradedrep, linalg, weylcat
 from uniserial.gradedrep import GradedRep, simple_rep
 from uniserial.linalg import parse_scalar
 from uniserial.weylcat import verify_theorem
@@ -42,6 +44,7 @@ COUNTS = (
     "ExtSpaces built",
     "core builds",
     "trace_product calls",
+    "build_parser calls",
 )
 LABELS = (parse_scalar("1/2"), parse_scalar("1/3+1/2*i"))
 
@@ -80,18 +83,29 @@ def bench_verify_pass():
     assert outcomes == ["ok"] * 12 and pass_check(outcomes) == []
 
 
+def bench_cli_session_pass():
+    """One pass of the benchmark's seed-1 cli_session workload: 41 cli.main calls over all six commands."""
+    with tempfile.TemporaryDirectory() as workdir:
+        ops, pass_check = load_workloads().build("cli_session", {"cli": cli, "gradedrep": gradedrep},
+                                                 random.Random(1), workdir)
+        outcomes = [op.judge(op.run()) for op in ops]
+    assert outcomes == ["ok"] * 41 and pass_check(outcomes) == []
+
+
 WORKLOADS = {
     "verify_theorem(4) pad 0": lambda: verify_pass(0),
     "verify_theorem(4) pad 12": lambda: verify_pass(12),
     "ext_table 160 dims": ext_table,
     "bench verify seed 1": bench_verify_pass,
+    "bench cli_session seed 1": bench_cli_session_pass,
 }
 
 PINNED = {
-    "verify_theorem(4) pad 0": (4554, 867, 41826, 837, 2031, 16, 0, 158, 70, 160),
-    "verify_theorem(4) pad 12": (12762, 2019, 197730, 1797, 4503, 16, 0, 158, 70, 160),
-    "ext_table 160 dims": (0, 34, 0, 320, 288, 0, 0, 160, 8, 0),
-    "bench verify seed 1": (2664, 477, 12240, 505, 863, 12, 0, 106, 46, 80),
+    "verify_theorem(4) pad 0": (4554, 867, 41826, 837, 2031, 16, 0, 158, 70, 160, 0),
+    "verify_theorem(4) pad 12": (12762, 2019, 197730, 1797, 4503, 16, 0, 158, 70, 160, 0),
+    "ext_table 160 dims": (0, 34, 0, 320, 288, 0, 0, 160, 8, 0, 0),
+    "bench verify seed 1": (2664, 477, 12240, 505, 863, 12, 0, 106, 46, 80, 0),
+    "bench cli_session seed 1": (3320, 964, 3921, 728, 667, 36, 0, 189, 36, 86, 1),
 }
 
 
@@ -119,6 +133,8 @@ def count_work(run):
         mp.setattr(abcat.ExtSpace, "__init__", counted("ExtSpaces built", abcat.ExtSpace.__init__))
         mp.setattr(GradedRep, "_find_core", counted("core builds", GradedRep._find_core))
         mp.setattr(abcat, "trace_product", counted("trace_product calls", abcat.trace_product))
+        mp.setattr(cli, "build_parser", counted("build_parser calls", cli.build_parser))
+        mp.setattr(cli, "_PARSER", [])
         run()
     return tuple(counts[name] for name in COUNTS)
 
