@@ -8,7 +8,9 @@ Morphisms are per-slot matrices intertwining the edge matrices; on the
 graded backend these are exactly the degree-0 maps.  glue sets parts on
 the block diagonal and corrections off it; unglue, its inverse, reads an
 object back in per-slot bases, the subobject first, so the blocks below
-the diagonal vanish.  Subobjects, quotients and cocycles read through it.
+the diagonal vanish.  Subobjects, quotients, cocycles and itext's
+deformation blocks read through it; _split builds every basis adapted to
+a chain of subspaces, with its inverse, by one elimination per slot.
 
 Hom and Ext^1 of a pair (x, y) are read off one standard complex (Ringel,
 Representations of K-species and bimodules, 1976):
@@ -468,40 +470,47 @@ def direct_sum(x, y) -> DirectSum:
     return DirectSum(z, *(part_map(z, (x, y), k, inclusion) for inclusion in (True, False) for k in (0, 1)))
 
 
-def _split(x, subspaces):
-    """(unglue's block reader, {slot: (u, u⁻¹)}, {slot: k}) of x in the bases u = [k cols | complement].
+def _split(x, levels):
+    """(unglue's block reader, {slot: (u, u⁻¹)}, {slot: block widths}) of x in a basis adapted to levels.
 
-    One elimination per slot, of [cols | I]: the columns are independent
-    when they are its first pivots, and the identity columns it picks are
-    the complement (the extend_basis choice).  Its pivot columns u reduce
-    to the identity in order, so the I part of the rref is u⁻¹.
+    levels is a list of {slot: columns} spans, deepest first, each inside
+    the next.  One elimination per slot, of [the levels' columns in order |
+    I]: a column is a pivot exactly when it leaves the span of the columns
+    before it, so each level's pivots complete the deeper levels (the
+    extend_basis choice) and the identity's pivots complete the last one.
+    The deepest level must be independent, that is its columns are the
+    first pivots.  The pivot columns u reduce to the identity in order, so
+    the I part of the rref is u⁻¹, and the block widths are the pivot
+    counts per level, then the identity's.
     """
-    bases, ks = {}, {}
+    bases, widths = {}, {}
     for s in x.slot_ids():
         d = x.slot_dim(s)
-        cols = list(subspaces.get(s, ()))
-        k = ks[s] = len(cols)
-        one = Matrix.identity(d)
-        red, pivots = rref(Matrix.from_columns(cols, d).hstack(one))
+        groups = [list(level.get(s, ())) for level in levels] + [Matrix.identity(d).columns()]
+        cols = [c for g in groups for c in g]
+        red, pivots = rref(Matrix.from_columns(cols, d))
+        k = len(groups[0])
         if pivots[:k] != list(range(k)):
             raise ValueError("subspace basis at slot %r is dependent" % (s,))
-        u = Matrix.from_columns(cols + [one.column(p - k) for p in pivots[k:]], d)
-        bases[s] = (u, red.submatrix(0, d, k, k + d))
-    return unglue(x, bases, {s: (k, x.slot_dim(s) - k) for s, k in ks.items()}), bases, ks
+        owner = [i for i, g in enumerate(groups) for _ in g]
+        widths[s] = [sum(owner[p] == i for p in pivots) for i in range(len(groups))]
+        bases[s] = (Matrix.from_columns([cols[p] for p in pivots], d), red.submatrix(0, d, len(cols) - d, len(cols)))
+    return unglue(x, bases, widths), bases, widths
 
 
 def sub_object(x, subspaces):
     """Subobject spanned by per-slot column bases; returns (object, inclusion): the top-left blocks of _split."""
-    block, bases, ks = _split(x, subspaces)
+    block, bases, widths = _split(x, [subspaces])
+    ks = {s: w[0] for s, w in widths.items()}
     sub = x.with_matrices(ks, {e: block(e, 0, 0) for e in x.edge_ids()})
     return sub, Morphism(sub, x, {s: u.submatrix(0, u.rows, 0, ks[s]) for s, (u, _) in bases.items()}, check=False)
 
 
 def quotient_object(x, subspaces):
     """Quotient by the span of per-slot columns; returns (object, projection): the bottom-right blocks of _split."""
-    block, bases, ks = _split(x, subspaces)
-    quot = x.with_matrices({s: x.slot_dim(s) - k for s, k in ks.items()}, {e: block(e, 1, 1) for e in x.edge_ids()})
-    projs = {s: uinv.submatrix(ks[s], uinv.rows, 0, uinv.cols) for s, (_, uinv) in bases.items()}
+    block, bases, widths = _split(x, [subspaces])
+    quot = x.with_matrices({s: w[1] for s, w in widths.items()}, {e: block(e, 1, 1) for e in x.edge_ids()})
+    projs = {s: uinv.submatrix(widths[s][0], uinv.rows, 0, uinv.cols) for s, (_, uinv) in bases.items()}
     return quot, Morphism(x, quot, projs, check=False)
 
 

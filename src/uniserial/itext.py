@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import abcat
 from .abcat import Morphism, total_dim
-from .linalg import Matrix, column_space_basis, extend_basis, inverse, kernel_basis, solve_matrix
+from .linalg import Matrix, column_space_basis, inverse, kernel_basis, solve_matrix
 
 
 class IteratedExtension:
@@ -366,28 +366,6 @@ class DeformationModule:
         return None
 
 
-def _flag_adapted_basis(x, spaces):
-    """Per-slot change of basis adapted to a descending filtration, for abcat.unglue.
-
-    spaces is F_0 .. F_n (F_0 the whole space, F_n zero) and V_i
-    complements F_i inside F_{i-1}, chosen by extend_basis.  Returns
-    ({slot: (U, U⁻¹)}, {slot: block sizes}) with U = [V_n | ... | V_1],
-    the subobject F_{n-1} first.
-    """
-    n = len(spaces) - 1
-    bases, sizes = {}, {}
-    for s in x.slot_ids():
-        d = x.slot_dim(s)
-        blocks = [extend_basis(spaces[i][s], spaces[i - 1][s], d) for i in range(n, 0, -1)]
-        u = Matrix.from_columns([v for blk in blocks for v in blk], d)
-        uinv = inverse(u)
-        if uinv is None:
-            raise ValueError("filtration levels do not assemble to a basis at slot %r" % (s,))
-        bases[s] = (u, uinv)
-        sizes[s] = [len(blk) for blk in blocks]
-    return bases, sizes
-
-
 def to_deformation(e: IteratedExtension) -> DeformationModule:
     """Extract the correction maps of a deformation from a cofiltration.
 
@@ -402,8 +380,13 @@ def _deformation_with_conjugation(e: IteratedExtension):
     x = e.x
     n = e.length
     gamma = extension_type(e)
-    bases, sizes = _flag_adapted_basis(x, filtration_of(e).spaces)
-    read = abcat.unglue(x, bases, sizes)
+    spaces = filtration_of(e).spaces
+    for s in x.slot_ids():
+        # F_0 spans the slot, and F_0's kernel_basis is then the identity that _split appends
+        if len(spaces[0][s]) != x.slot_dim(s):
+            raise ValueError("filtration levels do not assemble to a basis at slot %r" % (s,))
+    # the basis [V_n | ... | V_1], V_i completing F_i to F_{i-1}, the subobject F_{n-1} first
+    read, bases, sizes = abcat._split(x, spaces[n - 1 : 0 : -1])
     fam = dict(e.family)
 
     def block(edge, i, j):

@@ -391,6 +391,28 @@ def reference_quotient_object(x, subspaces):
     return quot, Morphism(x, quot, proj, check=False)
 
 
+def reference_flag_adapted_basis(x, spaces):
+    """Per-slot change of basis adapted to a descending filtration, for abcat.unglue.
+
+    spaces is F_0 .. F_n (F_0 the whole space, F_n zero) and V_i
+    complements F_i inside F_{i-1}, chosen by extend_basis.  Returns
+    ({slot: (U, U⁻¹)}, {slot: block sizes}) with U = [V_n | ... | V_1],
+    the subobject F_{n-1} first.
+    """
+    n = len(spaces) - 1
+    bases, sizes = {}, {}
+    for s in x.slot_ids():
+        d = x.slot_dim(s)
+        blocks = [extend_basis(spaces[i][s], spaces[i - 1][s], d) for i in range(n, 0, -1)]
+        u = Matrix.from_columns([v for blk in blocks for v in blk], d)
+        uinv = inverse(u)
+        if uinv is None:
+            raise ValueError("filtration levels do not assemble to a basis at slot %r" % (s,))
+        bases[s] = (u, uinv)
+        sizes[s] = [len(blk) for blk in blocks]
+    return bases, sizes
+
+
 def dense_rref_rows(rows, cols):
     """Plain dense Gauss-Jordan: the first row with a nonzero in each column pivots.
 

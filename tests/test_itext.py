@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from conftest import reference_deformation_total_object, reference_from_deformation
+from conftest import (
+    catalog_keys,
+    reference_deformation_total_object,
+    reference_flag_adapted_basis,
+    reference_from_deformation,
+)
+from test_nakayama import N_MAX, nonzero_paths, random_nakayama, truncated_projective
 from uniserial import abcat
 from uniserial.gradedrep import ideal_quotient_rep, simple_rep, validate
 from uniserial.itext import (
@@ -25,7 +31,7 @@ from uniserial.linalg import ONE, Scalar, parse_scalar
 from uniserial.quiverrep import QuiverPresentation, simple_at
 from uniserial.species import realize_vector
 from uniserial.weyl import euler_power
-from uniserial.weylcat import weyl_simple_family
+from uniserial.weylcat import catalog_module, default_window, weyl_simple_family
 
 HALF = parse_scalar("1/2")
 WINDOW = (-5, 5)
@@ -106,7 +112,8 @@ def test_splice_of_two_simples_along_nonzero_class():
     assert len(xis) == 1 and not xis[0].is_zero()
 
 
-def test_splice_lengths_and_factors_add_randomized():
+def random_splices():
+    """(sub, quotient, splice) of six seeded splices of Weyl iterated extensions, along a class or split."""
     rng = random.Random(31)
     fam = weyl_family()
     pool = [
@@ -126,7 +133,11 @@ def test_splice_lengths_and_factors_add_randomized():
         else:
             ds = abcat.direct_sum(e_sub.x, e_quot.x)
             inj, surj = ds.inj1, ds.proj2
-        spliced = splice(e_sub, e_quot, inj, surj)
+        yield e_sub, e_quot, splice(e_sub, e_quot, inj, surj)
+
+
+def test_splice_lengths_and_factors_add_randomized():
+    for e_sub, e_quot, spliced in random_splices():
         assert spliced.length == e_sub.length + e_quot.length
         assert spliced.order_vector == e_quot.order_vector + e_sub.order_vector
         assert spliced.validate() == []
@@ -368,3 +379,52 @@ def test_glued_deformation_objects_match_reference_builders():
                 total, algebra = deformation_total_object(dd)
                 ref_total, ref_algebra = reference_deformation_total_object(dd)
                 assert (total, algebra.basis) == (ref_total, ref_algebra.basis), v
+
+
+def flag_basis_cases():
+    """Iterated extensions whose slots reach dimension 5: canonical cofiltrations and splices.
+
+    The canonical cofiltrations of the catalog modules with n <= 4 at twist
+    0 and n <= 2 at twists -1 and 1, and of the Nakayama truncated
+    projectives of 50 seeded algebras; then the splices of
+    test_splice_lengths_and_factors_add_randomized.
+    """
+    for key in catalog_keys(4) + catalog_keys(2, (-1, 1)):
+        window = default_window(key.n)
+        bases = [key.alpha, "0", "inf"] if key.kind == "euler" else ["0", "inf"]
+        yield canonical_iterated_extension(catalog_module(key, window), weyl_simple_family(bases, [key.twist], window))
+    rng = random.Random(38)
+    for _ in range(50):
+        pres, leaving = random_nakayama(rng)
+        fam = tuple((node, simple_at(pres, node)) for node in pres.nodes)
+        for start in pres.nodes:
+            c = len(nonzero_paths(pres, leaving, start, N_MAX + 1))
+            for n in range(1, min(c, N_MAX) + 1):
+                yield canonical_iterated_extension(truncated_projective(pres, leaving, start, n), fam)
+    for _, _, spliced in random_splices():
+        yield spliced
+
+
+def test_flag_basis_matches_the_extend_basis_reference():
+    # the deformation's basis [V_n | ... | V_1] and its inverse come from
+    # abcat._split's one elimination per slot; the reference completes each
+    # level by extend_basis and inverts U
+    flags = widest = 0
+    for e in flag_basis_cases():
+        spaces = filtration_of(e).spaces
+        _, bases, widths = abcat._split(e.x, spaces[e.length - 1 : 0 : -1])
+        assert (bases, widths) == reference_flag_adapted_basis(e.x, spaces), e.order_vector
+        flags += 1
+        widest = max(widest, *(len(level) for level in spaces[0].values()))
+    assert flags > 300 and widest == 5
+
+
+def test_deformation_needs_the_cofiltration_to_end_in_zero():
+    # fs[0] lands in cs[0] itself, so F_0 is not the whole space
+    fam = a3_family()
+    for v in (("1",), ("1", "2")):
+        e = realize_vector(v, fam)
+        broken = IteratedExtension(e.family, e.order_vector, e.cs, (abcat.identity_morphism(e.cs[0]),) + e.fs[1:],
+                                   e.kernel_monos)
+        with pytest.raises(ValueError, match="filtration levels do not assemble to a basis"):
+            to_deformation(broken)

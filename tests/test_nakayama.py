@@ -18,6 +18,15 @@ to P_i / rad^n P_i.  The species sees only the arrows; the c_i are the
 obstruction data that it cannot see.  Here c_i is counted by string
 matching, with no Hom solve: the path of length k from i is nonzero when no
 relation's arrow sequence occurs in it.
+
+The converse.  One more arrow makes a double arrow, a fan-out or a fan-in,
+unless it closes a line into a cycle.  The Ext table of the simples then
+breaks the criterion with that shape, read off the arrow list, and the
+construction of criterion 4 builds from the shape's labels a module of
+length 3 that is indecomposable and not uniserial: the quotient of two
+non-isomorphic extensions by their common socle, the fiber product of two
+extensions over their common top, or the pushout of two under their common
+socle.
 """
 
 import random
@@ -25,7 +34,7 @@ import random
 from uniserial import abcat
 from uniserial.linalg import ONE, ZERO, Matrix
 from uniserial.quiverrep import QuiverPresentation, QuiverRep, simple_at
-from uniserial.species import classify, species_of
+from uniserial.species import classify, species_of, uc_check
 
 N_MAX = 5
 
@@ -113,3 +122,55 @@ def test_classify_on_nakayama_algebras_follows_the_kupisch_series():
                     widest = max(widest, *p.dims.values())
     # the seed reaches both verdicts, and slots of dimension above 1
     assert counted > built > 0 and widest > 1
+
+
+def expected_pattern(pres, leaving, src, tgt):
+    """The shape that uc_check reports once the arrow src -> tgt joins the quiver, read off the arrows."""
+    if leaving[src] is not None and leaving[src][1] == tgt:
+        return ("double arrow", src, tgt)
+    if leaving[src] is not None:
+        return ("fan-out", src, *sorted((leaving[src][1], tgt)))
+    entering = [a for _, a, b in pres.arrows if b == tgt]
+    if entering:
+        return ("fan-in", *sorted((entering[0], src)), tgt)
+    return ()
+
+
+def criterion_4_witness(pattern, simple):
+    """The length-3 module that criterion 4 builds for a double arrow, a fan-out or a fan-in."""
+    shape, *labels = pattern
+    if shape == "double arrow":
+        a, b = labels
+        u_cls, v_cls = abcat.ext1_basis(simple[a], simple[b])
+        u_obj, u_inj, _ = abcat.realize_extension(u_cls)
+        v_obj, v_inj, _ = abcat.realize_extension(v_cls)
+        ds = abcat.direct_sum(u_obj, v_obj)
+        diag = (ds.inj1 * u_inj) + (ds.inj2 * v_inj)
+        spaces = {s: abcat.column_space_basis(diag.mats[s].columns(), ds.obj.slot_dim(s)) for s in ds.obj.slot_ids()}
+        return abcat.quotient_object(ds.obj, spaces)[0]
+    if shape == "fan-out":
+        a, b, c = labels
+        (xi1,), (xi2,) = abcat.ext1_basis(simple[a], simple[b]), abcat.ext1_basis(simple[a], simple[c])
+        return abcat.fiber_product(abcat.realize_extension(xi1)[2], abcat.realize_extension(xi2)[2])[0]
+    a, b, c = labels
+    (eta1,), (eta2,) = abcat.ext1_basis(simple[a], simple[c]), abcat.ext1_basis(simple[b], simple[c])
+    return abcat.amalgamated_sum(abcat.realize_extension(eta1)[1], abcat.realize_extension(eta2)[1])[0]
+
+
+def test_one_more_arrow_breaks_the_criterion_and_criterion_4_builds_the_witness():
+    rng = random.Random(34)
+    shapes = set()
+    for _ in range(200):
+        pres, leaving = random_nakayama(rng)
+        src, tgt = rng.choice(pres.nodes), rng.choice(pres.nodes)
+        big = QuiverPresentation(pres.nodes, list(pres.arrows) + [("z", src, tgt)], pres.relation_list)
+        family = tuple((node, simple_at(big, node)) for node in big.nodes)
+        verdict = uc_check(species_of(family))
+        assert verdict.pattern == expected_pattern(pres, leaving, src, tgt), (big, verdict)
+        shapes.add(verdict.pattern[:1])
+        if verdict.ok:
+            continue
+        x = criterion_4_witness(verdict.pattern, dict(family))
+        assert abcat.total_dim(x) == 3 and abcat.is_indecomposable(x)[0], (big, verdict)
+        assert not abcat.is_uniserial(x, family)[0], (big, verdict)
+    assert shapes == {(), ("double arrow",), ("fan-out",), ("fan-in",)}

@@ -105,7 +105,7 @@ PINNED = {
     "verify_theorem(4) pad 12": (12762, 2019, 197730, 1797, 4503, 16, 0, 158, 70, 160, 0),
     "ext_table 160 dims": (0, 34, 0, 320, 288, 0, 0, 160, 8, 0, 0),
     "bench verify seed 1": (2664, 477, 12240, 505, 863, 12, 0, 106, 46, 80, 0),
-    "bench cli_session seed 1": (3320, 964, 3921, 728, 667, 36, 0, 189, 36, 86, 1),
+    "bench cli_session seed 1": (3320, 843, 3436, 728, 667, 36, 0, 189, 36, 86, 1),
 }
 
 
