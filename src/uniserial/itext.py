@@ -6,7 +6,9 @@ successive kernels are simples from a fixed family.  The dual filtration,
 class extraction (the per-level extension classes and their restrictions
 to the previous kernel), the ordered extension-type quiver, its path
 algebra, and the translation to and from deformation data over that path
-algebra all live here.
+algebra all live here.  As the paper states, the deformation data of the
+factors determine the extension, so a flag's cofiltration is glued back
+from the flag's deformation data.
 
 Node order on extension types follows first occurrence in the order
 vector, so the base node of the deformation data is always the first one.
@@ -15,10 +17,11 @@ vector, so the base node of the deformation data is always the first one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import abcat
 from .abcat import Morphism, total_dim
-from .linalg import Matrix, column_space_basis, inverse, kernel_basis, solve_matrix
+from .linalg import Matrix, column_space_basis, inverse, kernel_basis, rank
 
 
 class IteratedExtension:
@@ -47,36 +50,6 @@ class IteratedExtension:
     @property
     def x(self):
         return self.cs[-1]
-
-    def family_object(self, label):
-        for lbl, obj in self.family:
-            if lbl == label:
-                return obj
-        raise KeyError(label)
-
-    def validate(self):
-        """Check surjectivity, kernel dimensions and kernel embeddings."""
-        problems = []
-        for i in range(self.length):
-            f = self.fs[i]
-            mono = self.kernel_monos[i]
-            if f.src != self.cs[i]:
-                problems.append("level %d: surjection has wrong source" % (i + 1,))
-                continue
-            if i and f.dst != self.cs[i - 1]:
-                problems.append("level %d: surjection has wrong target" % (i + 1,))
-            if not f.is_surjective():
-                problems.append("level %d: map is not surjective" % (i + 1,))
-            if not mono.is_injective():
-                problems.append("level %d: kernel embedding is not injective" % (i + 1,))
-            if not (f * mono).is_zero():
-                problems.append("level %d: embedded simple does not die" % (i + 1,))
-            expected = self.family_object(self.order_vector[i])
-            if mono.src != expected:
-                problems.append("level %d: kernel is not the standard simple" % (i + 1,))
-            if total_dim(self.cs[i]) != total_dim(mono.src) + (total_dim(self.cs[i - 1]) if i else 0):
-                problems.append("level %d: dimensions do not add" % (i + 1,))
-        return problems
 
 
 def is_morphism_of_iterated_extensions(e1: IteratedExtension, e2: IteratedExtension, phis) -> bool:
@@ -137,53 +110,33 @@ class Filtration:
 
 
 def filtration_of(e: IteratedExtension) -> Filtration:
-    """Dual filtration: level i is the kernel of the composite onto stage i."""
+    """Dual filtration: level i is the kernel of the composite onto stage i, and level n is zero."""
     x = e.x
-    n = e.length
-    kernels = [None] * (n + 1)
-    composite = abcat.identity_morphism(x)
-    kernels[n] = {s: kernel_basis(composite.mats[s]) for s in x.slot_ids()}
-    for i in range(n - 1, -1, -1):
-        composite = e.fs[i] * composite
-        kernels[i] = {s: kernel_basis(composite.mats[s]) for s in x.slot_ids()}
-    return Filtration(x, e.family, e.order_vector, tuple(kernels))
+    composites = accumulate(reversed(e.fs), lambda c, f: f * c)  # onto stages n-1, ..., 0
+    levels = [{s: kernel_basis(c.mats[s]) for s in x.slot_ids()} for c in composites]
+    return Filtration(x, e.family, e.order_vector, tuple(levels[::-1]) + ({s: [] for s in x.slot_ids()},))
 
 
 def cofiltration_from_filtration(filt: Filtration) -> IteratedExtension:
-    """Quotient out each filtration level to rebuild the cofiltration."""
+    """The cofiltration of a flag: its deformation data, glued by from_deformation.
+
+    The top stage is filt.x itself, reached through the reader's conjugation.
+    Each level must be independent and contain the next; F_0 must be all of x.
+    """
     x = filt.x
-    n = len(filt.order_vector)
-    fam = dict(filt.family)
-    cs = []
-    projs = []
-    for i in range(n + 1):
-        if i == n:
-            cs.append(x)
-            projs.append(abcat.identity_morphism(x))
-            break
-        quot, proj = abcat.quotient_object(x, filt.spaces[i])
-        cs.append(quot)
-        projs.append(proj)
-    fs = []
-    monos = []
-    for i in range(1, n + 1):
-        # induced surjection cs[i] -> cs[i-1] through the projections from x
-        mats = {}
+    for i in range(len(filt.order_vector)):
         for s in x.slot_ids():
-            pi = projs[i].mats[s]
-            pim1 = projs[i - 1].mats[s]
-            ft = solve_matrix(pi.transpose(), pim1.transpose())
-            if ft is None:
+            dim, level, outer = x.slot_dim(s), filt.spaces[i][s], filt.spaces[i - 1][s]
+            if rank(Matrix.from_columns(level, dim)) < len(level):
+                raise ValueError("subspace basis at slot %r is dependent" % (s,))
+            if i and rank(Matrix.from_columns([*outer, *level], dim)) > len(outer):
                 raise ValueError("filtration levels are not nested at slot %r" % (s,))
-            mats[s] = ft.transpose()
-        f = Morphism(cs[i], cs[i - 1], mats)
-        fs.append(f)
-        ker_obj, ker_incl = abcat.kernel(f)
-        iso = abcat.find_isomorphism(fam[filt.order_vector[i - 1]], ker_obj)
-        if iso is None:
-            raise ValueError("kernel at level %d is not the expected simple" % i)
-        monos.append(ker_incl * iso)
-    return IteratedExtension(filt.family, filt.order_vector, cs[1:], fs, monos)
+    d, conj = _deformation_with_conjugation(filt)
+    back = from_deformation(d)
+    onto = Morphism(x, back.x, conj)
+    into = Morphism(back.x, x, {s: inverse(m) for s, m in conj.items()}, check=False)  # onto's inverse
+    return IteratedExtension(filt.family, filt.order_vector, back.cs[:-1] + (x,), back.fs[:-1] + (back.fs[-1] * onto,),
+                             back.kernel_monos[:-1] + (into * back.kernel_monos[-1],))
 
 
 def splice(e_sub: IteratedExtension, e_quot: IteratedExtension, f: Morphism, g: Morphism) -> IteratedExtension:
@@ -367,27 +320,33 @@ class DeformationModule:
 
 
 def to_deformation(e: IteratedExtension) -> DeformationModule:
-    """Extract the correction maps of a deformation from a cofiltration.
+    """The deformation data of a cofiltration, read off its dual filtration."""
+    return _deformation_with_conjugation(filtration_of(e))[0]
 
-    Reads the object's blocks along the dual filtration (abcat.unglue),
-    conjugates each diagonal block onto the standard simple, and reads the
-    blocks off the diagonal as the correction maps between factor positions.
+
+def _deformation_with_conjugation(filt: Filtration):
+    """(deformation data, {slot: conj}) read off the flag filt.spaces.
+
+    The flag is x = F_0 ⊇ F_1 ⊇ ... ⊇ F_n = 0, with F_i / F_{i+1} the
+    simple labelled order_vector[i].  abcat._split puts x in the basis
+    U = [V_n | ... | V_1], V_i completing F_i to F_{i-1}, so that the
+    subobject F_{n-1} comes first and each diagonal block of x is a factor.
+    find_isomorphism carries each factor onto its labelled simple, and the
+    blocks off the diagonal, conjugated by those factor isomorphisms, are
+    the corrections psi.  conj[s] is the block diagonal of the factor
+    isomorphisms, in order-vector order, times U⁻¹: the per-slot change of
+    basis from x onto the object from_deformation glues.
     """
-    return _deformation_with_conjugation(e)[0]
-
-
-def _deformation_with_conjugation(e: IteratedExtension):
-    x = e.x
-    n = e.length
-    gamma = extension_type(e)
-    spaces = filtration_of(e).spaces
+    x = filt.x
+    n = len(filt.order_vector)
+    gamma = extension_type(filt.order_vector)
+    spaces = filt.spaces
     for s in x.slot_ids():
         # F_0 spans the slot, and F_0's kernel_basis is then the identity that _split appends
         if len(spaces[0][s]) != x.slot_dim(s):
             raise ValueError("filtration levels do not assemble to a basis at slot %r" % (s,))
-    # the basis [V_n | ... | V_1], V_i completing F_i to F_{i-1}, the subobject F_{n-1} first
     read, bases, sizes = abcat._split(x, spaces[n - 1 : 0 : -1])
-    fam = dict(e.family)
+    fam = dict(filt.family)
 
     def block(edge, i, j):
         """The map from factor j into factor i along the edge; factor i is block n - 1 - i."""
@@ -398,7 +357,7 @@ def _deformation_with_conjugation(e: IteratedExtension):
     for i in range(n):
         dims = {s: sizes[s][n - 1 - i] for s in x.slot_ids()}
         block_obj = x.with_matrices(dims, {edge: block(edge, i, i) for edge in x.edge_ids()})
-        iso = abcat.find_isomorphism(block_obj, fam[e.order_vector[i]])
+        iso = abcat.find_isomorphism(block_obj, fam[filt.order_vector[i]])
         if iso is None:
             raise ValueError("factor %d is not isomorphic to its labelled simple" % (i + 1,))
         isos.append((iso.mats, {s: inverse(m) for s, m in iso.mats.items()}))
@@ -412,8 +371,6 @@ def _deformation_with_conjugation(e: IteratedExtension):
             psi.append(((i + 1, j + 1), tuple(entries)))
     factor_objects = tuple((lbl, fam[lbl]) for lbl in gamma.nodes)
     d = DeformationModule(gamma, factor_objects, tuple(psi))
-    # per-slot conjugation carrying x onto the object from_deformation glues:
-    # the factor isos in order-vector order, each on its block rows of U⁻¹
     conj = {}
     for s in x.slot_ids():
         grid = [[isos[i][0][s] if j == n - 1 - i else None for j in range(n)] for i in range(n)]
@@ -428,7 +385,7 @@ def deformation_roundtrip(e: IteratedExtension):
     round trip is witnessed exactly rather than by an isomorphism search;
     the morphism constructor verifies it intertwines all edges.
     """
-    d, conj = _deformation_with_conjugation(e)
+    d, conj = _deformation_with_conjugation(filtration_of(e))
     back = from_deformation(d)
     iso = Morphism(e.x, back.x, conj)
     if not (iso.is_injective() and iso.is_surjective()):

@@ -1,11 +1,12 @@
 import itertools
+import random
 from dataclasses import replace
 from functools import cached_property
 
 from uniserial import abcat
 from uniserial.abcat import DirectSum, Morphism
 from uniserial.gradedrep import GradedRep
-from uniserial.itext import IteratedExtension, PathAlgebra
+from uniserial.itext import IteratedExtension, PathAlgebra, splice
 from uniserial.linalg import (
     ONE,
     ZERO,
@@ -20,9 +21,12 @@ from uniserial.linalg import (
 )
 from uniserial.quiverrep import QuiverPresentation, QuiverRep
 from uniserial.weyl import EulerPolynomial, WeylElement, euler_power, theta, to_theta_form
-from uniserial.weylcat import CatalogKey, catalog_module
+from uniserial.species import realize_vector
+from uniserial.weylcat import CatalogKey, catalog_module, weyl_simple_family
 
 LABELS = (parse_scalar("1/2"), parse_scalar("1/3+1/2*i"))
+HALF = parse_scalar("1/2")
+WINDOW = (-5, 5)
 
 
 def rewrite_oracle(word, coef=1):
@@ -468,6 +472,104 @@ def reference_inverse(m):
     if pivots[:n] != list(range(n)):
         return None
     return Matrix(n, n, [r[n:] for r in rows])
+
+
+# -- iterated extensions ---------------------------------------------------------
+
+
+def weyl_family():
+    """The Weyl simples of labels 1/2, 0 and inf at twist 0 on WINDOW."""
+    return weyl_simple_family([HALF, "0", "inf"], [0], WINDOW)
+
+
+def random_splices():
+    """(sub, quotient, splice) of six seeded splices of Weyl iterated extensions, along a class or split."""
+    rng = random.Random(31)
+    fam = weyl_family()
+    pool = [
+        realize_vector(("1/2@0",), fam),
+        realize_vector(("1/2@0", "1/2@0"), fam),
+        realize_vector(("0@0",), fam),
+        realize_vector(("0@0", "inf@0"), fam),
+        realize_vector(("inf@0", "0@0"), fam),
+    ]
+    for _ in range(6):
+        e_sub = rng.choice(pool)
+        e_quot = rng.choice(pool)
+        classes = abcat.ext1_basis(e_quot.x, e_sub.x)
+        if classes and rng.random() < 0.7:
+            cls = rng.choice(classes)
+            z, inj, surj = abcat.realize_extension(cls)
+        else:
+            ds = abcat.direct_sum(e_sub.x, e_quot.x)
+            inj, surj = ds.inj1, ds.proj2
+        yield e_sub, e_quot, splice(e_sub, e_quot, inj, surj)
+
+
+def validate_iterated_extension(e):
+    """The problems of an iterated extension: surjectivity, kernel dimensions and kernel embeddings."""
+    problems = []
+    for i in range(e.length):
+        f = e.fs[i]
+        mono = e.kernel_monos[i]
+        if f.src != e.cs[i]:
+            problems.append("level %d: surjection has wrong source" % (i + 1,))
+            continue
+        if i and f.dst != e.cs[i - 1]:
+            problems.append("level %d: surjection has wrong target" % (i + 1,))
+        if not f.is_surjective():
+            problems.append("level %d: map is not surjective" % (i + 1,))
+        if not mono.is_injective():
+            problems.append("level %d: kernel embedding is not injective" % (i + 1,))
+        if not (f * mono).is_zero():
+            problems.append("level %d: embedded simple does not die" % (i + 1,))
+        expected = dict(e.family)[e.order_vector[i]]
+        if mono.src != expected:
+            problems.append("level %d: kernel is not the standard simple" % (i + 1,))
+        if abcat.total_dim(e.cs[i]) != abcat.total_dim(mono.src) + (abcat.total_dim(e.cs[i - 1]) if i else 0):
+            problems.append("level %d: dimensions do not add" % (i + 1,))
+    return problems
+
+
+def reference_cofiltration_from_filtration(filt):
+    """cofiltration_from_filtration by a quotient, a solve and a kernel search per level.
+
+    This is the construction that the gluing of the flag's deformation data
+    replaced.
+    """
+    x = filt.x
+    n = len(filt.order_vector)
+    fam = dict(filt.family)
+    cs = []
+    projs = []
+    for i in range(n + 1):
+        if i == n:
+            cs.append(x)
+            projs.append(abcat.identity_morphism(x))
+            break
+        quot, proj = abcat.quotient_object(x, filt.spaces[i])
+        cs.append(quot)
+        projs.append(proj)
+    fs = []
+    monos = []
+    for i in range(1, n + 1):
+        # induced surjection cs[i] -> cs[i-1] through the projections from x
+        mats = {}
+        for s in x.slot_ids():
+            pi = projs[i].mats[s]
+            pim1 = projs[i - 1].mats[s]
+            ft = solve_matrix(pi.transpose(), pim1.transpose())
+            if ft is None:
+                raise ValueError("filtration levels are not nested at slot %r" % (s,))
+            mats[s] = ft.transpose()
+        f = Morphism(cs[i], cs[i - 1], mats)
+        fs.append(f)
+        ker_obj, ker_incl = abcat.kernel(f)
+        iso = abcat.find_isomorphism(fam[filt.order_vector[i - 1]], ker_obj)
+        if iso is None:
+            raise ValueError("kernel at level %d is not the expected simple" % i)
+        monos.append(ker_incl * iso)
+    return IteratedExtension(filt.family, filt.order_vector, cs[1:], fs, monos)
 
 
 # -- the hand-rolled block builders that abcat.glue replaced ---------------------

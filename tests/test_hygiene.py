@@ -410,8 +410,6 @@ TEST_ONLY = {
     "abcat.extract_class": "called only by itext.extension_classes; bench/tracer.py LAYERS 'abcat.ext' names it",
     "abcat.image": "planned deletion; bench/tracer.py LAYERS 'abcat.obj' names it",
     "cli.parse_report": "the documented reader of machine reports (README, the --format flag)",
-    "itext.IteratedExtension.family_object": "read only by IteratedExtension.validate",
-    "itext.IteratedExtension.validate": "the tests' check of a built iterated extension; a planned deletion",
     "itext.extension_classes": "kept only if a test checks a paper statement with it; LAYERS 'itext' names it",
     "itext.is_morphism_of_iterated_extensions": "kept only if a test checks a paper statement with it; LAYERS 'itext'",
     "linalg.algebra_radical": "planned deletion; bench/tracer.py LAYERS 'linalg' names it",

@@ -4,15 +4,22 @@ import random
 import pytest
 
 from conftest import (
+    HALF,
+    WINDOW,
     catalog_keys,
+    random_splices,
+    reference_cofiltration_from_filtration,
     reference_deformation_total_object,
     reference_flag_adapted_basis,
     reference_from_deformation,
+    validate_iterated_extension,
+    weyl_family,
 )
 from test_nakayama import N_MAX, nonzero_paths, random_nakayama, truncated_projective
 from uniserial import abcat
 from uniserial.gradedrep import ideal_quotient_rep, simple_rep, validate
 from uniserial.itext import (
+    Filtration,
     IteratedExtension,
     canonical_iterated_extension,
     cofiltration_from_filtration,
@@ -27,24 +34,17 @@ from uniserial.itext import (
     splice,
     to_deformation,
 )
-from uniserial.linalg import ONE, Scalar, parse_scalar
+from uniserial.linalg import ONE, Scalar
 from uniserial.quiverrep import QuiverPresentation, simple_at
 from uniserial.species import realize_vector
 from uniserial.weyl import euler_power
 from uniserial.weylcat import catalog_module, default_window, weyl_simple_family
-
-HALF = parse_scalar("1/2")
-WINDOW = (-5, 5)
 
 A3 = QuiverPresentation(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
 
 
 def a3_family():
     return tuple((n, simple_at(A3, n)) for n in ("1", "2", "3"))
-
-
-def weyl_family():
-    return weyl_simple_family([HALF, "0", "inf"], [0], WINDOW)
 
 
 def test_length_one_filtration():
@@ -64,7 +64,7 @@ def test_filtration_roundtrip_identity():
     assert back.order_vector == e.order_vector
     assert [abcat.total_dim(c) for c in back.cs] == [abcat.total_dim(c) for c in e.cs]
     assert abcat.are_isomorphic(back.x, e.x)
-    assert back.validate() == []
+    assert validate_iterated_extension(back) == []
     # round trip again: filtration subspaces agree
     filt2 = filtration_of(back)
     assert filt2.spaces == filt.spaces
@@ -75,7 +75,7 @@ def test_canonical_cofiltration_of_catalog_module():
     x = ideal_quotient_rep(euler_power(HALF, 2), WINDOW)
     e = canonical_iterated_extension(x, fam)
     assert e.order_vector == ("1/2@0", "1/2@0")
-    assert e.validate() == []
+    assert validate_iterated_extension(e) == []
     filt = filtration_of(e)
     # the middle filtration level is the canonical simple submodule
     level = filt.spaces[1]
@@ -86,7 +86,7 @@ def test_validate_flags_broken_extension():
     fam = a3_family()
     e = realize_vector(("1", "2"), fam)
     broken = IteratedExtension(e.family, ("1", "1"), e.cs, e.fs, e.kernel_monos)
-    assert broken.validate()
+    assert validate_iterated_extension(broken)
 
 
 def test_splice_split_case_direct_sum():
@@ -97,7 +97,7 @@ def test_splice_split_case_direct_sum():
     spliced = splice(e1, e2, ds.inj1, ds.proj2)
     assert spliced.order_vector == ("3", "1")
     assert abcat.total_dim(spliced.x) == 2
-    assert spliced.validate() == []
+    assert validate_iterated_extension(spliced) == []
 
 
 def test_splice_of_two_simples_along_nonzero_class():
@@ -112,35 +112,11 @@ def test_splice_of_two_simples_along_nonzero_class():
     assert len(xis) == 1 and not xis[0].is_zero()
 
 
-def random_splices():
-    """(sub, quotient, splice) of six seeded splices of Weyl iterated extensions, along a class or split."""
-    rng = random.Random(31)
-    fam = weyl_family()
-    pool = [
-        realize_vector(("1/2@0",), fam),
-        realize_vector(("1/2@0", "1/2@0"), fam),
-        realize_vector(("0@0",), fam),
-        realize_vector(("0@0", "inf@0"), fam),
-        realize_vector(("inf@0", "0@0"), fam),
-    ]
-    for _ in range(6):
-        e_sub = rng.choice(pool)
-        e_quot = rng.choice(pool)
-        classes = abcat.ext1_basis(e_quot.x, e_sub.x)
-        if classes and rng.random() < 0.7:
-            cls = rng.choice(classes)
-            z, inj, surj = abcat.realize_extension(cls)
-        else:
-            ds = abcat.direct_sum(e_sub.x, e_quot.x)
-            inj, surj = ds.inj1, ds.proj2
-        yield e_sub, e_quot, splice(e_sub, e_quot, inj, surj)
-
-
 def test_splice_lengths_and_factors_add_randomized():
     for e_sub, e_quot, spliced in random_splices():
         assert spliced.length == e_sub.length + e_quot.length
         assert spliced.order_vector == e_quot.order_vector + e_sub.order_vector
-        assert spliced.validate() == []
+        assert validate_iterated_extension(spliced) == []
 
 
 def test_splice_rejects_non_exact():
@@ -428,3 +404,45 @@ def test_deformation_needs_the_cofiltration_to_end_in_zero():
                                    e.kernel_monos)
         with pytest.raises(ValueError, match="filtration levels do not assemble to a basis"):
             to_deformation(broken)
+
+
+def test_cofiltration_from_filtration_matches_the_quotient_reference():
+    # the cofiltration glued from the flag's deformation data keeps filt.x as its
+    # top stage and the flag itself; its stages match the quotient construction's
+    flags = 0
+    for e in flag_basis_cases():
+        filt = filtration_of(e)
+        got, ref = cofiltration_from_filtration(filt), reference_cofiltration_from_filtration(filt)
+        assert got.x is filt.x
+        assert filtration_of(got).spaces == filt.spaces, e.order_vector
+        assert got.order_vector == ref.order_vector
+        assert [c.dims for c in got.cs] == [c.dims for c in ref.cs]
+        assert validate_iterated_extension(got) == []
+        fam = dict(filt.family)
+        assert [m.src for m in got.kernel_monos] == [fam[lbl] for lbl in filt.order_vector]
+        flags += 1
+    assert flags > 300
+
+
+def s1_cubed_flag(*levels):
+    """The flag of the given levels (lists of unit vectors of slot 1) on S1 + S1 + S1 over A3, one factor per level."""
+    fam = a3_family()
+    s1 = fam[0][1]
+    x = abcat.direct_sum(abcat.direct_sum(s1, s1).obj, s1).obj
+    unit = [tuple(Scalar(int(i == k)) for i in range(3)) for k in range(3)]
+    spaces = tuple({"1": [unit[k] for k in level], "2": [], "3": []} for level in levels)
+    return Filtration(x, fam, ("1",) * (len(levels) - 1), spaces)
+
+
+def test_cofiltration_from_filtration_rejects_a_malformed_flag():
+    assert validate_iterated_extension(cofiltration_from_filtration(s1_cubed_flag([0, 1, 2], [0, 1], [0], []))) == []
+    for dependent in (s1_cubed_flag([0, 1, 2], [0, 0], [2], []), s1_cubed_flag([0, 0, 1], [0], [])):
+        with pytest.raises(ValueError, match="subspace basis at slot '1' is dependent"):
+            cofiltration_from_filtration(dependent)
+    with pytest.raises(ValueError, match="filtration levels are not nested at slot '1'"):
+        cofiltration_from_filtration(s1_cubed_flag([0, 1, 2], [0, 1], [2], []))
+    # F_0 short of the whole object: the quotient construction ended in x / F_0, not in zero
+    short = s1_cubed_flag([0, 1], [0], [])
+    assert abcat.total_dim(reference_cofiltration_from_filtration(short).fs[0].dst) == 1
+    with pytest.raises(ValueError, match="filtration levels do not assemble to a basis at slot '1'"):
+        cofiltration_from_filtration(short)

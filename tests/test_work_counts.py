@@ -1,9 +1,10 @@
 """Exact work counts of fixed workloads, pinned as the digests pin reports.
 
 The workloads are verify_theorem(4) at pads 0 and 12, the 160 ext_table
-dims, and one pass each of the benchmark's verify and cli_session
-workloads at seed 1, built by bench/workloads.py itself.  The cli_session
-pass starts as a new process would, with no argument parser built.
+dims, one pass each of the benchmark's verify and cli_session workloads
+at seed 1, built by bench/workloads.py itself, and the six seeded splices
+of conftest.random_splices.  The cli_session pass starts as a new process
+would, with no argument parser built.
 
 Each count is taken by wrapping a function for the length of one run:
 Matrix products (Matrix.__mul__), the systems handed to the two
@@ -28,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import random_splices
 from uniserial import abcat, cli, gradedrep, linalg, weylcat
 from uniserial.gradedrep import GradedRep, simple_rep
 from uniserial.linalg import parse_scalar
@@ -92,12 +94,19 @@ def bench_cli_session_pass():
     assert outcomes == ["ok"] * 41 and pass_check(outcomes) == []
 
 
+def splices():
+    """The six seeded splices of Weyl iterated extensions, their pool realized first."""
+    for e_sub, e_quot, spliced in random_splices():
+        assert spliced.order_vector == e_quot.order_vector + e_sub.order_vector
+
+
 WORKLOADS = {
     "verify_theorem(4) pad 0": lambda: verify_pass(0),
     "verify_theorem(4) pad 12": lambda: verify_pass(12),
     "ext_table 160 dims": ext_table,
     "bench verify seed 1": bench_verify_pass,
     "bench cli_session seed 1": bench_cli_session_pass,
+    "splice six seeded": splices,
 }
 
 PINNED = {
@@ -105,7 +114,8 @@ PINNED = {
     "verify_theorem(4) pad 12": (12762, 2019, 197730, 1797, 4503, 16, 0, 158, 70, 160, 0),
     "ext_table 160 dims": (0, 34, 0, 320, 288, 0, 0, 160, 8, 0, 0),
     "bench verify seed 1": (2664, 477, 12240, 505, 863, 12, 0, 106, 46, 80, 0),
-    "bench cli_session seed 1": (3320, 843, 3436, 728, 667, 36, 0, 189, 36, 86, 1),
+    "bench cli_session seed 1": (3263, 786, 3241, 728, 667, 36, 0, 189, 36, 86, 1),
+    "splice six seeded": (3406, 947, 10617, 726, 3385, 19, 0, 12, 24, 0, 0),
 }
 
 
