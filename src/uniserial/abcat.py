@@ -27,8 +27,8 @@ each edge matrix through its kept nonzero views, over the slots, edges
 and relations they are given.  Ranks and solves read the complex of the
 source's core window, which the source states once with the transport
 that carries a map outward from it (Rep.core_window): hom_basis solves
-δ⁰ there and carries each map outward; the End certificate solves it
-there and carries nothing; since B lies in Z, dim Ext^1 and dim Hom are
+δ⁰ there and carries every map outward, find_isomorphism one and the
+End certificate none; since B lies in Z, dim Ext^1 and dim Hom are
 two ranks (rank_rows) of the core's δ¹ and δ⁰; and a cocycle, restricted
 to the core edges, has zero class iff rank [δ⁰ | c] = rank δ⁰ there.
 """
@@ -339,19 +339,19 @@ def _core_maps(x, y, ids, edges):
 
 def _hom_by_transport(x, y, window):
     """hom_basis's maps by the core solve, transport and check of x's core window, or None when a check fails."""
-    ids = x.slot_ids()
-    inner, edges, _, checks, transport = window
-    vecs = []
-    for h in _core_maps(x, y, inner, edges):
-        for e, inv in transport:
-            u, v = x.edge_ends(e)
-            h[v] = y.edge_matrix(e) * h[u] * inv
-        for e in checks:
-            u, v = x.edge_ends(e)
-            if h[v] * x.edge_matrix(e) != y.edge_matrix(e) * h[u]:
-                return None
-        vecs.append([a for s in ids for i in range(h[s].rows) for a in h[s].row(i)])
+    ids, maps = x.slot_ids(), _core_maps(x, y, window[0], window[1])
+    if not all(_carry(x, y, h, window) for h in maps):
+        return None
+    vecs = [[a for s in ids for i in range(h[s].rows) for a in h[s].row(i)] for h in maps]
     return [_slot_matrices(x, y, ids, vec) for vec in _kernel_form(vecs)]
+
+
+def _carry(x, y, h, window):
+    """Carry the core map h outward along the window's transport, in place; whether it passes the window's checks."""
+    for e, inv in window[4]:
+        u, v = x.edge_ends(e)
+        h[v] = y.edge_matrix(e) * h[u] * inv
+    return all(h[v] * x.edge_matrix(e) == y.edge_matrix(e) * h[u] for e in window[3] for u, v in [x.edge_ends(e)])
 
 
 def _kernel_form(vecs):
@@ -370,20 +370,30 @@ def _kernel_form(vecs):
 
 
 def find_isomorphism(x, y):
-    """The first hom_basis(x, y) map that is invertible, or None.
+    """An isomorphism x -> y decided on x's core window, or None; hom_basis's map when dim Hom = 1.
 
-    A map is invertible when every slot matrix is square of full rank.
-    When x or y is indecomposable this decides x ≅ y: an isomorphism
-    carries the basis onto a basis of the local algebra End, whose
-    members cannot all lie in its radical, so some basis map is a unit.
+    If x and y satisfy their relations, Hom(x, y) restricts bijectively to the
+    core solution (hom_basis), and if x ≅ y with one indecomposable, a basis map
+    is invertible (are_isomorphic), so are y's transport arrows, as h_v =
+    Y_e h_u X_e⁻¹, and the first core map invertible on the core carries to an
+    isomorphism.  A checked invertible map is one even where a relation breaks,
+    so only a negative answer guards the relations, and hom_basis then decides.
     """
     _check_pair(x, y)
     slots = x.slot_ids()
     if any(x.slot_dim(s) != y.slot_dim(s) for s in slots):
         return None
-    for h in hom_basis(x, y):
-        if all(rank(h.mats[s]) == x.slot_dim(s) for s in slots):
-            return h
+    inner, edges, _, _, transport = window = x.core_window()
+    for h in _core_maps(x, y, inner, edges):
+        if all(rank(h[s]) == x.slot_dim(s) for s in inner):
+            if not transport:
+                return Morphism(x, y, h, check=False)
+            if _carry(x, y, h, window) and all(rank(h[s]) == x.slot_dim(s) for s in slots if s not in inner):
+                vec = [a for s in slots for i in range(h[s].rows) for a in h[s].row(i)]
+                return Morphism(x, y, _slot_matrices(x, y, slots, *_kernel_form([vec])), check=False)
+            break
+    if transport and (x.violations() or y.violations()):
+        return next((h for h in hom_basis(x, y) if all(rank(h.mats[s]) == x.slot_dim(s) for s in slots)), None)
     return None
 
 
@@ -913,15 +923,15 @@ def is_indecomposable(x):
 
 
 def are_isomorphic(x, y) -> bool:
-    """Decide y ≅ x for an indecomposable x by the Hom-basis search.
+    """Decide y ≅ x for an indecomposable x by find_isomorphism.
 
-    End(x) is local (Fitting's lemma), so if y ≅ x some map in the
-    hom_basis(x, y) basis is invertible: composing with an isomorphism
-    turns that basis into a basis of End(x), and not every member of a
-    basis lies in rad End(x).  Conversely an invertible map is an
-    isomorphism.  This holds over any field (Auslander–Reiten–Smalø,
-    Representation Theory of Artin Algebras, §II).  Only x is certified:
-    y may be any object on the same backend.
+    End(x) is local (Fitting's lemma), so if y ≅ x some map of any basis
+    of Hom(x, y) is invertible: composing with an isomorphism turns that
+    basis into a basis of End(x), and not every member of a basis lies in
+    rad End(x).  Conversely an invertible map is an isomorphism.  This
+    holds over any field (Auslander–Reiten–Smalø, Representation Theory
+    of Artin Algebras, §II).  Only x is certified: y may be any object on
+    the same backend.
     """
     _check_pair(x, y)
     ok, _ = is_indecomposable(x)

@@ -381,16 +381,13 @@ def _deformation_with_conjugation(filt: Filtration):
 def deformation_roundtrip(e: IteratedExtension):
     """(deformation, rebuilt extension, explicit isomorphism x -> rebuilt.x).
 
-    The isomorphism is the change of basis used by the extraction, so the
-    round trip is witnessed exactly rather than by an isomorphism search;
-    the morphism constructor verifies it intertwines all edges.
+    The isomorphism is the extraction's change of basis conj: the factor
+    isomorphisms, one per block row and column, times _split's U⁻¹, so it is
+    invertible; the morphism constructor verifies it intertwines all edges.
     """
     d, conj = _deformation_with_conjugation(filtration_of(e))
     back = from_deformation(d)
-    iso = Morphism(e.x, back.x, conj)
-    if not (iso.is_injective() and iso.is_surjective()):
-        raise RuntimeError("round-trip conjugation is not invertible")
-    return d, back, iso
+    return d, back, Morphism(e.x, back.x, conj)
 
 
 def _glued(parts, correction):
@@ -407,8 +404,9 @@ def from_deformation(d: DeformationModule) -> IteratedExtension:
     """Rebuild the iterated extension on the leading components.
 
     The blocks are the factors in order-vector order with the psi
-    corrections below the diagonal; truncating to the first m blocks
-    gives the m-th cofiltration stage.
+    corrections below the diagonal, so the trailing blocks span a
+    subobject and the first m blocks, stage m, are the quotient of the top
+    stage by it; a quotient keeps the relations, so only the top is checked.
     """
     order = d.gamma.order_vector
     simples = [d.factor(lbl) for lbl in order]
@@ -416,7 +414,8 @@ def from_deformation(d: DeformationModule) -> IteratedExtension:
     fs = []
     monos = []
     for m in range(1, len(order) + 1):
-        obj = _glued(simples[:m], lambda i, j, edge: d.psi_matrix(j + 1, i + 1, edge) if j < i else None)
+        glue = _glued if m == len(order) else abcat.glue
+        obj = glue(simples[:m], lambda i, j, edge: d.psi_matrix(j + 1, i + 1, edge) if j < i else None)
         # the surjection keeps the leading blocks; the last block is the kernel
         if m == 1:
             fs.append(abcat.zero_morphism(obj, abcat.zero_like(obj)))

@@ -16,6 +16,7 @@ from uniserial.linalg import (
     extend_basis,
     inverse,
     parse_scalar,
+    rank,
     rank_rows,
     solve_matrix,
 )
@@ -175,6 +176,24 @@ def reference_hom_basis(x, y):
             mats[s] = Matrix(dy, dx, [[vec[index[(s, i, j)]] for j in range(dx)] for i in range(dy)])
         out.append(Morphism(x, y, mats, check=False))
     return out
+
+
+def reference_find_isomorphism(x, y):
+    """The first hom_basis(x, y) map that is invertible, or None.
+
+    A map is invertible when every slot matrix is square of full rank.
+    When x or y is indecomposable this decides x ≅ y: an isomorphism
+    carries the basis onto a basis of the local algebra End, whose
+    members cannot all lie in its radical, so some basis map is a unit.
+    """
+    abcat._check_pair(x, y)
+    slots = x.slot_ids()
+    if any(x.slot_dim(s) != y.slot_dim(s) for s in slots):
+        return None
+    for h in abcat.hom_basis(x, y):
+        if all(rank(h.mats[s]) == x.slot_dim(s) for s in slots):
+            return h
+    return None
 
 
 def core_ends(x):

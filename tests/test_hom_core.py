@@ -13,15 +13,23 @@ import random
 
 import pytest
 
-from conftest import LABELS, catalog_keys, core_ends, graded_dual, reference_hom_basis
+from conftest import (
+    LABELS,
+    catalog_keys,
+    core_ends,
+    graded_dual,
+    reference_find_isomorphism,
+    reference_hom_basis,
+)
 from test_abcat import chain_objects, loop_objects, random_hereditary_pairs
 from test_ext_core import wide_core_sources
-from uniserial import abcat
-from uniserial.abcat import direct_sum, hom_basis, total_dim
+from test_nakayama import N_MAX, nonzero_paths, random_nakayama, truncated_projective
+from uniserial import abcat, quiverrep, species
+from uniserial.abcat import Morphism, direct_sum, hom_basis, total_dim
 from uniserial.gradedrep import GradedRep, simple_rep, validate
 from uniserial.linalg import ZERO, Matrix, Scalar, rank, trace_product
 from uniserial.quiverrep import KRONECKER, simple_at
-from uniserial.weylcat import CatalogKey, catalog_module, default_window
+from uniserial.weylcat import CatalogKey, catalog_module, default_window, weyl_simple_family
 
 
 @pytest.fixture
@@ -203,3 +211,119 @@ def test_plain_reps_and_one_weight_windows_have_no_core(core_calls):
         assert x.core_window()[3:] == ((), ())
         assert_matches_full_system([(x, x)])
     assert core_calls == []
+
+
+def assert_finds_what_the_basis_search_finds(pairs):
+    """find_isomorphism against reference_find_isomorphism on each pair; how often each case came up.
+
+    Both find nothing on the same pairs.  On a one-dimensional Hom the map
+    is hom_basis's; on a wider one it is any isomorphism, so it is checked
+    on every edge and ranked on every slot.
+    """
+    seen = {"none": 0, "one": 0, "wider": 0}
+    for x, y in pairs:
+        got, ref = abcat.find_isomorphism(x, y), reference_find_isomorphism(x, y)
+        assert (got is None) == (ref is None), (x, y)
+        if got is None:
+            seen["none"] += 1
+        elif len(hom_basis(x, y)) == 1:
+            assert got == ref, (x, y)
+            seen["one"] += 1
+        else:
+            iso = Morphism(x, y, got.mats, check=True)
+            assert iso.is_injective() and iso.is_surjective(), (x, y)
+            seen["wider"] += 1
+    return seen
+
+
+def rescaled(m):
+    """m conjugated by the scalar w + 20 at each weight w: isomorphic to m, with other arrows wherever m has nonzero ones."""
+    return abcat.change_basis(m, {w: Matrix.identity(m.slot_dim(w)).scale(Scalar(w + 20)) for w in m.slot_ids()})
+
+
+def test_the_isomorphism_on_the_core_matches_the_basis_search_on_the_catalog_duals_and_boundary_simples():
+    # every pair of catalog modules with n <= 4 in both orders, the pairs of their duals, and the boundary simples;
+    # each of them against its rescaled copy, where the carried map of a one-dimensional Hom is not yet hom_basis's
+    window = default_window(4)
+    cat = [catalog_module(key, window) for key in catalog_keys(4)]
+    duals = [graded_dual(m) for m in cat]
+    simples = [simple_rep(base, twist, window) for base in LABELS + ("0", "inf") for twist in (-1, 0, 1)]
+    pairs = [(x, y) for objs in (cat, duals, simples) for x in objs for y in objs]
+    pairs += [pair for m in cat + duals + simples for r in [rescaled(m)] for pair in ((m, r), (r, m))]
+    seen = assert_finds_what_the_basis_search_finds(pairs)
+    assert min(seen.values()) > 0, seen
+
+
+def test_the_isomorphism_matches_the_basis_search_on_truncated_projectives():
+    # plain representations: the core is the whole quiver, and the first invertible core map is returned as it is
+    rng = random.Random(13)
+    pairs = []
+    for _ in range(30):
+        pres, leaving = random_nakayama(rng)
+        objs = [truncated_projective(pres, leaving, start, n) for start in pres.nodes
+                for n in range(1, len(nonzero_paths(pres, leaving, start, N_MAX + 1)) + 1)]
+        pairs += [(x, y) for x in objs for y in objs]
+    seen = assert_finds_what_the_basis_search_finds(pairs)
+    assert min(seen.values()) > 0, seen
+
+
+def with_a_singular_carrying_arrow(m):
+    """m with the first row of the first nonzero-dimensional arrow of its transport set to zero."""
+    arrow = next(a for a, inv in m.core_window()[4] if inv.rows)
+    mat = m.mats[arrow]
+    rows = [[ZERO] * mat.cols] + [list(mat.row(i)) for i in range(1, mat.rows)]
+    return m.with_matrices(m.dims, {**m.mats, arrow: Matrix(mat.rows, mat.cols, rows)})
+
+
+def boundary_pair():
+    """(x, y) on the weights 0..2, both satisfying their one relation, with x's carrying arrow ("t", 1) singular in y.
+
+    Hom(x, y) is one map, invertible on the core 0..1 and zero at weight 2:
+    the carried map passes the check on ("p", 2), which is zero in both.
+    """
+    def rep(t1):
+        one = {a: Matrix(1, 1, [[Scalar(a)]]) for a in (-1, 0, 1)}
+        return GradedRep((0, 2), {0: 1, 1: 1, 2: 1}, {0: one[1], 1: one[t1]}, {1: one[-1], 2: one[0]})
+
+    return rep(1), rep(0)
+
+
+def test_the_isomorphism_matches_the_basis_search_where_a_relation_breaks_or_a_carrying_arrow_is_singular(monkeypatch):
+    rng = random.Random(17)
+    window = default_window(3)
+    cat = [catalog_module(key, window) for key in catalog_keys(3)]
+    broken = [(b, m) for m in cat for b in (perturbed(m, rng) for _ in range(3)) if validate(b)]
+    singular = [(m, with_a_singular_carrying_arrow(m)) for m in cat if any(inv.rows for _, inv in m.core_window()[4])]
+    x, y = boundary_pair()
+    assert validate(x) == validate(y) == [] and x.core_window()[4][0][0] == ("t", 1)
+    pairs = [(b, b) for b, _ in broken] + [pair for b, m in broken for pair in ((b, m), (m, b))]
+    pairs += [(b, z) for b, _ in broken for z in cat[:4]] + singular + [(z, m) for m, z in singular]
+    pairs += [(x, y), (y, x), (x, x), (graded_dual(y), graded_dual(x))]
+    seen = assert_finds_what_the_basis_search_finds(pairs)
+    assert seen["none"] > 0 and seen["one"] + seen["wider"] > 0, seen
+    assert len(hom_basis(x, y)) == 1 and abcat.find_isomorphism(x, y) is None
+    # the relation guard finds isomorphisms: broken sources whose first invertible core map does not carry
+    real, guarded, rescued = abcat.hom_basis, [], 0
+    monkeypatch.setattr(abcat, "hom_basis", lambda a, b: guarded.append((a, b)) or real(a, b))
+    for a, b in pairs:
+        guarded.clear()
+        rescued += abcat.find_isomorphism(a, b) is not None and guarded == [(a, b)]
+    assert rescued > 0
+
+
+def test_the_isomorphism_of_a_verify_key_pair_carries_one_map_and_guards_no_relation(monkeypatch):
+    # both objects of verify_key satisfy their relations, so the answer needs neither hom_basis nor violations()
+    window = default_window(3)
+    for key in (CatalogKey("euler", LABELS[1], None, 3), CatalogKey("word", None, "inf", 2)):
+        bases = [key.alpha, "0", "inf"] if key.kind == "euler" else ["0", "inf"]
+        family = weyl_simple_family(bases, [key.twist], window)
+        built, = species.classify(species.species_of(family), family, key.n, start=key.start_label())
+        cat = catalog_module(key, window)
+        assert validate(cat) == [] and cat.core_window()[4]
+        calls = []
+        for module, name in ((abcat, "hom_basis"), (abcat, "_carry"), (quiverrep.Rep, "violations")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+        iso = abcat.find_isomorphism(built.obj, cat)
+        monkeypatch.undo()
+        assert iso is not None and calls == ["_carry"], (key, calls)

@@ -24,6 +24,7 @@ from uniserial.itext import (
     canonical_iterated_extension,
     cofiltration_from_filtration,
     deformation_dimension_check,
+    deformation_roundtrip,
     deformation_total_object,
     extension_classes,
     extension_type,
@@ -34,9 +35,9 @@ from uniserial.itext import (
     splice,
     to_deformation,
 )
-from uniserial.linalg import ONE, Scalar
+from uniserial.linalg import ONE, Scalar, rank
 from uniserial.quiverrep import QuiverPresentation, simple_at
-from uniserial.species import realize_vector
+from uniserial.species import classify, realize_vector, species_of
 from uniserial.weyl import euler_power
 from uniserial.weylcat import catalog_module, default_window, weyl_simple_family
 
@@ -316,6 +317,26 @@ def test_deformation_roundtrip_explicit_isomorphism():
     spliced = splice(e1, e2, ds.inj1, ds.proj2)
     d2, back2, iso2 = deformation_roundtrip(spliced)
     assert iso2.is_injective() and iso2.is_surjective()
+
+
+def test_every_round_trip_returns_an_isomorphism():
+    # conj is the factor isomorphisms times _split's U⁻¹, so no rank is taken to certify it: rank it here,
+    # on the extensions of this file's round trips and on criterion 8's classified objects
+    weyl, a3 = weyl_family(), a3_family()
+    words = [(("2",), a3), (("1", "2", "3"), a3), (("1/2@0", "1/2@0"), weyl), (("0@0", "inf@0", "0@0"), weyl),
+             (("0@0", "inf@0"), weyl), (("inf@0", "0@0"), weyl), (("1/2@0", "1/2@0", "1/2@0"), weyl)]
+    extensions = [realize_vector(v, fam, choice) for v, fam in words for choice in (0, 1)]
+    for e1, e2, fam in ((("1",), ("3",), a3), (("0@0",), ("1/2@0",), weyl)):
+        e1, e2 = realize_vector(e1, fam), realize_vector(e2, fam)
+        ds = abcat.direct_sum(e1.x, e2.x)
+        extensions.append(splice(e1, e2, ds.inj1, ds.proj2))
+    for fam in (weyl_simple_family([HALF, "0", "inf"], [0], (-7, 7)), a3):
+        spec = species_of(fam)
+        extensions += [item.extension for n in (1, 2, 3) for item in classify(spec, fam, n)]
+    for e in extensions:
+        d, back, iso = deformation_roundtrip(e)
+        assert iso.src == e.x and iso.dst == back.x
+        assert all(rank(iso.mats[s]) == e.x.slot_dim(s) == back.x.slot_dim(s) for s in e.x.slot_ids())
 
 
 def test_deformation_psi_choice_independent_iso_class():

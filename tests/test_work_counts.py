@@ -11,7 +11,8 @@ Matrix products (Matrix.__mul__), the systems handed to the two
 elimination kernels (linalg._rref_rows and linalg._rank_rows calls, and
 their rows * cols cells), the hom_basis and is_uniserial calls, the
 ExtSpaces built, the core windows built (GradedRep._find_core), the
-trace_product calls of the End certificate and the cli.build_parser calls.
+trace_product calls of the End certificate, the cli.build_parser calls
+and the relation checks (Rep.violations calls).
 These counts are the same on every run and under every PYTHONHASHSEED,
 so they show a change of work that a timing on a noisy host cannot.  Scalar results are left out: how many
 _reduced calls a run makes depends on what earlier calls left cached.
@@ -30,7 +31,7 @@ from pathlib import Path
 import pytest
 
 from conftest import random_splices
-from uniserial import abcat, cli, gradedrep, linalg, weylcat
+from uniserial import abcat, cli, gradedrep, linalg, quiverrep, weylcat
 from uniserial.gradedrep import GradedRep, simple_rep
 from uniserial.linalg import parse_scalar
 from uniserial.weylcat import verify_theorem
@@ -47,6 +48,7 @@ COUNTS = (
     "core builds",
     "trace_product calls",
     "build_parser calls",
+    "relation checks",
 )
 LABELS = (parse_scalar("1/2"), parse_scalar("1/3+1/2*i"))
 
@@ -110,12 +112,12 @@ WORKLOADS = {
 }
 
 PINNED = {
-    "verify_theorem(4) pad 0": (4554, 867, 41826, 837, 2031, 16, 0, 158, 70, 160, 0),
-    "verify_theorem(4) pad 12": (12762, 2019, 197730, 1797, 4503, 16, 0, 158, 70, 160, 0),
-    "ext_table 160 dims": (0, 34, 0, 320, 288, 0, 0, 160, 8, 0, 0),
-    "bench verify seed 1": (2664, 477, 12240, 505, 863, 12, 0, 106, 46, 80, 0),
-    "bench cli_session seed 1": (3263, 786, 3241, 728, 667, 36, 0, 189, 36, 86, 1),
-    "splice six seeded": (3406, 947, 10617, 726, 3385, 19, 0, 12, 24, 0, 0),
+    "verify_theorem(4) pad 0": (3674, 867, 39339, 837, 2031, 0, 0, 158, 70, 160, 0, 32),
+    "verify_theorem(4) pad 12": (10346, 2019, 191571, 1797, 4503, 0, 0, 158, 70, 160, 0, 32),
+    "ext_table 160 dims": (0, 34, 0, 320, 288, 0, 0, 160, 8, 0, 0, 0),
+    "bench verify seed 1": (2264, 477, 11521, 505, 863, 0, 0, 106, 46, 80, 0, 24),
+    "bench cli_session seed 1": (3145, 786, 3241, 614, 277, 21, 0, 189, 36, 86, 1, 91),
+    "splice six seeded": (3172, 947, 10617, 726, 3385, 0, 0, 12, 24, 0, 0, 6),
 }
 
 
@@ -145,6 +147,7 @@ def count_work(run):
         mp.setattr(abcat, "trace_product", counted("trace_product calls", abcat.trace_product))
         mp.setattr(cli, "build_parser", counted("build_parser calls", cli.build_parser))
         mp.setattr(cli, "_PARSER", [])
+        mp.setattr(quiverrep.Rep, "violations", counted("relation checks", quiverrep.Rep.violations))
         run()
     return tuple(counts[name] for name in COUNTS)
 
