@@ -392,7 +392,7 @@ def find_isomorphism(x, y):
                 vec = [a for s in slots for i in range(h[s].rows) for a in h[s].row(i)]
                 return Morphism(x, y, _slot_matrices(x, y, slots, *_kernel_form([vec])), check=False)
             break
-    if transport and (x.violations() or y.violations()):
+    if transport and x.violations() and y.violations():
         return next((h for h in hom_basis(x, y) if all(rank(h.mats[s]) == x.slot_dim(s) for s in slots)), None)
     return None
 
@@ -758,25 +758,30 @@ def _extension_cocycle(inj: Morphism, surj: Morphism):
     basis u = [inj | section], through unglue; builds no Z, B or class
     representatives.  The splitting also checks exactness: once the
     composition is zero and the dimensions add, a section exists iff surj
-    is surjective, and then u is invertible iff inj is injective.
+    is surjective, and then u is invertible iff inj is injective.  A slot
+    whose (inj, surj) matrices equal an earlier slot's takes that slot's
+    (u, u⁻¹), so a tower, one pair at every weight, splits once.
     """
     y, z, x = inj.src, inj.dst, surj.dst
     if surj.src != z:
         raise ValueError("inj and surj do not share the middle object")
     if not (surj * inj).is_zero():
         raise ValueError("composition is not zero")
-    bases = {}
+    bases, splits = {}, {}
     for s in z.slot_ids():
         if z.slot_dim(s) != x.slot_dim(s) + y.slot_dim(s):
             raise ValueError("dimensions do not add at slot %r" % (s,))
-        section = solve_matrix(surj.mats[s], Matrix.identity(x.slot_dim(s)))
-        if section is None:
-            raise ValueError("surjection is not surjective at slot %r" % (s,))
-        u = inj.mats[s].hstack(section)
-        uinv = inverse(u)
-        if uinv is None:
-            raise ValueError("inclusion is not injective at slot %r" % (s,))
-        bases[s] = (u, uinv)
+        pair = inj.mats[s], surj.mats[s]
+        if pair not in splits:
+            section = solve_matrix(surj.mats[s], Matrix.identity(x.slot_dim(s)))
+            if section is None:
+                raise ValueError("surjection is not surjective at slot %r" % (s,))
+            u = inj.mats[s].hstack(section)
+            uinv = inverse(u)
+            if uinv is None:
+                raise ValueError("inclusion is not injective at slot %r" % (s,))
+            splits[pair] = u, uinv
+        bases[s] = splits[pair]
     block = unglue(z, bases, {s: (y.slot_dim(s), x.slot_dim(s)) for s in z.slot_ids()})
     space = ExtSpace(x, y)
     return space, space.cocycle_vector({e: block(e, 0, 1) for e in z.edge_ids()})
@@ -792,18 +797,24 @@ def extract_class(inj: Morphism, surj: Morphism) -> ExtClass:
     return ExtClass(space, vec, space.class_coords(vec))
 
 
-def pullback_extension(xi: ExtClass, mono: Morphism) -> ExtClass:
-    """Restrict an extension of x by y along an injective mono: x' -> x."""
+def pullback_extension(xi: ExtClass, mono: Morphism, space=None) -> ExtClass:
+    """Restrict an extension of x by y along an injective mono: x' -> x.
+
+    The class lands in space, which must be the pair (x', y); by default
+    a new ExtSpace(x', y).
+    """
     if not mono.is_injective():
         raise ValueError("pullback needs an injective map")
     if mono.dst != xi.space.x:
         raise ValueError("mono does not land in the extension base")
-    x2 = mono.src
-    space2 = ExtSpace(x2, xi.space.y)
+    if space is None:
+        space = ExtSpace(mono.src, xi.space.y)
+    elif (space.x, space.y) != (mono.src, xi.space.y):
+        raise ValueError("target space is not the pair (mono source, extension fiber)")
     x = xi.space.x
     blocks = {e: xi.correction_matrix(e) * mono.mats[x.edge_ends(e)[0]] for e in x.edge_ids()}
-    vec = space2.cocycle_vector(blocks)
-    return ExtClass(space2, vec, space2.class_coords(vec))
+    vec = space.cocycle_vector(blocks)
+    return ExtClass(space, vec, space.class_coords(vec))
 
 
 # -- socle, series, indecomposability ----------------------------------------

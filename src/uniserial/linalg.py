@@ -4,8 +4,11 @@ Every computation in the package reduces to the primitives here: reduced
 row echelon form, ranks, kernel bases, linear solves and the trace-form
 radical of a matrix algebra.  Matrices are dense and immutable, and keep
 their nonzero entries per row and per column once asked (nonzero_rows,
-nonzero_columns).  Both elimination kernels work on {column: Scalar} dict
-rows with Markowitz's pivot rule: _rref_rows only reads its dense rows and
+nonzero_columns).  A product skips zero factors, takes a factor that is
+the shared ONE as the other one and stores an entry's first term as it is;
+zero, identity, from_columns and transpose build their row tuples without
+Matrix()'s checked copy.  Both elimination kernels work on {column: Scalar}
+dict rows with Markowitz's pivot rule: _rref_rows only reads its dense rows and
 returns the (pivot column, sparse row) pairs of the rref, and _rank_rows
 eliminates fresh dict rows forward only.  rank_rows ranks rows in that
 form, rank a Matrix.  solve, inverse (past 1x1) and in_span are each
@@ -259,7 +262,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "_data", "_nz_rows", "_nz_cols")
 
     def __init__(self, rows: int, cols: int, data):
-        entries = tuple(tuple(r) for r in data)
+        entries = tuple(map(tuple, data))
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("entry table does not match %dx%d" % (rows, cols))
         object.__setattr__(self, "rows", rows)
@@ -271,16 +274,18 @@ class Matrix:
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, [[ZERO] * cols for _ in range(rows)])
+        return _matrix(rows, cols, ((ZERO,) * cols,) * rows)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return _matrix(n, n, tuple((ZERO,) * i + (ONE,) + (ZERO,) * (n - 1 - i) for i in range(n)))
 
     @staticmethod
     def from_columns(cols, rows: int) -> "Matrix":
         cols = list(cols)
-        return Matrix(rows, len(cols), [[c[i] for c in cols] for i in range(rows)])
+        if any(len(c) != rows for c in cols):
+            raise ValueError("column lengths %s do not match %d rows" % ([len(c) for c in cols], rows))
+        return _matrix(rows, len(cols), tuple(zip(*cols)) if cols else ((),) * rows)
 
     @staticmethod
     def block(grid, row_sizes, col_sizes) -> "Matrix":
@@ -373,12 +378,15 @@ class Matrix:
                 if a is not ZERO and a:
                     for j, b in enumerate(ok):
                         if b is not ZERO and b:
-                            orow[j] = orow[j] + a * b
+                            # a factor that is the shared ONE is not multiplied, and a first term is not added to ZERO
+                            t = b if a is ONE else a if b is ONE else a * b
+                            c = orow[j]
+                            orow[j] = t if c is ZERO else c + t
             out.append(tuple(orow))
         return _matrix(self.rows, n, tuple(out))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, list(zip(*self._data)) if self.rows else [[] for _ in range(self.cols)])
+        return _matrix(self.cols, self.rows, tuple(zip(*self._data)) if self.rows else ((),) * self.cols)
 
     def is_zero(self) -> bool:
         return all(not a for r in self._data for a in r)

@@ -144,6 +144,11 @@ def realize_vector(v, family, basis_choice: int = 0):
     basis class.  Returns None when no step class exists (the lifting
     obstruction is nonzero).  basis_choice switches to a different
     cocycle representative to exercise independence of choices.
+
+    The call keeps one ExtSpace per label pair: the previous kernel is the
+    simple S_v[i-1], so every restriction lands in the pair space
+    (v[i-1], v[i]).  At step 1 that is the step space itself, and the
+    restriction, along the identity, is the class.
     """
     v = tuple(v)
     if not v:
@@ -156,17 +161,19 @@ def realize_vector(v, family, basis_choice: int = 0):
     cs = [first]
     fs = [abcat.zero_morphism(first, abcat.zero_like(first))]
     monos = [abcat.identity_morphism(first)]
+    pairs = {}
     for i in range(1, len(v)):
-        prev = cs[-1]
-        prev_mono = monos[-1]
-        k_obj = fam[v[i]]
-        space = ExtSpace(prev, k_obj)
+        key = v[i - 1], v[i]
+        if key not in pairs:
+            pairs[key] = ExtSpace(fam[v[i - 1]], fam[v[i]])
+        pair = pairs[key]
+        space = pair if i == 1 else ExtSpace(cs[-1], fam[v[i]])
         candidates = space.basis()
         if basis_choice:
             candidates = [c.scale(ONE + ONE) for c in reversed(candidates)]
         chosen = None
         for cls in candidates:
-            tau = pullback_extension(cls, prev_mono)
+            tau = cls if i == 1 else pullback_extension(cls, monos[-1], pair)
             if not tau.is_zero():
                 chosen = cls
                 break

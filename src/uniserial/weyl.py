@@ -13,6 +13,8 @@ form of theta_a * p is read off that of p without a product in the algebra.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .linalg import ONE, ZERO, Scalar, format_scalar, parse_int, parse_scalar
 
 
@@ -320,6 +322,7 @@ def to_theta_form(p: WeylElement):
     return d, g
 
 
+@lru_cache(maxsize=None)
 def theta_product(a: int, b: int) -> EulerPolynomial:
     """c_ab with theta_a * theta_b = theta_(a+b) * c_ab(E), in closed form.
 

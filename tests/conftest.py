@@ -77,6 +77,14 @@ def from_rows(data):
     return Matrix(len(data), len(data[0]) if data else 0, data)
 
 
+def reference_product(a, b):
+    """a * b by the plain triple loop, every term multiplied and summed from Scalar(0): Matrix.__mul__ without its shortcuts."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch %dx%d * %dx%d" % (a.rows, a.cols, b.rows, b.cols))
+    return Matrix(a.rows, b.cols, [[sum((a[i, k] * b[k, j] for k in range(a.cols)), Scalar(0))
+                                    for j in range(b.cols)] for i in range(a.rows)])
+
+
 def opposite_quiver(pres):
     """A^op: every arrow reversed, every relation u -> v read backwards as v -> u."""
     return QuiverPresentation(
@@ -305,6 +313,18 @@ def reference_tower_cocycle(key, big, simple, window, margin):
     if iso is None:
         raise RuntimeError("tower kernel is not the expected simple")
     return abcat._extension_cocycle(ker_incl * iso, surj)
+
+
+def reference_extension_cocycle(inj, surj):
+    """abcat._extension_cocycle on an exact sequence with one splitting per slot, none shared between slots."""
+    y, z, x = inj.src, inj.dst, surj.dst
+    bases = {}
+    for s in z.slot_ids():
+        u = inj.mats[s].hstack(solve_matrix(surj.mats[s], Matrix.identity(x.slot_dim(s))))
+        bases[s] = (u, inverse(u))
+    block = abcat.unglue(z, bases, {s: (y.slot_dim(s), x.slot_dim(s)) for s in z.slot_ids()})
+    space = abcat.ExtSpace(x, y)
+    return space, space.cocycle_vector({e: block(e, 0, 1) for e in z.edge_ids()})
 
 
 class FullWindowExt:

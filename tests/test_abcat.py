@@ -8,6 +8,7 @@ from conftest import (
     catalog_keys,
     graded_dual,
     reference_direct_sum,
+    reference_extension_cocycle,
     reference_hom_basis,
     reference_quotient_object,
     reference_realize_extension,
@@ -191,6 +192,17 @@ def test_pullback_rejects_non_injective():
     (cls, _) = ext1_basis(S1, S2)
     with pytest.raises(ValueError):
         pullback_extension(cls, zero_morphism_helper(S1))
+
+
+def test_pullback_into_a_given_space():
+    # the given target space is used, and must be the pair (mono source, extension fiber)
+    xi = ext1_basis(S1, S2)[1]
+    target = ExtSpace(S1, S2)
+    pulled = pullback_extension(xi, identity_morphism(S1), target)
+    assert pulled.space is target and pulled.coords == pullback_extension(xi, identity_morphism(S1)).coords
+    for wrong in (ExtSpace(S2, S1), ExtSpace(S1, S1)):
+        with pytest.raises(ValueError, match="target space"):
+            pullback_extension(xi, identity_morphism(S1), wrong)
 
 
 def zero_morphism_helper(x):
@@ -1237,6 +1249,41 @@ def test_sub_object_matches_solves_per_edge():
             seen["ok"] += 1
             seen["slot of dim >= 2"] += any(len(spaces.get(s, ())) >= 2 for s in x.slot_ids())
     assert min(seen.values()) >= 10, seen
+
+
+def copied(m):
+    """A Matrix equal to m that is not m."""
+    return Matrix(m.rows, m.cols, [list(m.row(i)) for i in range(m.rows)])
+
+
+def test_extension_cocycle_splits_once_per_distinct_slot_pair(monkeypatch):
+    # the middle object conjugated by one basis change per slot dimension, copied into each slot (equal pairs held
+    # by distinct matrices), or by diag(1, D) with D drawn per slot (equal inclusions, surjections that differ);
+    # each against one splitting per slot, and with one inverse per distinct (inj, surj) pair
+    rng = random.Random(37)
+    real, inverted = abcat.inverse, []
+    monkeypatch.setattr(abcat, "inverse", lambda u: inverted.append(u) or real(u))
+    shared = 0
+    for x, y in extension_pairs():
+        space = ExtSpace(x, y)
+        coords = tuple(Scalar(rng.randint(-2, 2)) for _ in range(space.dim()))
+        z, inj, surj = realize_extension(space.class_from_coords(coords))
+        per_dim = {d: random_invertible(d, rng) for d in {z.slot_dim(s) for s in z.slot_ids()}}
+        for us in ({s: copied(per_dim[z.slot_dim(s)]) for s in z.slot_ids()},
+                   {s: Matrix.block([[Matrix.identity(y.slot_dim(s)), None],
+                                     [None, random_invertible(x.slot_dim(s), rng)]],
+                                    [y.slot_dim(s), x.slot_dim(s)], [y.slot_dim(s), x.slot_dim(s)])
+                    for s in z.slot_ids()}):
+            z2 = change_basis(z, us)
+            inj2 = Morphism(y, z2, {s: us[s] * inj.mats[s] for s in y.slot_ids()})
+            surj2 = Morphism(z2, x, {s: surj.mats[s] * inverse(us[s]) for s in x.slot_ids()})
+            ref_space, ref_vec = reference_extension_cocycle(inj2, surj2)
+            inverted.clear()
+            got_space, got_vec = abcat._extension_cocycle(inj2, surj2)
+            assert got_vec == ref_vec and (got_space.x, got_space.y) == (ref_space.x, ref_space.y) == (x, y)
+            assert len(inverted) == len({(inj2.mats[s], surj2.mats[s]) for s in z.slot_ids()})
+            shared += len(inverted) < len(z.slot_ids())
+    assert shared >= 10, shared
 
 
 def test_extension_cocycle_rejects_inexact_sequences():

@@ -311,6 +311,24 @@ def test_the_isomorphism_matches_the_basis_search_where_a_relation_breaks_or_a_c
     assert rescued > 0
 
 
+def test_a_pair_where_one_side_breaks_a_relation_has_no_isomorphism_without_hom_basis(monkeypatch):
+    # an isomorphism carries the relations, so where exactly one of x, y breaks one the answer is None, and the
+    # relation guard sends only a pair where both break one to hom_basis
+    rng = random.Random(17)
+    window = default_window(3)
+    cat = [catalog_module(key, window) for key in catalog_keys(3)]
+    broken = [(b, m) for m in cat for b in (perturbed(m, rng) for _ in range(3)) if validate(b)]
+    pairs = [pair for b, m in broken for pair in ((b, m), (m, b))] + [(b, z) for b, _ in broken for z in cat[:4]]
+    assert all(reference_find_isomorphism(x, y) is None for x, y in pairs)
+    # a pair of equal slot dimensions from a source with a transport reaches the guard
+    reached = sum(bool(x.core_window()[4]) and x.dims == y.dims for x, y in pairs)
+    assert reached >= 50, reached
+    calls = []
+    real = abcat.hom_basis
+    monkeypatch.setattr(abcat, "hom_basis", lambda a, b: calls.append((a, b)) or real(a, b))
+    assert [abcat.find_isomorphism(x, y) for x, y in pairs] == [None] * len(pairs) and calls == []
+
+
 def test_the_isomorphism_of_a_verify_key_pair_carries_one_map_and_guards_no_relation(monkeypatch):
     # both objects of verify_key satisfy their relations, so the answer needs neither hom_basis nor violations()
     window = default_window(3)

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import apply, dense_rref_rows, from_rows, reference_inverse, reference_solve
+from conftest import apply, dense_rref_rows, from_rows, reference_inverse, reference_product, reference_solve
 from uniserial.linalg import (
     I,
     ONE,
@@ -367,6 +367,37 @@ def test_nonzero_views_match_the_entries_and_are_kept():
             with pytest.raises(AttributeError):
                 setattr(m, name, None)
         assert m.nonzero_rows() is by_row and m == twin
+
+
+def test_matrix_product_matches_the_triple_loop():
+    # the shared ZERO and ONE (the product's shortcuts), fresh Scalar(0) and Scalar(1) (multiplied as any other),
+    # -1 (sums that cancel) and Gaussian rationals, on seeded shapes with 0 x n and n x 0 factors
+    rng = random.Random(29)
+    pool = [ZERO, ZERO, ONE, ONE, S(0), S(1), S(-1), S(Fraction(2, 3), Fraction(-1, 2)), I, S(Fraction(-5, 4))]
+    shapes = [(0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 0)] + [tuple(rng.randint(1, 5) for _ in range(3)) for _ in range(200)]
+    for m, k, n in shapes:
+        a, b = (Matrix(r, c, [[rng.choice(pool) for _ in range(c)] for _ in range(r)]) for r, c in ((m, k), (k, n)))
+        assert a * b == reference_product(a, b), (a, b)
+    with pytest.raises(ValueError):
+        M([[1, 2]]) * M([[1, 2]])
+
+
+def test_shortcut_constructors_build_the_checked_tables():
+    # zero, identity, from_columns and transpose skip Matrix's copy and checks, so each is compared with it
+    for rows, cols in ((0, 0), (0, 3), (3, 0), (2, 3)):
+        assert Matrix.zero(rows, cols) == Matrix(rows, cols, [[ZERO] * cols for _ in range(rows)])
+        m = Matrix(rows, cols, [[S(3 * i + j) for j in range(cols)] for i in range(rows)])
+        assert m.transpose() == Matrix(cols, rows, [[m[i, j] for i in range(rows)] for j in range(cols)])
+        assert Matrix.from_columns(m.columns(), rows) == m
+    for n in (0, 1, 3):
+        assert Matrix.identity(n) == Matrix(n, n, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+
+
+def test_from_columns_rejects_a_column_of_the_wrong_length():
+    assert Matrix.from_columns([(ONE, ONE)], 2) == M([[1], [1]])
+    for cols in ([(ONE, ONE, ONE)], [(ONE,)], [(ONE, ONE), (ONE,)], [()]):
+        with pytest.raises(ValueError):
+            Matrix.from_columns(cols, 2)
 
 
 def test_block_and_submatrix_split_and_reassemble():

@@ -214,6 +214,19 @@ def test_realize_vector_rescales_the_pulled_back_class(basis_choice):
             assert next(c for c in tau.coords if c) == Scalar(1)
 
 
+@pytest.mark.parametrize("basis_choice", [0, 1])
+def test_realize_vector_builds_one_space_per_label_pair(monkeypatch, basis_choice):
+    # on (α, α, α) the step-1 space and both restrictions are the one pair space (α, α); the only other space is
+    # step 2's Ext(X_2, S_α)
+    fam = weyl_simple_family([HALF, "0", "inf"], [0], WINDOW)
+    alpha = dict(fam)["1/2@0"]
+    built, real = [], abcat.ExtSpace.__init__
+    monkeypatch.setattr(abcat.ExtSpace, "__init__", lambda self, x, y: built.append((x, y)) or real(self, x, y))
+    ext = realize_vector(("1/2@0",) * 3, fam, basis_choice)
+    assert ext is not None and len(built) == 2
+    assert built[0][0] is alpha and built[0][1] is alpha and built[1] == (ext.cs[1], alpha)
+
+
 def test_restriction_map_bijective_along_realization():
     # with the criterion and nonzero classes, restricting extensions of the
     # partial object to its deepest kernel is a bijection on every simple
