@@ -754,13 +754,14 @@ def realize_extension(xi: ExtClass):
 def _extension_cocycle(inj: Morphism, surj: Morphism):
     """(ExtSpace(x, y), cocycle vector) of a short exact sequence inj, surj.
 
-    Reads the correction blocks, the top-right blocks of z in the splitting
-    basis u = [inj | section], through unglue; builds no Z, B or class
-    representatives.  The splitting also checks exactness: once the
-    composition is zero and the dimensions add, a section exists iff surj
-    is surjective, and then u is invertible iff inj is injective.  A slot
-    whose (inj, surj) matrices equal an earlier slot's takes that slot's
-    (u, u⁻¹), so a tower, one pair at every weight, splits once.
+    In the splitting basis u = [inj | section] each edge e of z has blocks
+    [[A, C], [B, D]]; reads the corrections C through unglue, building no
+    cocycle basis or class representatives.  The splitting checks exactness:
+    with the composition zero and the dimensions adding, a section exists iff
+    surj is onto, and then u is invertible iff inj is one to one.  It checks
+    the maps too: unglue raises unless B = 0, then inj is a morphism iff
+    A = Y_e, and surj, as surj u = [0 | 1], iff D = X_e.  A slot with an earlier
+    slot's (inj, surj) reuses its (u, u⁻¹), so a tower, one pair per weight, splits once.
     """
     y, z, x = inj.src, inj.dst, surj.dst
     if surj.src != z:
@@ -783,6 +784,9 @@ def _extension_cocycle(inj: Morphism, surj: Morphism):
             splits[pair] = u, uinv
         bases[s] = splits[pair]
     block = unglue(z, bases, {s: (y.slot_dim(s), x.slot_dim(s)) for s in z.slot_ids()})
+    for e in z.edge_ids():
+        if block(e, 0, 0) != y.edge_matrix(e) or block(e, 1, 1) != x.edge_matrix(e):
+            raise ValueError("matrices do not intertwine edge %r" % (e,))
     space = ExtSpace(x, y)
     return space, space.cocycle_vector({e: block(e, 0, 1) for e in z.edge_ids()})
 
@@ -790,8 +794,8 @@ def _extension_cocycle(inj: Morphism, surj: Morphism):
 def extract_class(inj: Morphism, surj: Morphism) -> ExtClass:
     """Extension class of a short exact sequence given by inj and surj.
 
-    The cocycle that _extension_cocycle reads off a splitting, after the
-    same exactness checks, with its coordinates in the chosen Ext basis.
+    The cocycle that _extension_cocycle reads off a splitting, after its
+    exactness and morphism checks, with its coordinates in the chosen Ext basis.
     """
     space, vec = _extension_cocycle(inj, surj)
     return ExtClass(space, vec, space.class_coords(vec))

@@ -135,15 +135,14 @@ def admissible_paths(s: Species, n: int):
     return paths
 
 
-def realize_vector(v, family, basis_choice: int = 0):
+def realize_vector(v, family):
     """Build the iterated extension with the given order vector, if any.
 
     Walks the vector left to right, at each step picking an extension
     class of the partial object by the next simple whose restriction to
     the previous kernel is nonzero, scaled so the restriction hits the
     basis class.  Returns None when no step class exists (the lifting
-    obstruction is nonzero).  basis_choice switches to a different
-    cocycle representative to exercise independence of choices.
+    obstruction is nonzero).
 
     The call keeps one ExtSpace per label pair: the previous kernel is the
     simple S_v[i-1], so every restriction lands in the pair space
@@ -168,11 +167,8 @@ def realize_vector(v, family, basis_choice: int = 0):
             pairs[key] = ExtSpace(fam[v[i - 1]], fam[v[i]])
         pair = pairs[key]
         space = pair if i == 1 else ExtSpace(cs[-1], fam[v[i]])
-        candidates = space.basis()
-        if basis_choice:
-            candidates = [c.scale(ONE + ONE) for c in reversed(candidates)]
         chosen = None
-        for cls in candidates:
+        for cls in space.basis():
             tau = cls if i == 1 else pullback_extension(cls, monos[-1], pair)
             if not tau.is_zero():
                 chosen = cls

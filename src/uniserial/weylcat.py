@@ -178,15 +178,15 @@ def _tower_cocycle(key: CatalogKey, big: GradedRep, simple: GradedRep, window, m
     multiplier c(E).  Reduction modulo g commutes with c(E), and its kernel
     is spanned by g; E g = alpha g modulo (E - alpha)^n, so c(E) acts on g
     as c(alpha), the simple's matrix: the identification scalar is 1 at
-    every weight.  Morphism checks both maps on every edge, and
-    _extension_cocycle checks that the sequence is exact.
+    every weight.  The maps are built unchecked: the splitting in
+    _extension_cocycle checks both, and that the sequence is exact.
     """
     _, g = to_theta_form(euler_power(key.alpha, key.n - 1))
     g = g.monic().coeffs
     red = Matrix.identity(key.n - 1).hstack(Matrix.from_columns([[-c for c in g[:-1]]], key.n - 1))
     small = catalog_module(replace(key, n=key.n - 1), window, margin)
-    mono = abcat.Morphism(simple, big, dict.fromkeys(big.slot_ids(), Matrix.from_columns([g], key.n)))
-    surj = abcat.Morphism(big, small, dict.fromkeys(big.slot_ids(), red))
+    mono = abcat.Morphism(simple, big, dict.fromkeys(big.slot_ids(), Matrix.from_columns([g], key.n)), check=False)
+    surj = abcat.Morphism(big, small, dict.fromkeys(big.slot_ids(), red), check=False)
     return abcat._extension_cocycle(mono, surj)
 
 

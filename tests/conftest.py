@@ -3,6 +3,8 @@ import random
 from dataclasses import replace
 from functools import cached_property
 
+import pytest
+
 from uniserial import abcat
 from uniserial.abcat import DirectSum, Morphism
 from uniserial.gradedrep import GradedRep
@@ -519,6 +521,14 @@ def reference_inverse(m):
 def weyl_family():
     """The Weyl simples of labels 1/2, 0 and inf at twist 0 on WINDOW."""
     return weyl_simple_family([HALF, "0", "inf"], [0], WINDOW)
+
+
+def realize_vector_other_basis(v, family):
+    """realize_vector(v, family) picking from every Ext basis reversed and doubled, other cocycle representatives."""
+    basis = abcat.ExtSpace.basis
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(abcat.ExtSpace, "basis", lambda self: [c.scale(ONE + ONE) for c in reversed(basis(self))])
+        return realize_vector(v, family)
 
 
 def random_splices():

@@ -15,7 +15,7 @@ from conftest import (
     reference_sub_object,
     transpose_dual,
 )
-from uniserial import abcat, linalg
+from uniserial import abcat, linalg, weylcat
 from uniserial.abcat import (
     BackendMismatchError,
     ExtSpace,
@@ -1256,14 +1256,10 @@ def copied(m):
     return Matrix(m.rows, m.cols, [list(m.row(i)) for i in range(m.rows)])
 
 
-def test_extension_cocycle_splits_once_per_distinct_slot_pair(monkeypatch):
-    # the middle object conjugated by one basis change per slot dimension, copied into each slot (equal pairs held
-    # by distinct matrices), or by diag(1, D) with D drawn per slot (equal inclusions, surjections that differ);
-    # each against one splitting per slot, and with one inverse per distinct (inj, surj) pair
-    rng = random.Random(37)
-    real, inverted = abcat.inverse, []
-    monkeypatch.setattr(abcat, "inverse", lambda u: inverted.append(u) or real(u))
-    shared = 0
+def basis_changed_sequences(rng):
+    """(inj, surj) of a seeded extension of each extension_pairs pair, its middle object conjugated by one basis change
+    per slot dimension, copied into each slot (equal pairs held by distinct matrices), or by diag(1, D) with D drawn
+    per slot (equal inclusions, surjections that differ)."""
     for x, y in extension_pairs():
         space = ExtSpace(x, y)
         coords = tuple(Scalar(rng.randint(-2, 2)) for _ in range(space.dim()))
@@ -1275,15 +1271,76 @@ def test_extension_cocycle_splits_once_per_distinct_slot_pair(monkeypatch):
                                     [y.slot_dim(s), x.slot_dim(s)], [y.slot_dim(s), x.slot_dim(s)])
                     for s in z.slot_ids()}):
             z2 = change_basis(z, us)
-            inj2 = Morphism(y, z2, {s: us[s] * inj.mats[s] for s in y.slot_ids()})
-            surj2 = Morphism(z2, x, {s: surj.mats[s] * inverse(us[s]) for s in x.slot_ids()})
-            ref_space, ref_vec = reference_extension_cocycle(inj2, surj2)
-            inverted.clear()
-            got_space, got_vec = abcat._extension_cocycle(inj2, surj2)
-            assert got_vec == ref_vec and (got_space.x, got_space.y) == (ref_space.x, ref_space.y) == (x, y)
-            assert len(inverted) == len({(inj2.mats[s], surj2.mats[s]) for s in z.slot_ids()})
-            shared += len(inverted) < len(z.slot_ids())
+            yield (Morphism(y, z2, {s: us[s] * inj.mats[s] for s in y.slot_ids()}),
+                   Morphism(z2, x, {s: surj.mats[s] * inverse(us[s]) for s in x.slot_ids()}))
+
+
+def test_extension_cocycle_splits_once_per_distinct_slot_pair(monkeypatch):
+    # each basis-changed sequence against one splitting per slot, and with one inverse per distinct (inj, surj) pair
+    real, inverted = abcat.inverse, []
+    monkeypatch.setattr(abcat, "inverse", lambda u: inverted.append(u) or real(u))
+    shared = 0
+    for inj2, surj2 in basis_changed_sequences(random.Random(37)):
+        y, z2, x = inj2.src, inj2.dst, surj2.dst
+        ref_space, ref_vec = reference_extension_cocycle(inj2, surj2)
+        inverted.clear()
+        got_space, got_vec = abcat._extension_cocycle(inj2, surj2)
+        assert got_vec == ref_vec and (got_space.x, got_space.y) == (ref_space.x, ref_space.y) == (x, y)
+        assert len(inverted) == len({(inj2.mats[s], surj2.mats[s]) for s in z2.slot_ids()})
+        shared += len(inverted) < len(z2.slot_ids())
     assert shared >= 10, shared
+
+
+def euler_tower_sequences():
+    """(inj, surj) of the Euler towers with n <= 4 at pads 0 and 6, as weylcat._tower_cocycle builds them."""
+    seqs, real = [], abcat._extension_cocycle
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(abcat, "_extension_cocycle", lambda inj, surj: seqs.append((inj, surj)) or real(inj, surj))
+        for key in [k for k in catalog_keys(4) if k.kind == "euler" and k.n >= 2]:
+            for pad in (0, 6):
+                base = default_window(key.n)
+                win = (base[0] - pad, base[1] + pad)
+                simple = simple_rep(key.alpha, key.twist, win)
+                weylcat._tower_cocycle(key, catalog_module(key, win), simple, win, weylcat.DEFAULT_MARGIN)
+    return seqs
+
+
+def is_exact(inj, surj):
+    """Whether 0 -> inj.src -> inj.dst -> surj.dst -> 0 is exact, by ranks slot by slot."""
+    y, z, x = inj.src, inj.dst, surj.dst
+    return (surj * inj).is_zero() and all(
+        rank(inj.mats[s]) == y.slot_dim(s) and rank(surj.mats[s]) == x.slot_dim(s) == z.slot_dim(s) - y.slot_dim(s)
+        for s in z.slot_ids())
+
+
+def test_extension_cocycle_checks_the_maps_it_splits():
+    # one nonzero slot matrix of inj or surj plus a seeded rank-one matrix, built unchecked, four draws per sequence:
+    # the splitting raises exactly when the checked constructor rejects the map or the sequence is not exact, and
+    # otherwise reads the reference cocycle
+    rng = random.Random(53)
+    seen = dict.fromkeys(("not a morphism", "not exact", "exact"), 0)
+    for inj, surj in [*basis_changed_sequences(random.Random(37)), *euler_tower_sequences()] * 4:
+        pair = [inj, surj]
+        side, s = rng.choice([(k, s) for k, m in enumerate(pair) for s in m.src.slot_ids() if not m.mats[s].is_zero()])
+        m = pair[side]
+        col = [Scalar(rng.randint(-2, 2)) for _ in range(m.mats[s].rows)]
+        row = [Scalar(rng.randint(-2, 2)) for _ in range(m.mats[s].cols)]
+        col[rng.randrange(len(col))] = row[rng.randrange(len(row))] = ONE
+        bump = Matrix.from_columns([col], len(col)) * Matrix(1, len(row), [row])
+        pair[side] = Morphism(m.src, m.dst, {**m.mats, s: m.mats[s] + bump}, check=False)
+        try:
+            Morphism(pair[side].src, pair[side].dst, pair[side].mats)
+        except ValueError:
+            verdict = "not a morphism"
+        else:
+            verdict = "exact" if is_exact(*pair) else "not exact"
+        seen[verdict] += 1
+        if verdict == "exact":
+            assert abcat._extension_cocycle(*pair)[1] == reference_extension_cocycle(*pair)[1]
+        else:
+            with pytest.raises(ValueError):
+                abcat._extension_cocycle(*pair)
+    assert min(seen.values()) >= 10, seen
 
 
 def test_extension_cocycle_rejects_inexact_sequences():
@@ -1297,7 +1354,31 @@ def test_extension_cocycle_rejects_inexact_sequences():
         (inj, abcat.zero_morphism(z, zero_like(x)), "dimensions do not add"),
         (ds.inj1, ds.proj1, "composition is not zero"),
     ]
+    # inj's source or surj's target swapped for a simple of the same dimensions and other matrices, unchecked
+    win = (-6, 6)
+    half, other = simple_rep(HALF, 0, win), simple_rep(parse_scalar("1/3+1/2*i"), 0, win)
+    z2, inj2, surj2 = realize_extension(ext1_basis(half, half)[0])
+    cases += [
+        (Morphism(other, z2, inj2.mats, check=False), surj2, "do not intertwine"),
+        (inj2, Morphism(z2, other, surj2.mats, check=False), "do not intertwine"),
+    ]
     for i, s, message in cases:
         with pytest.raises(ValueError, match=message):
             abcat._extension_cocycle(i, s)
     assert abcat._extension_cocycle(inj, surj)[1] == xi.vector
+
+
+def test_verify_key_builds_no_checked_morphism(monkeypatch):
+    # the Euler towers' maps are certified by the splitting alone; the word keys build no checked map either
+    real, checked = Morphism.__init__, []
+
+    def counting(self, src, dst, mats, check=True):
+        checked[-1] += check
+        real(self, src, dst, mats, check)
+
+    monkeypatch.setattr(Morphism, "__init__", counting)
+    keys = [k for k in catalog_keys(3) if k.kind == "word" or (k.alpha == HALF and k.n >= 2)]
+    for key in keys:
+        checked.append(0)
+        assert weylcat.verify_key(key, default_window(key.n)).ok, key
+    assert len(keys) == 8 and checked == [0] * 8, checked

@@ -8,6 +8,7 @@ from conftest import (
     WINDOW,
     catalog_keys,
     random_splices,
+    realize_vector_other_basis,
     reference_cofiltration_from_filtration,
     reference_deformation_total_object,
     reference_flag_adapted_basis,
@@ -325,7 +326,7 @@ def test_every_round_trip_returns_an_isomorphism():
     weyl, a3 = weyl_family(), a3_family()
     words = [(("2",), a3), (("1", "2", "3"), a3), (("1/2@0", "1/2@0"), weyl), (("0@0", "inf@0", "0@0"), weyl),
              (("0@0", "inf@0"), weyl), (("inf@0", "0@0"), weyl), (("1/2@0", "1/2@0", "1/2@0"), weyl)]
-    extensions = [realize_vector(v, fam, choice) for v, fam in words for choice in (0, 1)]
+    extensions = [(realize_vector, realize_vector_other_basis)[choice](v, fam) for v, fam in words for choice in (0, 1)]
     for e1, e2, fam in ((("1",), ("3",), a3), (("0@0",), ("1/2@0",), weyl)):
         e1, e2 = realize_vector(e1, fam), realize_vector(e2, fam)
         ds = abcat.direct_sum(e1.x, e2.x)
@@ -342,7 +343,7 @@ def test_every_round_trip_returns_an_isomorphism():
 def test_deformation_psi_choice_independent_iso_class():
     fam = weyl_family()
     e1 = realize_vector(("inf@0", "0@0"), fam)
-    e2 = realize_vector(("inf@0", "0@0"), fam, basis_choice=1)
+    e2 = realize_vector_other_basis(("inf@0", "0@0"), fam)
     d1 = to_deformation(e1)
     d2 = to_deformation(e2)
     b1 = from_deformation(d1)
@@ -365,7 +366,7 @@ def test_glued_deformation_objects_match_reference_builders():
     ]
     for v, fam in cases:
         for choice in (0, 1):
-            d = to_deformation(realize_vector(v, fam, choice))
+            d = to_deformation((realize_vector, realize_vector_other_basis)[choice](v, fam))
             lam = Scalar(rng.choice([-3, -2, 2, 3]), rng.randint(-1, 1))
             powers = [ONE, lam, lam * lam]
             psi = tuple(((i, j), tuple((e, m.scale(powers[j - i])) for e, m in entries)) for (i, j), entries in d.psi)

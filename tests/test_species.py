@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import realize_vector_other_basis
 from uniserial import abcat
 from uniserial.itext import extension_classes
 from uniserial.linalg import Matrix, Scalar, parse_scalar, solve_matrix
@@ -161,7 +162,7 @@ def test_realize_vector_unreachable_step_none():
 def test_realize_vector_two_runs_isomorphic():
     fam = weyl_simple_family([HALF, "0", "inf"], [0], WINDOW)
     e1 = realize_vector(("0@0", "inf@0", "0@0"), fam)
-    e2 = realize_vector(("0@0", "inf@0", "0@0"), fam, basis_choice=1)
+    e2 = realize_vector_other_basis(("0@0", "inf@0", "0@0"), fam)
     assert e1 is not None and e2 is not None
     assert abcat.are_isomorphic(e1.x, e2.x)
     assert e1.order_vector == e2.order_vector
@@ -192,8 +193,8 @@ def fiber_product_class(ext, i):
     return abcat.extract_class(abcat.Morphism(kmono.src, obj, inj), p2)
 
 
-@pytest.mark.parametrize("basis_choice", [0, 1])
-def test_realize_vector_rescales_the_pulled_back_class(basis_choice):
+@pytest.mark.parametrize("other_basis", [0, 1])
+def test_realize_vector_rescales_the_pulled_back_class(other_basis):
     # each step realizes its class rescaled so that the restriction tau has
     # first nonzero coordinate one; the class of the fiber product of fs[i]
     # and the previous kernel has the coordinates of tau
@@ -205,7 +206,7 @@ def test_realize_vector_rescales_the_pulled_back_class(basis_choice):
         (("1/3+1/2*i@0", "1/3+1/2*i@0"), weyl),
     ]
     for v, fam in cases:
-        ext = realize_vector(v, fam, basis_choice)
+        ext = (realize_vector, realize_vector_other_basis)[other_basis](v, fam)
         _, taus = extension_classes(ext)
         assert len(taus) == len(v) - 1
         for i, tau in enumerate(taus, start=1):
@@ -214,15 +215,15 @@ def test_realize_vector_rescales_the_pulled_back_class(basis_choice):
             assert next(c for c in tau.coords if c) == Scalar(1)
 
 
-@pytest.mark.parametrize("basis_choice", [0, 1])
-def test_realize_vector_builds_one_space_per_label_pair(monkeypatch, basis_choice):
+@pytest.mark.parametrize("other_basis", [0, 1])
+def test_realize_vector_builds_one_space_per_label_pair(monkeypatch, other_basis):
     # on (α, α, α) the step-1 space and both restrictions are the one pair space (α, α); the only other space is
     # step 2's Ext(X_2, S_α)
     fam = weyl_simple_family([HALF, "0", "inf"], [0], WINDOW)
     alpha = dict(fam)["1/2@0"]
     built, real = [], abcat.ExtSpace.__init__
     monkeypatch.setattr(abcat.ExtSpace, "__init__", lambda self, x, y: built.append((x, y)) or real(self, x, y))
-    ext = realize_vector(("1/2@0",) * 3, fam, basis_choice)
+    ext = (realize_vector, realize_vector_other_basis)[other_basis](("1/2@0",) * 3, fam)
     assert ext is not None and len(built) == 2
     assert built[0][0] is alpha and built[0][1] is alpha and built[1] == (ext.cs[1], alpha)
 

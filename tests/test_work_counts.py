@@ -112,10 +112,10 @@ WORKLOADS = {
 }
 
 PINNED = {
-    "verify_theorem(4) pad 0": (3338, 627, 31227, 657, 1896, 0, 0, 138, 70, 160, 0, 32),
-    "verify_theorem(4) pad 12": (9434, 1491, 148323, 1329, 4152, 0, 0, 138, 70, 160, 0, 32),
+    "verify_theorem(4) pad 0": (2666, 627, 31227, 657, 1896, 0, 0, 138, 70, 160, 0, 32),
+    "verify_theorem(4) pad 12": (7610, 1491, 148323, 1329, 4152, 0, 0, 138, 70, 160, 0, 32),
     "ext_table 160 dims": (0, 34, 0, 320, 288, 0, 0, 160, 8, 0, 0, 0),
-    "bench verify seed 1": (2056, 335, 8245, 393, 779, 0, 0, 96, 46, 80, 0, 24),
+    "bench verify seed 1": (1640, 335, 8245, 393, 779, 0, 0, 96, 46, 80, 0, 24),
     "bench cli_session seed 1": (3011, 730, 2600, 518, 226, 21, 0, 177, 36, 86, 1, 91),
     "splice six seeded": (3112, 935, 10397, 693, 3363, 0, 0, 9, 24, 0, 0, 6),
 }
