@@ -27,10 +27,11 @@ each edge matrix through its kept nonzero views, over the slots, edges
 and relations they are given.  Ranks and solves read the complex of the
 source's core window, which the source states once with the transport
 that carries a map outward from it (Rep.core_window): hom_basis solves
-δ⁰ there and carries every map outward, find_isomorphism one and the
-End certificate none; since B lies in Z, dim Ext^1 and dim Hom are
-two ranks (rank_rows) of the core's δ¹ and δ⁰; and a cocycle, restricted
-to the core edges, has zero class iff rank [δ⁰ | c] = rank δ⁰ there.
+δ⁰ there and carries every map outward, find_isomorphism one, and the
+End certificate and the isomorphism decider (_isomorphic) none; since B
+lies in Z, dim Ext^1 and dim Hom are two ranks (rank_rows) of the core's
+δ¹ and δ⁰; and a cocycle, restricted to the core edges, has zero class
+iff rank [δ⁰ | c] = rank δ⁰ there.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .linalg import (
     Matrix,
     ONE,
     ZERO,
+    _matrix,
     column_space_basis,
     extend_basis,
     inverse,
@@ -141,10 +143,12 @@ class Morphism:
         return all(m.is_zero() for m in self.mats.values())
 
     def is_injective(self) -> bool:
-        return all(rank(m) == m.cols for m in self.mats.values())
+        """Whether every slot matrix has full column rank; each distinct matrix is ranked once."""
+        return all(rank(m) == m.cols for m in dict.fromkeys(self.mats.values()))
 
     def is_surjective(self) -> bool:
-        return all(rank(m) == m.rows for m in self.mats.values())
+        """Whether every slot matrix has full row rank; each distinct matrix is ranked once."""
+        return all(rank(m) == m.rows for m in dict.fromkeys(self.mats.values()))
 
     def __repr__(self):
         return "Morphism(%r -> %r)" % (self.src, self.dst)
@@ -340,18 +344,30 @@ def _core_maps(x, y, ids, edges):
 def _hom_by_transport(x, y, window):
     """hom_basis's maps by the core solve, transport and check of x's core window, or None when a check fails."""
     ids, maps = x.slot_ids(), _core_maps(x, y, window[0], window[1])
-    if not all(_carry(x, y, h, window) for h in maps):
+    if not _carry(x, y, maps, window):
         return None
     vecs = [[a for s in ids for i in range(h[s].rows) for a in h[s].row(i)] for h in maps]
     return [_slot_matrices(x, y, ids, vec) for vec in _kernel_form(vecs)]
 
 
-def _carry(x, y, h, window):
-    """Carry the core map h outward along the window's transport, in place; whether it passes the window's checks."""
-    for e, inv in window[4]:
-        u, v = x.edge_ends(e)
-        h[v] = y.edge_matrix(e) * h[u] * inv
-    return all(h[v] * x.edge_matrix(e) == y.edge_matrix(e) * h[u] for e in window[3] for u, v in [x.edge_ends(e)])
+def _carry(x, y, maps, window):
+    """Carry each core map outward along the window's transport, in place; whether every one passes the checks.
+
+    A map is carried by h_v = Y_e h_u X_e⁻¹, and the transport arrows X_e
+    are inverted here, once for all the maps: the window itself keeps no
+    inverses (GradedRep.core_window).  The maps are checked in order, and
+    the first that fails a check answers False.
+    """
+    if not maps:
+        return True
+    _, _, _, checks, transport = window
+    steps = [(x.edge_ends(e), y.edge_matrix(e), inverse(x.edge_matrix(e))) for e in transport]
+    for h in maps:
+        for (u, v), ye, inv in steps:
+            h[v] = ye * h[u] * inv
+        if not all(h[v] * x.edge_matrix(e) == y.edge_matrix(e) * h[u] for e in checks for u, v in [x.edge_ends(e)]):
+            return False
+    return True
 
 
 def _kernel_form(vecs):
@@ -369,32 +385,77 @@ def _kernel_form(vecs):
     return [v[::-1] for v in reversed(column_space_basis([v[::-1] for v in vecs], n))]
 
 
+def _same_shape(x, y):
+    """Whether x and y have equal slot dimensions and equal core windows, as any two isomorphic objects do.
+
+    An isomorphism h: x -> y conjugates every arrow, Y_e = h_v X_e h_u⁻¹,
+    so it keeps the slot dimensions and which arrows are square and
+    invertible, the one thing the core window is read from
+    (GradedRep._find_core).  This needs no relation.
+    """
+    slots = x.slot_ids()
+    return all(x.slot_dim(s) == y.slot_dim(s) for s in slots) and x.core_window()[0] == y.core_window()[0]
+
+
 def find_isomorphism(x, y):
     """An isomorphism x -> y decided on x's core window, or None; hom_basis's map when dim Hom = 1.
 
-    If x and y satisfy their relations, Hom(x, y) restricts bijectively to the
-    core solution (hom_basis), and if x ≅ y with one indecomposable, a basis map
-    is invertible (are_isomorphic), so are y's transport arrows, as h_v =
-    Y_e h_u X_e⁻¹, and the first core map invertible on the core carries to an
-    isomorphism.  A checked invertible map is one even where a relation breaks,
-    so only a negative answer guards the relations, and hom_basis then decides.
+    Unequal slot dimensions or core windows answer None at once
+    (_same_shape).  If x and y satisfy their relations, Hom(x, y) restricts
+    bijectively to the core solution (hom_basis), and if x ≅ y with one
+    indecomposable, a basis map is invertible (are_isomorphic), so are y's
+    transport arrows, as h_v = Y_e h_u X_e⁻¹, and the first core map
+    invertible on the core carries to an isomorphism.  A checked invertible
+    map is one even where a relation breaks, so only a negative answer
+    guards the relations, and hom_basis then decides.  _isomorphic answers
+    whether x ≅ y without carrying the map.
     """
     _check_pair(x, y)
-    slots = x.slot_ids()
-    if any(x.slot_dim(s) != y.slot_dim(s) for s in slots):
+    if not _same_shape(x, y):
         return None
+    slots = x.slot_ids()
     inner, edges, _, _, transport = window = x.core_window()
     for h in _core_maps(x, y, inner, edges):
         if all(rank(h[s]) == x.slot_dim(s) for s in inner):
             if not transport:
                 return Morphism(x, y, h, check=False)
-            if _carry(x, y, h, window) and all(rank(h[s]) == x.slot_dim(s) for s in slots if s not in inner):
+            if _carry(x, y, [h], window) and all(rank(h[s]) == x.slot_dim(s) for s in slots if s not in inner):
                 vec = [a for s in slots for i in range(h[s].rows) for a in h[s].row(i)]
                 return Morphism(x, y, _slot_matrices(x, y, slots, *_kernel_form([vec])), check=False)
             break
     if transport and x.violations() and y.violations():
         return next((h for h in hom_basis(x, y) if all(rank(h.mats[s]) == x.slot_dim(s) for s in slots)), None)
     return None
+
+
+def _isomorphic(x, y) -> bool:
+    """Whether x ≅ y, for an indecomposable x: find_isomorphism(x, y) is not None, decided on the core.
+
+    a. Unequal slot dimensions or core windows answer False with no Hom
+       solve: an isomorphism keeps both (_same_shape).
+    b. If x has no transport, or x and y both satisfy their relations, the
+       answer is whether some map of the core basis (_core_maps on x's
+       core) is invertible at every core slot.  Restriction to the core is
+       a bijection from Hom(x, y) onto the core solution (hom_basis, "Why
+       the check passes").  The windows are equal, so each Y_e of x's
+       transport is one of y's transport arrows, which are invertible, and
+       the carried map h_v = Y_e h_u X_e⁻¹ of a map invertible on the core
+       is invertible at every outer slot: an isomorphism.  Conversely the
+       carried maps of the core basis form a basis of Hom(x, y), and End(x)
+       is local, so if x ≅ y one of them is invertible (Fitting's lemma,
+       are_isomorphic), on the core slots too.  With no transport the core
+       is the whole quiver, and the core basis is a basis of Hom(x, y).
+    c. Otherwise a core map may not extend, and find_isomorphism decides.
+    The relation answers are the ones the objects keep (Rep.violations),
+    so where a caller has already checked both, b reads them for free.
+    """
+    _check_pair(x, y)
+    if not _same_shape(x, y):
+        return False
+    inner, edges, _, _, transport = x.core_window()
+    if transport and (x.violations() or y.violations()):
+        return find_isomorphism(x, y) is not None
+    return any(all(rank(h[s]) == x.slot_dim(s) for s in inner) for h in _core_maps(x, y, inner, edges))
 
 
 # -- direct sums, subobjects, quotients --------------------------------------
@@ -438,10 +499,11 @@ def unglue(x, bases, sizes):
     bases[s] = (u, u⁻¹) and sizes[s] the widths of u's column blocks, the
     subobject first.  Returns block(e, i, j), the block (i, j) of
     u_v⁻¹ X_e u_u as glue lays it out; block row i is built when first
-    read.  Each leading run of blocks must span a subobject: the blocks
+    read, as the rows i of u_v⁻¹ times X_e u_u, which is built once per
+    edge.  Each leading run of blocks must span a subobject: the blocks
     below the diagonal are all read here, and a nonzero one is a ValueError.
     """
-    cuts, rows, built = {}, {}, {}
+    cuts, rows, moved, built = {}, {}, {}, {}
     for s, (_, uinv) in bases.items():
         cuts[s] = list(accumulate(sizes[s], initial=0))
         rows[s] = [uinv.submatrix(a, b, 0, uinv.cols) for a, b in zip(cuts[s], cuts[s][1:])]
@@ -449,7 +511,9 @@ def unglue(x, bases, sizes):
     def block(e, i, j):
         u, v = x.edge_ends(e)
         if (e, i) not in built:
-            built[e, i] = rows[v][i] * x.edge_matrix(e) * bases[u][0]
+            if e not in moved:
+                moved[e] = x.edge_matrix(e) * bases[u][0]
+            built[e, i] = rows[v][i] * moved[e]
         return built[e, i].submatrix(0, rows[v][i].rows, cuts[u][j], cuts[u][j + 1])
 
     for e in x.edge_ids():
@@ -470,8 +534,9 @@ def part_map(obj, parts, k, inclusion):
     for s in obj.slot_ids():
         d, w = obj.slot_dim(s), part.slot_dim(s)
         lo = sum(p.slot_dim(s) for p in parts[:k])
-        mats[s] = (Matrix(d, w, [[ONE if i == lo + j else ZERO for j in range(w)] for i in range(d)]) if inclusion
-                   else Matrix(w, d, [[ONE if j == lo + i else ZERO for j in range(d)] for i in range(w)]))
+        mats[s] = (_matrix(d, w, tuple(tuple(ONE if i == lo + j else ZERO for j in range(w)) for i in range(d)))
+                   if inclusion
+                   else _matrix(w, d, tuple(tuple(ONE if j == lo + i else ZERO for j in range(d)) for i in range(w))))
     return Morphism(part, obj, mats, check=False) if inclusion else Morphism(obj, part, mats, check=False)
 
 
@@ -736,7 +801,8 @@ class ExtClass:
         x, y = self.space.x, self.space.y
         u, v = x.edge_ends(edge)
         dy, dx = y.slot_dim(v), x.slot_dim(u)
-        return Matrix(dy, dx, [[self.vector[self.space.index[(edge, i, j)]] for j in range(dx)] for i in range(dy)])
+        index, vector = self.space.index, self.vector
+        return _matrix(dy, dx, tuple(tuple(vector[index[(edge, i, j)]] for j in range(dx)) for i in range(dy)))
 
 
 def ext1_basis(x, y):
@@ -760,20 +826,23 @@ def _extension_cocycle(inj: Morphism, surj: Morphism):
     with the composition zero and the dimensions adding, a section exists iff
     surj is onto, and then u is invertible iff inj is one to one.  It checks
     the maps too: unglue raises unless B = 0, then inj is a morphism iff
-    A = Y_e, and surj, as surj u = [0 | 1], iff D = X_e.  A slot with an earlier
-    slot's (inj, surj) reuses its (u, u⁻¹), so a tower, one pair per weight, splits once.
+    A = Y_e, and surj, as surj u = [0 | 1], iff D = X_e.  The composition is
+    checked, and (u, u⁻¹) built, once per distinct (inj, surj) pair of slot
+    matrices, so a tower, one pair per weight, composes and splits once.  The
+    composition is checked at every slot before the dimensions are.
     """
     y, z, x = inj.src, inj.dst, surj.dst
     if surj.src != z:
         raise ValueError("inj and surj do not share the middle object")
-    if not (surj * inj).is_zero():
+    pairs = [(inj.mats[s], surj.mats[s]) for s in z.slot_ids()]
+    splits = dict.fromkeys(pairs)
+    if not all((b * a).is_zero() for a, b in splits):
         raise ValueError("composition is not zero")
-    bases, splits = {}, {}
-    for s in z.slot_ids():
+    bases = {}
+    for s, pair in zip(z.slot_ids(), pairs):
         if z.slot_dim(s) != x.slot_dim(s) + y.slot_dim(s):
             raise ValueError("dimensions do not add at slot %r" % (s,))
-        pair = inj.mats[s], surj.mats[s]
-        if pair not in splits:
+        if splits[pair] is None:
             section = solve_matrix(surj.mats[s], Matrix.identity(x.slot_dim(s)))
             if section is None:
                 raise ValueError("surjection is not surjective at slot %r" % (s,))
@@ -805,7 +874,9 @@ def pullback_extension(xi: ExtClass, mono: Morphism, space=None) -> ExtClass:
     """Restrict an extension of x by y along an injective mono: x' -> x.
 
     The class lands in space, which must be the pair (x', y); by default
-    a new ExtSpace(x', y).
+    a new ExtSpace(x', y).  The mono is checked one to one on each distinct
+    slot matrix once (Morphism.is_injective): realize_vector's mono, an
+    inclusion of realize_extension, has one matrix per distinct slot shape.
     """
     if not mono.is_injective():
         raise ValueError("pullback needs an injective map")
@@ -938,7 +1009,7 @@ def is_indecomposable(x):
 
 
 def are_isomorphic(x, y) -> bool:
-    """Decide y ≅ x for an indecomposable x by find_isomorphism.
+    """Decide y ≅ x for an indecomposable x by _isomorphic.
 
     End(x) is local (Fitting's lemma), so if y ≅ x some map of any basis
     of Hom(x, y) is invertible: composing with an isomorphism turns that
@@ -952,7 +1023,7 @@ def are_isomorphic(x, y) -> bool:
     ok, _ = is_indecomposable(x)
     if not ok:
         raise ValueError("are_isomorphic requires an indecomposable first argument")
-    return find_isomorphism(x, y) is not None
+    return _isomorphic(x, y)
 
 
 def is_uniserial(x, family):

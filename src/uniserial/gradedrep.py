@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .linalg import Matrix, ONE, Scalar, ZERO, format_matrix, inverse, parse_int, parse_matrix
+from .linalg import Matrix, ONE, Scalar, ZERO, format_matrix, parse_int, parse_matrix, rank
 from .quiverrep import QuiverPresentation, Rep
 from .weyl import WeylElement, theta_product, to_theta_form
 
@@ -91,11 +91,14 @@ class GradedRep(Rep):
         for a <= w < b then ("p", w) for a < w <= b, the commutation
         relations at a < w < b, the ones whose paths use those arrows only,
         and the checks: ("t", w) for wmin <= w < a then ("p", w) for
-        b < w <= wmax.  The transport lists the invertible outer arrows with
-        their inverses, ((arrow, inverse), ...), in the order that carries
-        a map outward: the t arrows from b up, then the p arrows from a
-        down; each inverse computed is one it uses.  The whole quiver, with
-        nothing to check or carry, on a one-weight window.
+        b < w <= wmax.  The transport lists the invertible outer arrows in
+        the order that carries a map outward: the t arrows from b up, then
+        the p arrows from a down.  A walk decides each arrow by a rank (a
+        nonzero test for a 1x1 matrix) and builds no inverse: only a map
+        carried outward needs them (abcat._carry), and the window alone
+        answers the Hom dimensions, the Ext^1 ranks, End and the
+        isomorphism test.  The whole quiver, with nothing to check or
+        carry, on a one-weight window.
         """
         if not hasattr(self, "_window"):
             object.__setattr__(self, "_window", self._find_core())
@@ -105,17 +108,15 @@ class GradedRep(Rep):
         wmin, wmax = self.window
         if wmin == wmax:
             return super().core_window()
-        inverses = {}
+
+        def invertible(m):
+            if m.rows != m.cols:
+                return False
+            return bool(m[0, 0]) if m.rows == 1 else rank(m) == m.rows
 
         def walk(kind, w, stop, step):
             # move w toward stop while the arrow (kind, w + step) into w is invertible
-            while w != stop:
-                arrow = (kind, w + step)
-                m = self.mats[arrow]
-                inv = inverse(m) if m.rows == m.cols else None
-                if inv is None:
-                    break
-                inverses[arrow] = inv
+            while w != stop and invertible(self.mats[kind, w + step]):
                 w += step
             return w
 
@@ -129,8 +130,7 @@ class GradedRep(Rep):
         slots = self.pres.nodes[a - wmin : b - wmin + 1]
         edges = tuple(("t", w) for w in range(a, b)) + tuple(("p", w) for w in range(a + 1, b + 1))
         checks = tuple(("t", w) for w in range(wmin, a)) + tuple(("p", w) for w in range(b + 1, wmax + 1))
-        outward = [("t", w) for w in range(b, wmax)] + [("p", w) for w in range(a, wmin, -1)]
-        transport = tuple((arrow, inverses[arrow]) for arrow in outward)
+        transport = tuple(("t", w) for w in range(b, wmax)) + tuple(("p", w) for w in range(a, wmin, -1))
         return slots, edges, self.pres.relation_list[a - wmin : b - wmin - 1], checks, transport
 
 

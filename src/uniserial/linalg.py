@@ -6,13 +6,16 @@ radical of a matrix algebra.  Matrices are dense and immutable, and keep
 their nonzero entries per row and per column once asked (nonzero_rows,
 nonzero_columns).  A product skips zero factors, takes a factor that is
 the shared ONE as the other one and stores an entry's first term as it is;
-zero, identity, from_columns and transpose build their row tuples without
-Matrix()'s checked copy.  Both elimination kernels work on {column: Scalar}
-dict rows with Markowitz's pivot rule: _rref_rows only reads its dense rows and
-returns the (pivot column, sparse row) pairs of the rref, and _rank_rows
-eliminates fresh dict rows forward only.  rank_rows ranks rows in that
-form, rank a Matrix.  solve, inverse (past 1x1) and in_span are each
-one solve_matrix.  No floating point anywhere: a scalar is one reduced
+zero, identity, from_columns, block and transpose build their row tuples
+without Matrix()'s checked copy.  Both elimination kernels work on {column:
+Scalar} dict rows with Markowitz's pivot rule and eliminate forward,
+reducing only the rows not yet used as pivots: _rank_rows stops there and
+consumes fresh dict rows, and _rref_rows, which only reads its dense rows,
+then back-substitutes in reverse pivot order and returns the (pivot
+column, sparse row) pairs of the rref, which is unique, so the order of
+the reductions changes the work and not the result.  rank_rows ranks
+rows in that form, rank a Matrix.  solve, inverse (past 1x1) and in_span
+are each one solve_matrix.  No floating point anywhere: a scalar is one reduced
 triple of Python ints (a, b, d) meaning (a + b*i)/d, and its arithmetic
 is integer products and one gcd per result.  fractions.Fraction appears only at the edges, in
 parsing and in the re and im components handed to formatting.
@@ -306,7 +309,7 @@ class Matrix:
                 for r, src in zip(rows, b._data):
                     r.extend(src)
             data.extend(rows)
-        return Matrix(sum(row_sizes), sum(col_sizes), data)
+        return _matrix(sum(row_sizes), sum(col_sizes), tuple(map(tuple, data)))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -479,6 +482,28 @@ def _rank_rows(sparse, cols):
     return found
 
 
+def _eliminate(ri, i, c, tail, where):
+    """Take ri[c] times the pivot row out of the dict row ri, dropping entries that cancel.
+
+    The one row reduction of _rref_rows: tail is the pivot row's entries
+    other than its 1 at column c, and where, the column index, follows
+    every entry row i gains or loses.
+    """
+    g = -ri.pop(c)
+    for j, x in tail:
+        y = ri.get(j)
+        if y is None:
+            ri[j] = g * x
+            where[j].add(i)
+        else:
+            y = y + g * x
+            if y:
+                ri[j] = y
+            else:
+                del ri[j]
+                where[j].discard(i)
+
+
 def _rref_rows(rows, cols):
     """Rref of a list of rows, which are only read: [(pivot column, row), ...].
 
@@ -487,52 +512,58 @@ def _rref_rows(rows, cols):
     len() of the result is the rank.
 
     The work is sparse: an index maps each column to the rows with a
-    nonzero there.  Pivot columns are taken left to right; for each, the
-    pivot row is the unused row with the fewest nonzeros there (Markowitz's
-    rule, ties to the lowest index), and every other row with a nonzero in
-    that column is reduced, dropping entries that cancel.  The rref and its
-    pivots are unique for a fixed column order, so the row choice changes
-    the work and not the result.
+    nonzero there.  Forward, pivot columns are taken left to right; for
+    each, the pivot row is the unused row with the fewest nonzeros there
+    (Markowitz's rule, ties to the lowest index), it is scaled to a leading
+    1, and only the rows not yet used as pivots are reduced, so a pivot row
+    is zero at every earlier pivot column.  The column's index then keeps
+    just the earlier pivot rows with a nonzero there.  Back, in reverse
+    pivot order, each pivot row, already clear of the later pivot columns,
+    is taken out of those earlier rows; that changes them only off the
+    pivot columns.  Every row is then reduced against every pivot, as
+    Gauss-Jordan would leave it, with each row reduced once per pivot that
+    meets it instead of at every step (Duff, Erisman and Reid, Direct
+    Methods for Sparse Matrices, ch. 5).  The rref and its pivots are
+    unique for a fixed column order, so neither the row choice nor the
+    order of the reductions changes the result, only the work.
     """
     # most zero cells are the shared ZERO; the identity test skips Scalar.__bool__
     sparse = [{j: x for j, x in enumerate(r) if x is not ZERO and x} for r in rows]
     where = _column_index(sparse, cols)
     used = [False] * len(sparse)
-    out = []
+    pivots = []
     for c in range(cols):
         here = where[c]
         candidates = [i for i in here if not used[i]]
         if not candidates:
             continue
-        p = min(candidates, key=lambda i: (len(sparse[i]), i))
+        p = min(candidates, key=lambda i: (len(sparse[i]), i)) if len(candidates) > 1 else candidates[0]
         used[p] = True
         pr = sparse[p]
-        inv = ONE / pr[c]
-        if inv != ONE:
+        a = pr[c]
+        if a != ONE:
+            inv = ONE / a
             for j, x in pr.items():
                 pr[j] = inv * x
-        tail = [(j, x) for j, x in pr.items() if j != c]
-        for i in here:
-            if i == p:
-                continue
-            ri = sparse[i]
-            g = -ri.pop(c)
-            for j, x in tail:
-                y = ri.get(j)
-                if y is None:
-                    ri[j] = g * x
-                    where[j].add(i)
-                else:
-                    y = y + g * x
-                    if y:
-                        ri[j] = y
-                    else:
-                        del ri[j]
-                        where[j].discard(i)
-        out.append((c, pr))
-        if len(out) == len(sparse):
+        if len(candidates) > 1:
+            tail = [(j, x) for j, x in pr.items() if j != c]
+            for i in candidates:
+                if i != p:
+                    _eliminate(sparse[i], i, c, tail, where)
+            # the reduced rows are zero at c now
+            here.difference_update(candidates)
+            here.add(p)
+        pivots.append((c, p))
+        if len(pivots) == len(sparse):
             break
-    return out
+    for c, p in reversed(pivots):
+        here = where[c]
+        if len(here) > 1:
+            tail = [(j, x) for j, x in sparse[p].items() if j != c]
+            for i in here:
+                if i != p:
+                    _eliminate(sparse[i], i, c, tail, where)
+    return [(c, sparse[p]) for c, p in pivots]
 
 
 def rref(m: Matrix):

@@ -113,12 +113,13 @@ class Rep:
     Per-node dimensions and one matrix per arrow (a missing matrix is
     zero, every shape is checked).  The engine reads it through slot_ids,
     slot_dim, edge_ids, edge_ends, edge_matrix, relations, with_matrices
-    and same_space; violations() evaluates the relations.  Subclasses set
-    the construction policy in _check_relations and may rename their
-    matrices in errors through _matrix_name.
+    and same_space; violations() evaluates the relations once and keeps
+    the answer, as the object is immutable.  Subclasses set the
+    construction policy in _check_relations and may rename their matrices
+    in errors through _matrix_name.
     """
 
-    __slots__ = ("pres", "dims", "mats")
+    __slots__ = ("pres", "dims", "mats", "_violations")
 
     def __init__(self, pres: QuiverPresentation, dims, mats):
         self_dims = {n: int(dims.get(n, 0)) for n in pres.nodes}
@@ -162,7 +163,13 @@ class Rep:
         return "%s(dims=%r)" % (type(self).__name__, {n: d for n, d in self.dims.items() if d})
 
     def violations(self):
-        """(relation, value) for each relation the matrices break, in relation order.
+        """((relation, value), ...) for each relation the matrices break, in relation order; evaluated once."""
+        if not hasattr(self, "_violations"):
+            object.__setattr__(self, "_violations", self._evaluate_relations())
+        return self._violations
+
+    def _evaluate_relations(self):
+        """violations(), evaluated.
 
         A relation sum of coef * path, identity terms included, holds when
         the path terms sum to minus the identity terms; each path product
@@ -188,7 +195,7 @@ class Rep:
                 acc = Matrix.zero(self.dims[tgt], self.dims[src])
             if not (acc.is_scalar(diag) if diag else acc.is_zero()):
                 out.append((rel, acc - Matrix.identity(acc.rows).scale(diag) if diag else acc))
-        return out
+        return tuple(out)
 
     # -- protocol used by the category engine -------------------------------
 
@@ -225,10 +232,11 @@ class Rep:
         A subclass may return a core: the slots a..b, the edges with both
         ends among them, the relations whose paths use those edges only,
         the arrows outside them on which abcat.hom_basis checks each
-        carried map, and the transport ((arrow, inverse), ...), the
-        invertible arrows that carry a map outward from the core, each from
-        a slot already reached.  A plain Rep returns its whole quiver, with
-        nothing to check or carry.
+        carried map, and the transport (arrow, ...), the invertible arrows
+        that carry a map outward from the core, each from a slot already
+        reached; their inverses are built where a map is carried
+        (abcat._carry).  A plain Rep returns its whole quiver, with nothing
+        to check or carry.
         """
         return self.pres.nodes, tuple(self.pres.ends), self.pres.relation_list, (), ()
 

@@ -235,7 +235,10 @@ def verify_key(key: CatalogKey, window, margin: int = DEFAULT_MARGIN) -> KeyResu
     lemma certifies the built object uniserial with series
     built.order_vector, and uniseriality and the socle series are
     isomorphism invariants, so an isomorphism built -> cat gives both for
-    cat.  Only a key that fails the match peels cat, for its witness.
+    cat.  Only a key that fails the match peels cat, for its witness.  The
+    match reads only whether the two are isomorphic, so it is decided on
+    the core (abcat._isomorphic) with no map carried: the End guard and
+    "catalog validates" have already evaluated both objects' relations.
     """
     check_window(window, [key.twist], key.n, margin)
     if key.kind == "euler":
@@ -254,8 +257,8 @@ def verify_key(key: CatalogKey, window, margin: int = DEFAULT_MARGIN) -> KeyResu
     checks.append(("catalog validates", not problems, "; ".join(problems)))
     if len(classified) == 1:
         built = classified[0]
-        # classify certified the built object indecomposable, so the search decides
-        same = abcat.find_isomorphism(built.obj, cat) is not None
+        # classify certified the built object indecomposable, and both relation answers are kept, so the core decides
+        same = abcat._isomorphic(built.obj, cat)
         checks.append(("isomorphic to catalog", same, "" if same else _iso_witness(built.obj, cat)))
         uni, series = (True, built.order_vector) if same else abcat.is_uniserial(cat, family)
         checks.append(("catalog uniserial", uni, "" if uni else _socle_witness(cat, family)))
@@ -276,8 +279,8 @@ def verify_key(key: CatalogKey, window, margin: int = DEFAULT_MARGIN) -> KeyResu
 
 
 def _iso_witness(built, cat) -> str:
-    """Why find_isomorphism(built, cat) found nothing: the slot dimensions
-    differ, or no Hom(built, cat) basis map is invertible."""
+    """Why built and cat are not isomorphic: the slot dimensions differ, or
+    no Hom(built, cat) basis map is invertible."""
     dims = [tuple(x.slot_dim(s) for s in x.slot_ids()) for x in (built, cat)]
     if dims[0] != dims[1]:
         return "slot dimensions %r and %r" % tuple(dims)

@@ -229,7 +229,7 @@ def reference_core_window(x):
     edges = tuple(e for e in x.edge_ids() if inside.issuperset(x.edge_ends(e)))
     inner = set(edges)
     relations = tuple(rel for rel in x.relations() if all(inner.issuperset(path) for _, path in rel[2]))
-    skip = inner.union(e for e, _ in transport)
+    skip = inner.union(transport)
     return slots, edges, relations, tuple(e for e in x.edge_ids() if e not in skip), transport
 
 

@@ -16,7 +16,8 @@ import pytest
 
 from conftest import LABELS, catalog_keys, core_ends, graded_dual, reference_core_window
 from test_hom_core import perturbed
-from uniserial.abcat import direct_sum
+from uniserial import abcat
+from uniserial.abcat import direct_sum, hom_basis
 from uniserial.gradedrep import GradedRep, simple_rep, validate
 from uniserial.linalg import Matrix
 from uniserial.quiverrep import KRONECKER, QuiverRep, simple_at
@@ -90,7 +91,7 @@ def test_sources_without_a_core_state_the_whole_quiver():
         assert x.core_window() == (x.slot_ids(), x.edge_ids(), x.relations(), (), ()) == reference_core_window(x)
 
 
-def test_the_window_is_built_with_the_core_and_kept():
+def test_the_window_is_built_with_the_core_and_kept(monkeypatch):
     x = simple_rep(LABELS[0], 0, (-8, 8))
     # nothing is built on construction
     assert not hasattr(x, "_window")
@@ -98,6 +99,12 @@ def test_the_window_is_built_with_the_core_and_kept():
     assert x.core_window() is window and core_ends(x) == (0, 1)
     checks = tuple(("t", w) for w in range(-8, 0)) + tuple(("p", w) for w in range(2, 9))
     assert window[:4] == ((0, 1), (("t", 0), ("p", 1)), (), checks)
-    # the t arrows from b up, then the p arrows from a down, each with its inverse
+    # the t arrows from b up, then the p arrows from a down; the window keeps no inverse
     outward = [("t", w) for w in range(1, 8)] + [("p", w) for w in range(0, -8, -1)]
-    assert [(e, inv * x.edge_matrix(e)) for e, inv in window[4]] == [(e, Matrix.identity(1)) for e in outward]
+    assert window[4] == tuple(outward)
+    # abcat._carry inverts each of them, in that order, where it carries a map
+    inverted, real = [], abcat.inverse
+    monkeypatch.setattr(abcat, "inverse", lambda m: inverted.append((m, real(m))) or inverted[-1][1])
+    assert len(hom_basis(x, x)) == 1
+    assert len(inverted) == len(outward)
+    assert all(m is x.edge_matrix(e) and inv * m == Matrix.identity(1) for (m, inv), e in zip(inverted, outward))

@@ -6,7 +6,9 @@ puts them in kernel_basis's canonical form.  reference_hom_basis builds the
 whole constraint system directly, so every comparison below is entry for
 entry.  A recorder on abcat._hom_by_transport tells whether a call took the
 core path or fell back to the full system.  The End certificate solves the
-core alone and carries nothing, unless its source breaks a relation.
+core alone and carries nothing, unless its source breaks a relation.  The
+isomorphism decider (abcat._isomorphic) answers on the core as well, and is
+compared with reference_find_isomorphism.
 """
 
 import random
@@ -29,7 +31,7 @@ from uniserial.abcat import Morphism, direct_sum, hom_basis, total_dim
 from uniserial.gradedrep import GradedRep, simple_rep, validate
 from uniserial.linalg import ZERO, Matrix, Scalar, rank, trace_product
 from uniserial.quiverrep import KRONECKER, simple_at
-from uniserial.weylcat import CatalogKey, catalog_module, default_window, weyl_simple_family
+from uniserial.weylcat import CatalogKey, catalog_module, default_window, verify_key, weyl_simple_family
 
 
 @pytest.fixture
@@ -269,7 +271,7 @@ def test_the_isomorphism_matches_the_basis_search_on_truncated_projectives():
 
 def with_a_singular_carrying_arrow(m):
     """m with the first row of the first nonzero-dimensional arrow of its transport set to zero."""
-    arrow = next(a for a, inv in m.core_window()[4] if inv.rows)
+    arrow = next(a for a in m.core_window()[4] if m.mats[a].rows)
     mat = m.mats[arrow]
     rows = [[ZERO] * mat.cols] + [list(mat.row(i)) for i in range(1, mat.rows)]
     return m.with_matrices(m.dims, {**m.mats, arrow: Matrix(mat.rows, mat.cols, rows)})
@@ -293,9 +295,9 @@ def test_the_isomorphism_matches_the_basis_search_where_a_relation_breaks_or_a_c
     window = default_window(3)
     cat = [catalog_module(key, window) for key in catalog_keys(3)]
     broken = [(b, m) for m in cat for b in (perturbed(m, rng) for _ in range(3)) if validate(b)]
-    singular = [(m, with_a_singular_carrying_arrow(m)) for m in cat if any(inv.rows for _, inv in m.core_window()[4])]
+    singular = [(m, with_a_singular_carrying_arrow(m)) for m in cat if any(m.mats[a].rows for a in m.core_window()[4])]
     x, y = boundary_pair()
-    assert validate(x) == validate(y) == [] and x.core_window()[4][0][0] == ("t", 1)
+    assert validate(x) == validate(y) == [] and x.core_window()[4][0] == ("t", 1)
     pairs = [(b, b) for b, _ in broken] + [pair for b, m in broken for pair in ((b, m), (m, b))]
     pairs += [(b, z) for b, _ in broken for z in cat[:4]] + singular + [(z, m) for m, z in singular]
     pairs += [(x, y), (y, x), (x, x), (graded_dual(y), graded_dual(x))]
@@ -345,3 +347,83 @@ def test_the_isomorphism_of_a_verify_key_pair_carries_one_map_and_guards_no_rela
         iso = abcat.find_isomorphism(built.obj, cat)
         monkeypatch.undo()
         assert iso is not None and calls == ["_carry"], (key, calls)
+
+
+def assert_decides_as_the_basis_search(pairs):
+    """abcat._isomorphic against reference_find_isomorphism on each pair; (isomorphic pairs, others)."""
+    answers = [abcat._isomorphic(x, y) for x, y in pairs]
+    assert answers == [reference_find_isomorphism(x, y) is not None for x, y in pairs]
+    return answers.count(True), answers.count(False)
+
+
+def test_the_decider_matches_the_basis_search_on_the_catalog_duals_boundary_simples_and_rescaled_copies():
+    # the catalog with n <= 4 in both orders, its duals, the boundary simples, and each against its rescaled copy
+    window = default_window(4)
+    cat = [catalog_module(key, window) for key in catalog_keys(4)]
+    duals = [graded_dual(m) for m in cat]
+    simples = [simple_rep(base, twist, window) for base in LABELS + ("0", "inf") for twist in (-1, 0, 1)]
+    pairs = [(x, y) for objs in (cat, duals, simples) for x in objs for y in objs]
+    pairs += [pair for m in cat + duals + simples for r in [rescaled(m)] for pair in ((m, r), (r, m))]
+    same, other = assert_decides_as_the_basis_search(pairs)
+    assert same >= 3 * len(cat + duals + simples) and other > 0
+
+
+def test_the_decider_matches_the_basis_search_where_a_relation_breaks_or_a_carrying_arrow_is_singular():
+    # both sides, one side or neither side breaks a relation; a carrying arrow of one side is singular in the other
+    rng = random.Random(17)
+    cat = [catalog_module(key, default_window(3)) for key in catalog_keys(3)]
+    broken = [(b, m) for m in cat for b in (perturbed(m, rng) for _ in range(3)) if validate(b)]
+    singular = [(m, with_a_singular_carrying_arrow(m)) for m in cat if any(m.mats[a].rows for a in m.core_window()[4])]
+    x, y = boundary_pair()
+    pairs = [(b, b) for b, _ in broken] + [pair for b, m in broken for pair in ((b, m), (m, b))]
+    pairs += [(b, z) for b, _ in broken for z in cat[:4]] + singular + [(z, m) for m, z in singular]
+    pairs += [(x, y), (y, x), (x, x), (graded_dual(y), graded_dual(x))]
+    same, other = assert_decides_as_the_basis_search(pairs)
+    # an unbroken source against a broken copy with its core: the core map is invertible there and does not carry
+    assert any(not validate(m) and m.core_window()[0] == b.core_window()[0] for b, m in broken)
+    assert same >= len(broken) and other > 0
+
+
+def test_the_decider_matches_the_basis_search_on_truncated_projectives():
+    # plain representations: no transport, so the core basis is a basis of Hom and no relation is read
+    rng = random.Random(13)
+    pairs = []
+    for _ in range(30):
+        pres, leaving = random_nakayama(rng)
+        objs = [truncated_projective(pres, leaving, start, n) for start in pres.nodes
+                for n in range(1, len(nonzero_paths(pres, leaving, start, N_MAX + 1)) + 1)]
+        pairs += [(x, y) for x in objs for y in objs]
+    same, other = assert_decides_as_the_basis_search(pairs)
+    assert same > 0 and other > 0
+
+
+def test_unequal_cores_answer_no_without_a_hom_solve(monkeypatch):
+    # a carrying arrow made singular moves the core and keeps every slot dimension
+    cat = [catalog_module(key, default_window(3)) for key in catalog_keys(3)]
+    pairs = [(m, with_a_singular_carrying_arrow(m)) for m in cat if any(m.mats[a].rows for a in m.core_window()[4])]
+    pairs += [pair for pair in [boundary_pair()] for pair in (pair, pair[::-1])]
+    pairs = [(x, y) for a, b in pairs for x, y in ((a, b), (b, a))]
+    assert len(pairs) >= 8
+    assert all(x.dims == y.dims and x.core_window()[0] != y.core_window()[0] for x, y in pairs)
+    assert all(reference_find_isomorphism(x, y) is None for x, y in pairs)
+    calls = []
+    real = abcat._core_maps
+    monkeypatch.setattr(abcat, "_core_maps", lambda *args: calls.append(args) or real(*args))
+    assert [abcat._isomorphic(x, y) for x, y in pairs] == [False] * len(pairs)
+    assert [abcat.find_isomorphism(x, y) for x, y in pairs] == [None] * len(pairs)
+    assert calls == []
+
+
+def test_verify_key_decides_the_match_on_the_core_and_evaluates_each_objects_relations_once(monkeypatch):
+    events = []
+    real_iso, real_eval = abcat._isomorphic, quiverrep.Rep._evaluate_relations
+    monkeypatch.setattr(abcat, "_carry", lambda *args: events.append("carry"))
+    monkeypatch.setattr(abcat, "_isomorphic", lambda x, y: events.append(("iso", x, y)) or real_iso(x, y))
+    monkeypatch.setattr(quiverrep.Rep, "_evaluate_relations", lambda self: events.append(("eval", self)) or real_eval(self))
+    assert verify_key(CatalogKey("euler", LABELS[0], None, 3), default_window(3)).ok
+    assert "carry" not in events
+    evaluated = [e[1] for e in events if e[0] == "eval"]
+    assert len({id(x) for x in evaluated}) == len(evaluated)
+    # the End guard and "catalog validates" evaluated both sides before the match read them
+    (k, (_, built, cat)), = [(k, e) for k, e in enumerate(events) if e[0] == "iso"]
+    assert {id(built), id(cat)} <= {id(e[1]) for e in events[:k] if e[0] == "eval"}

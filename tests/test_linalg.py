@@ -7,7 +7,16 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import apply, dense_rref_rows, from_rows, reference_inverse, reference_product, reference_solve
+from conftest import (
+    apply,
+    catalog_keys,
+    dense_rref_rows,
+    from_rows,
+    reference_inverse,
+    reference_product,
+    reference_solve,
+)
+from uniserial import abcat
 from uniserial.linalg import (
     I,
     ONE,
@@ -31,6 +40,7 @@ from uniserial.linalg import (
     solve,
     solve_matrix,
 )
+from uniserial.weylcat import catalog_module, default_window
 
 
 def S(x, y=0):
@@ -565,3 +575,45 @@ def test_rank_by_forward_elimination_matches_dense_gauss_jordan(system):
     assert sparse == before
     assert _rank_rows([dict(r) for r in sparse], cols) == expected
     assert rank(Matrix(len(rows), cols, rows)) == expected
+
+
+def catalog_systems(pad):
+    """The full-window δ¹ and δ⁰ systems of catalog pairs with n <= 4, and the [A | I] systems of their transport arrows.
+
+    For each n, on the default window widened by pad: an Euler module
+    against a word module, a word module against itself, for n <= 3 a word
+    module against an Euler module, and for n <= 2 an Euler module against
+    the other label's.  The larger pairs are left out because the dense
+    reference, pivoting on the first row it meets, takes seconds on them.
+    The rows are dense lists, as the kernel's callers hand them over.
+    """
+    systems = []
+    for n in range(1, 5):
+        lo, hi = default_window(n)
+        euler, mixed, word0, word_inf = [catalog_module(key, (lo - pad, hi + pad)) for key in catalog_keys(n)[-4:]]
+        pairs = [(euler, word0), (word_inf, word_inf)] + [(word_inf, euler)] * (n <= 3) + [(euler, mixed)] * (n <= 2)
+        for x, y in pairs:
+            edges = abcat._edge_layout(x, y, x.edge_ids())
+            slots = abcat._slot_layout(x, y, x.slot_ids())
+            for rows, cols in ((abcat._relation_rows(x, y, edges, x.relations()), len(edges)),
+                               (abcat._differential(x, y, slots, x.edge_ids()), len(slots))):
+                systems.append(([[row.get(j, ZERO) for j in range(cols)] for row in rows], cols))
+            for e in x.core_window()[4]:
+                a = x.edge_matrix(e)
+                unit = [[ONE if i == j else ZERO for j in range(a.rows)] for i in range(a.rows)]
+                systems.append(([list(a.row(i)) + unit[i] for i in range(a.rows)], 2 * a.cols))
+    return systems
+
+
+@pytest.mark.parametrize("pad", [0, 6])
+def test_sparse_kernel_matches_dense_gauss_jordan_on_the_catalog_systems(pad):
+    # long pivot chains, which the small random systems never build: back substitution runs over many pivots
+    ranks = []
+    for rows, cols in catalog_systems(pad):
+        expected = [list(r) for r in rows]
+        pivots = dense_rref_rows(expected, cols)
+        got = _rref_rows(rows, cols)
+        assert [p for p, _ in got] == pivots
+        assert [row for _, row in got] == [{j: x for j, x in enumerate(r) if x} for r in expected[: len(pivots)]]
+        ranks.append(len(pivots))
+    assert max(ranks) >= 120 and any(0 < r < 5 for r in ranks)

@@ -9,10 +9,13 @@ would, with no argument parser built.
 Each count is taken by wrapping a function for the length of one run:
 Matrix products (Matrix.__mul__), the systems handed to the two
 elimination kernels (linalg._rref_rows and linalg._rank_rows calls, and
-their rows * cols cells), the hom_basis and is_uniserial calls, the
-ExtSpaces built, the core windows built (GradedRep._find_core), the
+their rows * cols cells), the row reductions of _rref_rows (its one
+reduction step, linalg._eliminate), the hom_basis and is_uniserial calls,
+the ExtSpaces built, the core windows built (GradedRep._find_core), the
 trace_product calls of the End certificate, the cli.build_parser calls
-and the relation checks (Rep.violations calls).
+and the relation checks (Rep._evaluate_relations calls: an object
+evaluates its relations once and keeps the answer, so a later
+Rep.violations call is a lookup and is not counted).
 These counts are the same on every run and under every PYTHONHASHSEED,
 so they show a change of work that a timing on a noisy host cannot.  Scalar results are left out: how many
 _reduced calls a run makes depends on what earlier calls left cached.
@@ -40,6 +43,7 @@ COUNTS = (
     "Matrix products",
     "_rref_rows calls",
     "_rref_rows cells",
+    "_rref_rows row reductions",
     "_rank_rows calls",
     "_rank_rows cells",
     "hom_basis calls",
@@ -112,12 +116,12 @@ WORKLOADS = {
 }
 
 PINNED = {
-    "verify_theorem(4) pad 0": (2666, 627, 31227, 657, 1896, 0, 0, 138, 70, 160, 0, 32),
-    "verify_theorem(4) pad 12": (7610, 1491, 148323, 1329, 4152, 0, 0, 138, 70, 160, 0, 32),
-    "ext_table 160 dims": (0, 34, 0, 320, 288, 0, 0, 160, 8, 0, 0, 0),
-    "bench verify seed 1": (1640, 335, 8245, 393, 779, 0, 0, 96, 46, 80, 0, 24),
-    "bench cli_session seed 1": (3011, 730, 2600, 518, 226, 21, 0, 177, 36, 86, 1, 91),
-    "splice six seeded": (3112, 935, 10397, 693, 3363, 0, 0, 9, 24, 0, 0, 6),
+    "verify_theorem(4) pad 0": (1646, 140, 26227, 831, 889, 3470, 0, 0, 138, 86, 160, 0, 32),
+    "verify_theorem(4) pad 12": (4622, 140, 135067, 1383, 1993, 8366, 0, 0, 138, 86, 160, 0, 32),
+    "ext_table 160 dims": (0, 0, 0, 0, 354, 288, 0, 0, 160, 8, 0, 0, 0),
+    "bench verify seed 1": (956, 78, 6573, 306, 522, 1230, 0, 0, 96, 58, 80, 0, 24),
+    "bench cli_session seed 1": (2771, 631, 2298, 276, 607, 335, 21, 0, 177, 39, 86, 1, 89),
+    "splice six seeded": (2852, 917, 10325, 145, 618, 2939, 0, 0, 9, 24, 0, 0, 6),
 }
 
 
@@ -147,7 +151,8 @@ def count_work(run):
         mp.setattr(abcat, "trace_product", counted("trace_product calls", abcat.trace_product))
         mp.setattr(cli, "build_parser", counted("build_parser calls", cli.build_parser))
         mp.setattr(cli, "_PARSER", [])
-        mp.setattr(quiverrep.Rep, "violations", counted("relation checks", quiverrep.Rep.violations))
+        mp.setattr(linalg, "_eliminate", counted("_rref_rows row reductions", linalg._eliminate))
+        mp.setattr(quiverrep.Rep, "_evaluate_relations", counted("relation checks", quiverrep.Rep._evaluate_relations))
         run()
     return tuple(counts[name] for name in COUNTS)
 
