@@ -10,7 +10,8 @@ the block diagonal and corrections off it; unglue, its inverse, reads an
 object back in per-slot bases, the subobject first, so the blocks below
 the diagonal vanish.  Subobjects, quotients, cocycles and itext's
 deformation blocks read through it; _split builds every basis adapted to
-a chain of subspaces, with its inverse, by one elimination per slot.
+a chain of subspaces, with its inverse, by one elimination per distinct
+slot (its dimension and the subspaces' columns there).
 
 Hom and Ext^1 of a pair (x, y) are read off one standard complex (Ringel,
 Representations of K-species and bimodules, 1976):
@@ -498,23 +499,20 @@ def unglue(x, bases, sizes):
 
     bases[s] = (u, u⁻¹) and sizes[s] the widths of u's column blocks, the
     subobject first.  Returns block(e, i, j), the block (i, j) of
-    u_v⁻¹ X_e u_u as glue lays it out; block row i is built when first
-    read, as the rows i of u_v⁻¹ times X_e u_u, which is built once per
-    edge.  Each leading run of blocks must span a subobject: the blocks
-    below the diagonal are all read here, and a nonzero one is a ValueError.
+    u_v⁻¹ X_e u_u as glue lays it out: that product is formed once per
+    edge, when a block of the edge is first read, and every block of the
+    edge is sliced from it.  Each leading run of blocks must span a
+    subobject: the blocks below the diagonal are all read here, and a
+    nonzero one is a ValueError.
     """
-    cuts, rows, moved, built = {}, {}, {}, {}
-    for s, (_, uinv) in bases.items():
-        cuts[s] = list(accumulate(sizes[s], initial=0))
-        rows[s] = [uinv.submatrix(a, b, 0, uinv.cols) for a, b in zip(cuts[s], cuts[s][1:])]
+    cuts = {s: list(accumulate(w, initial=0)) for s, w in sizes.items()}
+    moved = {}
 
     def block(e, i, j):
         u, v = x.edge_ends(e)
-        if (e, i) not in built:
-            if e not in moved:
-                moved[e] = x.edge_matrix(e) * bases[u][0]
-            built[e, i] = rows[v][i] * moved[e]
-        return built[e, i].submatrix(0, rows[v][i].rows, cuts[u][j], cuts[u][j + 1])
+        if e not in moved:
+            moved[e] = bases[v][1] * (x.edge_matrix(e) * bases[u][0])
+        return moved[e].submatrix(cuts[v][i], cuts[v][i + 1], cuts[u][j], cuts[u][j + 1])
 
     for e in x.edge_ids():
         n = len(sizes[x.edge_ends(e)[1]])
@@ -528,15 +526,18 @@ def part_map(obj, parts, k, inclusion):
 
     Built unchecked: the inclusion is a morphism when block column k has
     no correction, the projection when block row k has none.  Any
-    consecutive run of parts may stand as one part.
+    consecutive run of parts may stand as one part.  The slot matrix is
+    the identity columns (or rows) at the part's offset, so it is built
+    once per distinct (slot dimension, part dimension, offset).
     """
-    part, mats = parts[k], {}
+    part, mats, built = parts[k], {}, {}
     for s in obj.slot_ids():
-        d, w = obj.slot_dim(s), part.slot_dim(s)
-        lo = sum(p.slot_dim(s) for p in parts[:k])
-        mats[s] = (_matrix(d, w, tuple(tuple(ONE if i == lo + j else ZERO for j in range(w)) for i in range(d)))
-                   if inclusion
-                   else _matrix(w, d, tuple(tuple(ONE if j == lo + i else ZERO for j in range(d)) for i in range(w))))
+        key = d, w, lo = obj.slot_dim(s), part.slot_dim(s), sum(p.slot_dim(s) for p in parts[:k])
+        if key not in built:
+            built[key] = (_matrix(d, w, tuple(tuple(ONE if i == lo + j else ZERO for j in range(w)) for i in range(d)))
+                          if inclusion
+                          else _matrix(w, d, tuple(tuple(ONE if j == lo + i else ZERO for j in range(d)) for i in range(w))))
+        mats[s] = built[key]
     return Morphism(part, obj, mats, check=False) if inclusion else Morphism(obj, part, mats, check=False)
 
 
@@ -549,27 +550,34 @@ def _split(x, levels):
     """(unglue's block reader, {slot: (u, u⁻¹)}, {slot: block widths}) of x in a basis adapted to levels.
 
     levels is a list of {slot: columns} spans, deepest first, each inside
-    the next.  One elimination per slot, of [the levels' columns in order |
-    I]: a column is a pivot exactly when it leaves the span of the columns
+    the next.  One elimination per distinct key, the slot's dimension d
+    and the levels' columns there, of [the levels' columns in order | I_d]:
+    a column is a pivot exactly when it leaves the span of the columns
     before it, so each level's pivots complete the deeper levels (the
     extend_basis choice) and the identity's pivots complete the last one.
     The deepest level must be independent, that is its columns are the
     first pivots.  The pivot columns u reduce to the identity in order, so
     the I part of the rref is u⁻¹, and the block widths are the pivot
-    counts per level, then the identity's.
+    counts per level, then the identity's.  The key fixes the elimination's
+    input, and the rref is unique, so slots with equal keys share (u, u⁻¹)
+    and the widths; d is in the key because a slot where every level is
+    empty still has its own identity.
     """
-    bases, widths = {}, {}
+    bases, widths, done = {}, {}, {}
     for s in x.slot_ids():
-        d = x.slot_dim(s)
-        groups = [list(level.get(s, ())) for level in levels] + [Matrix.identity(d).columns()]
-        cols = [c for g in groups for c in g]
-        red, pivots = rref(Matrix.from_columns(cols, d))
-        k = len(groups[0])
-        if pivots[:k] != list(range(k)):
-            raise ValueError("subspace basis at slot %r is dependent" % (s,))
-        owner = [i for i, g in enumerate(groups) for _ in g]
-        widths[s] = [sum(owner[p] == i for p in pivots) for i in range(len(groups))]
-        bases[s] = (Matrix.from_columns([cols[p] for p in pivots], d), red.submatrix(0, d, len(cols) - d, len(cols)))
+        d, groups = x.slot_dim(s), [tuple(map(tuple, level.get(s, ()))) for level in levels]
+        key = d, tuple(groups)
+        if key not in done:
+            groups.append(Matrix.identity(d).columns())
+            cols = [c for g in groups for c in g]
+            red, pivots = rref(Matrix.from_columns(cols, d))
+            k = len(groups[0])
+            if pivots[:k] != list(range(k)):
+                raise ValueError("subspace basis at slot %r is dependent" % (s,))
+            owner = [i for i, g in enumerate(groups) for _ in g]
+            basis = Matrix.from_columns([cols[p] for p in pivots], d), red.submatrix(0, d, len(cols) - d, len(cols))
+            done[key] = basis, [sum(owner[p] == i for p in pivots) for i in range(len(groups))]
+        bases[s], widths[s] = done[key]
     return unglue(x, bases, widths), bases, widths
 
 
@@ -1031,9 +1039,19 @@ def is_uniserial(x, family):
 
     Stops at the first stage whose socle over the family is not simple.
     """
+    series, _ = _socle_series(x, family)
+    return series is not None, series
+
+
+def _socle_series(x, family):
+    """(series, None) from one _peel walk of x, or (None, (depth, stage, Hom counts)) of its first non-simple socle.
+
+    The series lists factor labels top-first; the walk stops at the first
+    stage whose socle over the family is not simple.
+    """
     series = []
-    for step, counts in _peel(x, family):
+    for depth, (step, counts) in enumerate(_peel(x, family)):
         if sum(n for _, n in counts) != 1:
-            return False, None
+            return None, (depth, step.stage, counts)
         series.append(step.label)
-    return True, tuple(reversed(series))
+    return tuple(reversed(series)), None

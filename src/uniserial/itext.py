@@ -110,10 +110,16 @@ class Filtration:
 
 
 def filtration_of(e: IteratedExtension) -> Filtration:
-    """Dual filtration: level i is the kernel of the composite onto stage i, and level n is zero."""
+    """Dual filtration: level i is the kernel of the composite onto stage i, and level n is zero.
+
+    A graded object repeats its slot matrices from weight to weight, so
+    one kernel_basis is taken per distinct composite slot matrix, and
+    slots with equal matrices share its basis.
+    """
     x = e.x
-    composites = accumulate(reversed(e.fs), lambda c, f: f * c)  # onto stages n-1, ..., 0
-    levels = [{s: kernel_basis(c.mats[s]) for s in x.slot_ids()} for c in composites]
+    composites = list(accumulate(reversed(e.fs), lambda c, f: f * c))  # onto stages n-1, ..., 0
+    kernels = {m: kernel_basis(m) for m in dict.fromkeys(c.mats[s] for c in composites for s in x.slot_ids())}
+    levels = [{s: kernels[c.mats[s]] for s in x.slot_ids()} for c in composites]
     return Filtration(x, e.family, e.order_vector, tuple(levels[::-1]) + ({s: [] for s in x.slot_ids()},))
 
 
@@ -333,9 +339,10 @@ def _deformation_with_conjugation(filt: Filtration):
     subobject F_{n-1} comes first and each diagonal block of x is a factor.
     find_isomorphism carries each factor onto its labelled simple, and the
     blocks off the diagonal, conjugated by those factor isomorphisms, are
-    the corrections psi.  conj[s] is the block diagonal of the factor
-    isomorphisms, in order-vector order, times U⁻¹: the per-slot change of
-    basis from x onto the object from_deformation glues.
+    the corrections psi; a zero block gives the zero matrix of the psi
+    entry's shape, with no product taken.  conj[s] is the block diagonal of
+    the factor isomorphisms, in order-vector order, times U⁻¹: the per-slot
+    change of basis from x onto the object from_deformation glues.
     """
     x = filt.x
     n = len(filt.order_vector)
@@ -367,7 +374,8 @@ def _deformation_with_conjugation(filt: Filtration):
             entries = []
             for edge in x.edge_ids():
                 u, v = x.edge_ends(edge)
-                entries.append((edge, isos[j][0][v] * block(edge, j, i) * isos[i][1][u]))
+                into, outof, b = isos[j][0][v], isos[i][1][u], block(edge, j, i)
+                entries.append((edge, Matrix.zero(into.rows, outof.cols) if b.is_zero() else into * b * outof))
             psi.append(((i + 1, j + 1), tuple(entries)))
     factor_objects = tuple((lbl, fam[lbl]) for lbl in gamma.nodes)
     d = DeformationModule(gamma, factor_objects, tuple(psi))

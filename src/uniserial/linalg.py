@@ -7,8 +7,10 @@ their nonzero entries per row and per column once asked (nonzero_rows,
 nonzero_columns).  A product skips zero factors, takes a factor that is
 the shared ONE as the other one and stores an entry's first term as it is;
 zero, identity, from_columns, block and transpose build their row tuples
-without Matrix()'s checked copy.  Both elimination kernels work on {column:
-Scalar} dict rows with Markowitz's pivot rule and eliminate forward,
+without Matrix()'s checked copy, block by concatenating its blocks' row
+tuples once it has checked each block's shape against its grid cell.
+Both elimination kernels work on {column: Scalar} dict rows with
+Markowitz's pivot rule and eliminate forward,
 reducing only the rows not yet used as pivots: _rank_rows stops there and
 consumes fresh dict rows, and _rref_rows, which only reads its dense rows,
 then back-substitutes in reverse pivot order and returns the (pivot
@@ -295,21 +297,21 @@ class Matrix:
         """Block matrix from a grid of Matrix blocks; None is a zero block.
 
         Block (i, j) must be row_sizes[i] x col_sizes[j]; sizes may be 0.
+        Each row of a block row is the concatenation of its blocks' row
+        tuples, a zero block standing as one shared row of ZEROs.
         """
         data = []
         for blocks, h in zip(grid, row_sizes, strict=True):
-            rows = [[] for _ in range(h)]
+            pieces = [((),) * h]  # every row starts empty, so a grid row with no columns still has h rows
             for b, w in zip(blocks, col_sizes, strict=True):
                 if b is None:
-                    for r in rows:
-                        r.extend([ZERO] * w)
-                    continue
-                if b.rows != h or b.cols != w:
+                    pieces.append(((ZERO,) * w,) * h)
+                elif b.rows != h or b.cols != w:
                     raise ValueError("block is %dx%d, its grid cell %dx%d" % (b.rows, b.cols, h, w))
-                for r, src in zip(rows, b._data):
-                    r.extend(src)
-            data.extend(rows)
-        return _matrix(sum(row_sizes), sum(col_sizes), tuple(map(tuple, data)))
+                else:
+                    pieces.append(b._data)
+            data.extend(sum(r, ()) for r in zip(*pieces))
+        return _matrix(sum(row_sizes), sum(col_sizes), tuple(data))
 
     def __getitem__(self, ij):
         i, j = ij

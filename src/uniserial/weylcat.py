@@ -235,7 +235,8 @@ def verify_key(key: CatalogKey, window, margin: int = DEFAULT_MARGIN) -> KeyResu
     lemma certifies the built object uniserial with series
     built.order_vector, and uniseriality and the socle series are
     isomorphism invariants, so an isomorphism built -> cat gives both for
-    cat.  Only a key that fails the match peels cat, for its witness.  The
+    cat.  Only a key that fails the match peels cat, once, for its verdict,
+    series and witness together (_catalog_series).  The
     match reads only whether the two are isomorphic, so it is decided on
     the core (abcat._isomorphic) with no map carried: the End guard and
     "catalog validates" have already evaluated both objects' relations.
@@ -260,8 +261,8 @@ def verify_key(key: CatalogKey, window, margin: int = DEFAULT_MARGIN) -> KeyResu
         # classify certified the built object indecomposable, and both relation answers are kept, so the core decides
         same = abcat._isomorphic(built.obj, cat)
         checks.append(("isomorphic to catalog", same, "" if same else _iso_witness(built.obj, cat)))
-        uni, series = (True, built.order_vector) if same else abcat.is_uniserial(cat, family)
-        checks.append(("catalog uniserial", uni, "" if uni else _socle_witness(cat, family)))
+        uni, series, witness = (True, built.order_vector, "") if same else _catalog_series(cat, family)
+        checks.append(("catalog uniserial", uni, witness))
         expected = expected_factors(key)
         checks.append(
             ("factors", series == expected, "got %r expected %r" % (series, expected))
@@ -287,11 +288,17 @@ def _iso_witness(built, cat) -> str:
     return "none of the %d Hom(built, cat) basis maps is invertible" % len(abcat.hom_basis(built, cat))
 
 
-def _socle_witness(x, family) -> str:
-    """The first peeling stage of x whose socle is not simple, with the peel's Hom count per simple."""
-    for depth, (step, counts) in enumerate(abcat._peel(x, family)):
-        if sum(n for _, n in counts) != 1:
-            return "stage %d (dim %d): Hom counts %r" % (depth, abcat.total_dim(step.stage), counts)
+def _catalog_series(x, family):
+    """(uniserial, series top-first or None, witness) of x from one walk of its peel (abcat._socle_series).
+
+    The witness names the first stage whose socle is not simple, with the
+    peel's Hom count per simple; it is "" when every socle is simple.
+    """
+    series, failing = abcat._socle_series(x, family)
+    if failing is None:
+        return True, series, ""
+    depth, stage, counts = failing
+    return False, None, "stage %d (dim %d): Hom counts %r" % (depth, abcat.total_dim(stage), counts)
 
 
 def verify_theorem(

@@ -789,6 +789,24 @@ def test_glue_builders_match_reference_builders():
     assert nonzero >= 20
 
 
+def test_part_map_of_a_middle_part_reads_its_offset_at_every_slot():
+    # every package caller takes the first or the last part, whose offset
+    # follows from the dimensions; the middle part of (S_0, S_1/2, S_inf)
+    # has slot dimensions (1, 1, 0) at w >= 0 and (0, 1, 1) at w <= -1, so
+    # d = 2 and w = 1 at both, with the part at offset 1 and at offset 0
+    parts = tuple(simple_rep(b, 0, WINDOW) for b in ("0", HALF, "inf"))
+    z = abcat.glue(parts, lambda i, j, e: None)
+    incl = abcat.part_map(z, parts, 1, inclusion=True)
+    proj = abcat.part_map(z, parts, 1, inclusion=False)
+    assert (incl.src, incl.dst, proj.src, proj.dst) == (parts[1], z, z, parts[1])
+    offsets = {s: parts[0].slot_dim(s) for s in z.slot_ids()}
+    assert set(offsets.values()) == {0, 1} and {z.slot_dim(s) for s in z.slot_ids()} == {2}
+    for s, lo in offsets.items():
+        unit = Matrix.identity(2).submatrix(0, 2, lo, lo + 1)
+        assert incl.mats[s] == unit and proj.mats[s] == unit.transpose(), s
+    assert Morphism(parts[1], z, incl.mats) == incl and Morphism(z, parts[1], proj.mats) == proj
+
+
 def test_graded_duality_swaps_hom_and_ext():
     # the graded form of the duality oracle: D negates the window and
     # transposes t and d, and dim Hom and dim Ext^1 of (x, y) on the ±2-twist

@@ -16,6 +16,7 @@ from conftest import (
     validate_iterated_extension,
     weyl_family,
 )
+from test_abcat import random_basis_change
 from test_nakayama import N_MAX, nonzero_paths, random_nakayama, truncated_projective
 from uniserial import abcat
 from uniserial.gradedrep import ideal_quotient_rep, simple_rep, validate
@@ -36,7 +37,7 @@ from uniserial.itext import (
     splice,
     to_deformation,
 )
-from uniserial.linalg import ONE, Scalar, rank
+from uniserial.linalg import ONE, Scalar, kernel_basis, rank
 from uniserial.quiverrep import QuiverPresentation, simple_at
 from uniserial.species import classify, realize_vector, species_of
 from uniserial.weyl import euler_power
@@ -415,6 +416,34 @@ def test_flag_basis_matches_the_extend_basis_reference():
         flags += 1
         widest = max(widest, *(len(level) for level in spaces[0].values()))
     assert flags > 300 and widest == 5
+
+
+def test_filtration_kernels_match_one_kernel_per_slot():
+    # filtration_of takes one kernel_basis per distinct composite slot matrix;
+    # here each slot takes its own.  The catalog modules conjugated by a
+    # random basis change at every weight give unequal composites, with
+    # unequal kernels, at slots of one shape
+    rng = random.Random(47)
+    cases = list(flag_basis_cases())
+    for key in catalog_keys(3):
+        win = default_window(key.n)
+        bases = [key.alpha] if key.kind == "euler" else ["0", "inf"]
+        x = random_basis_change(catalog_module(key, win), rng)
+        cases.append(canonical_iterated_extension(x, weyl_simple_family(bases, [key.twist], win)))
+    moved = 0
+    for e in cases:
+        composites, c = [], abcat.identity_morphism(e.x)
+        for f in reversed(e.fs):
+            c = f * c
+            composites.append(c)
+        levels = [{s: kernel_basis(c.mats[s]) for s in e.x.slot_ids()} for c in composites[::-1]]
+        assert filtration_of(e).spaces == (*levels, {s: [] for s in e.x.slot_ids()}), e.order_vector
+        kernels = {}
+        for c in composites:
+            for s in e.x.slot_ids():
+                kernels.setdefault((c.mats[s].rows, c.mats[s].cols), set()).add(tuple(kernel_basis(c.mats[s])))
+        moved += any(len(k) > 1 for k in kernels.values())
+    assert moved >= 6
 
 
 def test_deformation_needs_the_cofiltration_to_end_in_zero():

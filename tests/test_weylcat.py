@@ -197,9 +197,10 @@ def test_catalog_modules_peel_to_their_expected_factors():
 
 
 def count_peels(monkeypatch):
+    """The objects of every abcat._peel walk started while the patch holds, is_uniserial's included."""
     calls = []
-    real = abcat.is_uniserial
-    monkeypatch.setattr(abcat, "is_uniserial", lambda x, family: calls.append(x) or real(x, family))
+    real = abcat._peel
+    monkeypatch.setattr(abcat, "_peel", lambda x, family: calls.append(x) or real(x, family))
     return calls
 
 
@@ -211,13 +212,15 @@ def test_a_matched_catalog_module_is_not_peeled(monkeypatch):
 
 
 def test_an_unmatched_catalog_module_is_peeled_for_its_witness(monkeypatch):
-    for key in (CatalogKey("euler", MIXED, None, 3), replace(WORD, beta="inf", n=3)):
-        win = default_window(3)
+    # the word 0, n = 2 series (0, inf) is no palindrome, so it reads the order of the walk
+    for key in (CatalogKey("euler", MIXED, None, 3), replace(WORD, beta="inf", n=3), WORD):
+        win = default_window(key.n)
         passing = verify_key(key, win).checks
         with monkeypatch.context() as m:
             peeled = count_peels(m)
             m.setattr(abcat, "_isomorphic", lambda x, y: False)
             got = verify_key(key, win).checks
+        # one walk gives the verdict, the series and the witness
         assert len(peeled) == 1
         (iso,) = [c for c in got if c[0] == "isomorphic to catalog"]
         # built ≅ cat, so Hom(built, cat) has the dimension of End(cat)
@@ -226,6 +229,15 @@ def test_an_unmatched_catalog_module_is_peeled_for_its_witness(monkeypatch):
         assert iso == ("isomorphic to catalog", False, detail)
         # every other line, "catalog uniserial" and "factors" included, reads as on the passing key
         assert [c for c in got if c is not iso] == [c for c in passing if c[0] != "isomorphic to catalog"]
+    # a catalog module that is not uniserial: the walk that finds the failing stage is the one the witness reads
+    win = default_window(2)
+    split = abcat.direct_sum(simple_rep("0", 0, win), simple_rep("inf", 0, win)).obj
+    with monkeypatch.context() as m:
+        m.setattr(weylcat, "catalog_module", lambda key, window, margin=2: split)
+        peeled = count_peels(m)
+        got = failed(verify_key(WORD, win))
+    assert peeled == [split]
+    assert got["catalog uniserial"] == "stage 0 (dim %d): Hom counts %r" % (abcat.total_dim(split), (("0@0", 1), ("inf@0", 1)))
 
 
 def test_verify_key_passes():

@@ -116,12 +116,12 @@ WORKLOADS = {
 }
 
 PINNED = {
-    "verify_theorem(4) pad 0": (1646, 140, 26227, 831, 889, 3470, 0, 0, 138, 86, 160, 0, 32),
-    "verify_theorem(4) pad 12": (4622, 140, 135067, 1383, 1993, 8366, 0, 0, 138, 86, 160, 0, 32),
+    "verify_theorem(4) pad 0": (1478, 140, 26227, 831, 889, 3470, 0, 0, 138, 86, 160, 0, 32),
+    "verify_theorem(4) pad 12": (4166, 140, 135067, 1383, 1993, 8366, 0, 0, 138, 86, 160, 0, 32),
     "ext_table 160 dims": (0, 0, 0, 0, 354, 288, 0, 0, 160, 8, 0, 0, 0),
-    "bench verify seed 1": (956, 78, 6573, 306, 522, 1230, 0, 0, 96, 58, 80, 0, 24),
-    "bench cli_session seed 1": (2771, 631, 2298, 276, 607, 335, 21, 0, 177, 39, 86, 1, 89),
-    "splice six seeded": (2852, 917, 10325, 145, 618, 2939, 0, 0, 9, 24, 0, 0, 6),
+    "bench verify seed 1": (852, 78, 6573, 306, 522, 1230, 0, 0, 96, 58, 80, 0, 24),
+    "bench cli_session seed 1": (2407, 399, 1633, 108, 607, 335, 21, 0, 177, 39, 86, 1, 89),
+    "splice six seeded": (1838, 670, 9254, 145, 618, 2939, 0, 0, 9, 24, 0, 0, 6),
 }
 
 
