@@ -38,7 +38,6 @@ iff rank [δ⁰ | c] = rank δ⁰ there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 
 from .linalg import (
@@ -500,24 +499,31 @@ def unglue(x, bases, sizes):
     bases[s] = (u, u⁻¹) and sizes[s] the widths of u's column blocks, the
     subobject first.  Returns block(e, i, j), the block (i, j) of
     u_v⁻¹ X_e u_u as glue lays it out: that product is formed once per
-    edge, when a block of the edge is first read, and every block of the
-    edge is sliced from it.  Each leading run of blocks must span a
-    subobject: the blocks below the diagonal are all read here, and a
-    nonzero one is a ValueError.
+    edge, when the edge is first read, and every block of the edge is
+    sliced from it.  Each leading run of blocks must span a subobject:
+    the blocks below the diagonal are all read here, in place, block row
+    i >= 1 as its rows of the product over the columns of the blocks
+    before column i, and a nonzero one is a ValueError.
     """
     cuts = {s: list(accumulate(w, initial=0)) for s, w in sizes.items()}
     moved = {}
 
-    def block(e, i, j):
-        u, v = x.edge_ends(e)
+    def product(e, u, v):
         if e not in moved:
             moved[e] = bases[v][1] * (x.edge_matrix(e) * bases[u][0])
-        return moved[e].submatrix(cuts[v][i], cuts[v][i + 1], cuts[u][j], cuts[u][j + 1])
+        return moved[e]
+
+    def block(e, i, j):
+        u, v = x.edge_ends(e)
+        return product(e, u, v).submatrix(cuts[v][i], cuts[v][i + 1], cuts[u][j], cuts[u][j + 1])
 
     for e in x.edge_ids():
-        n = len(sizes[x.edge_ends(e)[1]])
-        if any(not block(e, i, j).is_zero() for i in range(n) for j in range(i)):
-            raise ValueError("subspaces are not invariant under edge %r" % (e,))
+        u, v = x.edge_ends(e)
+        rows, cols = cuts[v], cuts[u]
+        for i in range(1, len(sizes[v])):
+            m = product(e, u, v)
+            if any(any(m.row(r)[: cols[i]]) for r in range(rows[i], rows[i + 1])):
+                raise ValueError("subspaces are not invariant under edge %r" % (e,))
     return block
 
 
@@ -637,6 +643,20 @@ def amalgamated_sum(f1: Morphism, f2: Morphism):
 # -- Ext^1 by extension classification ---------------------------------------
 
 
+class _lazy:
+    """functools.cached_property without its lock: the first read stores the value in the instance __dict__, which later reads find first."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.func.__name__] = self.func(obj)
+        return value
+
+
 class ExtSpace:
     """The space of extensions of x by y, with a chosen cocycle basis.
 
@@ -698,7 +718,7 @@ class ExtSpace:
         # the core complex: (slot count, edge layout, δ⁰ rows, relations)
         self._complex = len(slots), _edge_layout(x, y, edge_ids), _differential(x, y, slots, edge_ids), relations
 
-    @cached_property
+    @_lazy
     def _core_dims(self):
         """(dim Ext^1, dim Hom) from the two ranks of the core complex."""
         n, index, d0, relations = self._complex
@@ -706,23 +726,23 @@ class ExtSpace:
         rank_d1 = rank_rows(_relation_rows(self.x, self.y, index, relations), len(index))
         return len(index) - rank_d1 - rank_d0, n - rank_d0
 
-    @cached_property
+    @_lazy
     def index(self):
         return _edge_layout(self.x, self.y, self.x.edge_ids())
 
-    @cached_property
+    @_lazy
     def nvars(self):
         return len(self.index)
 
-    @cached_property
+    @_lazy
     def _d1(self):
         return _relation_rows(self.x, self.y, self.index, self.x.relations())
 
-    @cached_property
+    @_lazy
     def _cocycles(self):
         return kernel_basis(_dense(self._d1, self.nvars))
 
-    @cached_property
+    @_lazy
     def _core_cobounds(self):
         """The canonical basis of B_core, of the columns of the core's δ⁰."""
         n, index, d0, _ = self._complex
@@ -737,7 +757,7 @@ class ExtSpace:
         if any(sum((a * vector[k] for k, a in row.items() if vector[k]), ZERO) for row in self._d1):
             raise ValueError("vector is not a cocycle for this extension space")
 
-    @cached_property
+    @_lazy
     def reps(self):
         """The cocycles, in order, whose R images complete B_core: one per class."""
         # extend_basis reads a column's first len(index) entries, so each cocycle rides behind its image

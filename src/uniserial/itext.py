@@ -303,12 +303,24 @@ class DeformationModule:
 
     psi[(i, j)][edge] corrects the edge action from the position-i factor
     into the position-j factor (1 <= i < j <= n); factor_objects maps
-    each node label to its standard simple.
+    each node label to its standard simple.  The constructor indexes psi
+    by (i, j, edge) once, so psi_matrix is one lookup; the index is no
+    field, so equality and hash read the three fields only.
     """
 
     gamma: ExtensionType
     factor_objects: tuple  # ((node label, simple object), ...)
     psi: tuple  # (((i, j), ((edge, Matrix), ...)), ...)
+
+    def __post_init__(self):
+        # the first (i, j) block and, in it, the first entry of an edge win, as a scan in order finds them
+        index, pairs = {}, set()
+        for (i, j), entries in self.psi:
+            if (i, j) not in pairs:
+                pairs.add((i, j))
+                for e, m in entries:
+                    index.setdefault((i, j, e), m)
+        object.__setattr__(self, "_psi_index", index)
 
     def factor(self, label):
         for lbl, obj in self.factor_objects:
@@ -317,12 +329,8 @@ class DeformationModule:
         raise KeyError(label)
 
     def psi_matrix(self, i, j, edge):
-        for (a, b), entries in self.psi:
-            if (a, b) == (i, j):
-                for e, m in entries:
-                    if e == edge:
-                        return m
-        return None
+        """psi[(i, j)][edge], or None where psi has no such entry."""
+        return self._psi_index.get((i, j, edge))
 
 
 def to_deformation(e: IteratedExtension) -> DeformationModule:

@@ -4,8 +4,13 @@ Every computation in the package reduces to the primitives here: reduced
 row echelon form, ranks, kernel bases, linear solves and the trace-form
 radical of a matrix algebra.  Matrices are dense and immutable, and keep
 their nonzero entries per row and per column once asked (nonzero_rows,
-nonzero_columns).  A product skips zero factors, takes a factor that is
-the shared ONE as the other one and stores an entry's first term as it is;
+nonzero_columns).  Every 0, 1 and -1 is one shared object, ZERO, ONE and
+MINUS_ONE, so an identity test finds every unit.  A product checks the
+shapes, then returns the other factor as it is when one factor is an
+identity of shared units, takes a 1x1 by 1x1 product as one scalar
+product, and otherwise skips zero factors, takes a factor that is ONE as
+the other one and stores an entry's first term as it is; a full-range
+submatrix is the matrix itself;
 zero, identity, from_columns, block and transpose build their row tuples
 without Matrix()'s checked copy, block by concatenating its blocks' row
 tuples once it has checked each block's shape against its grid cell.
@@ -19,7 +24,8 @@ the reductions changes the work and not the result.  rank_rows ranks
 rows in that form, rank a Matrix.  solve, inverse (past 1x1) and in_span
 are each one solve_matrix.  No floating point anywhere: a scalar is one reduced
 triple of Python ints (a, b, d) meaning (a + b*i)/d, and its arithmetic
-is integer products and one gcd per result.  fractions.Fraction appears only at the edges, in
+is integer products and one gcd per result, or no arithmetic at all when
+an operand is a unit that passes the other through.  fractions.Fraction appears only at the edges, in
 parsing and in the re and im components handed to formatting.
 """
 
@@ -34,23 +40,29 @@ class Scalar:
     """A Gaussian rational (a + b*i)/d stored as the int triple (a, b, d).
 
     The triple is canonical, d > 0 and gcd(a, b, d) == 1, so equal values
-    have equal triples.  +, -, * and / cost a few integer products and one
-    gcd: sums over a shared denominator skip the cross products, and a real
-    factor or divisor skips the imaginary terms.  re and im are the
-    components as Fractions.  An integer n hashes as hash(n), since it
-    compares equal to n; any other value hashes its triple.
+    have equal triples.  The values 0, 1 and -1 are each one shared
+    object, ZERO, ONE and MINUS_ONE: the constructor and every operation
+    build their results through _reduced, which returns those three for
+    their values, or return an operand as it is.  So a value is a unit
+    exactly when it is the unit object.  1*x, x*1, 0*x and x*0, 0 + x,
+    x + 0, x - 0 and x/1 return an operand with no arithmetic, and == is
+    True at once for one object; division by zero still raises.  Otherwise
+    +, -, * and / cost a few integer products and one gcd: sums over a
+    shared denominator skip the cross products, and a real factor or
+    divisor skips the imaginary terms.  re and im are the components as
+    Fractions.  An integer n hashes as hash(n), since it compares equal to
+    n; any other value hashes its triple.
     """
 
     __slots__ = ("_t",)
 
-    def __init__(self, re=0, im=0):
+    def __new__(cls, re=0, im=0):
         if type(re) is int and type(im) is int:
-            _set(self, (re, im, 1))
-            return
+            return _reduced(re, im, 1)
         re, im = _Q(re), _Q(im)
         p, q = re.denominator, im.denominator
         d = p // gcd(p, q) * q
-        _set(self, (re.numerator * (d // p), im.numerator * (d // q), d))
+        return _reduced(re.numerator * (d // p), im.numerator * (d // q), d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -69,6 +81,8 @@ class Scalar:
         return self._t != (0, 0, 1)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if isinstance(other, Scalar):
             return self._t == other._t
         if isinstance(other, int):
@@ -80,6 +94,10 @@ class Scalar:
         return hash(a) if d == 1 and not b else hash(t)
 
     def __add__(self, other):
+        if other is ZERO:
+            return self
+        if self is ZERO:
+            return other
         a, b, d = self._t
         c, e, f = other._t
         if d == f:
@@ -87,6 +105,8 @@ class Scalar:
         return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     def __sub__(self, other):
+        if other is ZERO:
+            return self
         a, b, d = self._t
         c, e, f = other._t
         if d == f:
@@ -98,6 +118,10 @@ class Scalar:
         return _reduced(-a, -b, d)
 
     def __mul__(self, other):
+        if self is ONE or other is ZERO:
+            return other
+        if other is ONE or self is ZERO:
+            return self
         a, b, d = self._t
         c, e, f = other._t
         if not e:
@@ -108,6 +132,8 @@ class Scalar:
 
     def __truediv__(self, other):
         # (a + b*i)/d / ((c + e*i)/f) = f*(a + b*i)*(c - e*i) / (d*(c*c + e*e))
+        if other is ONE:
+            return self
         a, b, d = self._t
         c, e, f = other._t
         if not e:
@@ -129,20 +155,31 @@ _set = Scalar._t.__set__
 _new = object.__new__
 
 
+def _unit(a):
+    """The one Scalar of the integer a in (0, 1, -1), built once at import."""
+    s = _new(Scalar)
+    _set(s, (a, 0, 1))
+    return s
+
+
+# _UNITS[a] is the shared unit a, for a in (0, 1, -1)
+ZERO, ONE, MINUS_ONE = _UNITS = _unit(0), _unit(1), _unit(-1)
+
+
 def _reduced(a, b, d):
-    """The Scalar (a + b*i)/d for ints a, b and d > 0, in lowest terms."""
+    """The Scalar (a + b*i)/d for ints a, b and d > 0, in lowest terms; 0, 1 and -1 are the shared units."""
     g = gcd(a, b, d)
     if g != 1:
         a //= g
         b //= g
         d //= g
+    if d == 1 and not b and -1 <= a <= 1:
+        return _UNITS[a]
     s = _new(Scalar)
     _set(s, (a, b, d))
     return s
 
 
-ZERO = Scalar(0)
-ONE = Scalar(1)
 I = Scalar(0, 1)
 
 
@@ -329,7 +366,7 @@ class Matrix:
     def nonzero_rows(self):
         """((column, entry), ...) of the nonzero entries of each row, built once."""
         if not hasattr(self, "_nz_rows"):
-            view = tuple(tuple([(j, a) for j, a in enumerate(r) if a is not ZERO and a]) for r in self._data)
+            view = tuple(tuple([(j, a) for j, a in enumerate(r) if a is not ZERO]) for r in self._data)
             object.__setattr__(self, "_nz_rows", view)
         return self._nz_rows
 
@@ -373,17 +410,24 @@ class Matrix:
         return Matrix(self.rows, self.cols, [[c * a for a in r] for r in self._data])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
+        """The product; after the shape check an identity factor of shared units returns the other factor itself."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch %dx%d * %dx%d" % (self.rows, self.cols, other.rows, other.cols))
         od, n = other._data, other.cols
+        if n == 1 and self.cols == 1 and self.rows == 1:
+            return _matrix(1, 1, ((self._data[0][0] * od[0][0],),))
+        if _is_identity(self):
+            return other
+        if _is_identity(other):
+            return self
         out = []
         for r in self._data:
             orow = [ZERO] * n
             for ok, a in zip(od, r):
-                if a is not ZERO and a:
+                if a is not ZERO:
                     for j, b in enumerate(ok):
-                        if b is not ZERO and b:
-                            # a factor that is the shared ONE is not multiplied, and a first term is not added to ZERO
+                        if b is not ZERO:
+                            # a factor ONE and a first term are taken inline, with no Scalar method call
                             t = b if a is ONE else a if b is ONE else a * b
                             c = orow[j]
                             orow[j] = t if c is ZERO else c + t
@@ -408,9 +452,11 @@ class Matrix:
         return Matrix(self.rows, self.cols + other.cols, [ra + rb for ra, rb in zip(self._data, other._data)])
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
-        """Rows r0..r1-1 and columns c0..c1-1; either range may be empty."""
+        """Rows r0..r1-1 and columns c0..c1-1; either range may be empty, and the full range is this matrix."""
         if not (0 <= r0 <= r1 <= self.rows and 0 <= c0 <= c1 <= self.cols):
             raise ValueError("submatrix [%d:%d, %d:%d] outside %dx%d" % (r0, r1, c0, c1, self.rows, self.cols))
+        if r0 == c0 == 0 and r1 == self.rows and c1 == self.cols:
+            return self
         return _matrix(r1 - r0, c1 - c0, tuple(r[c0:c1] for r in self._data[r0:r1]))
 
     def _check_shape(self, other, same=False):
@@ -434,6 +480,17 @@ def _matrix(rows, cols, entries):
     object.__setattr__(m, "cols", cols)
     object.__setattr__(m, "_data", entries)
     return m
+
+
+def _is_identity(m):
+    """Whether m is an identity of shared units: square, each diagonal entry ONE and every other entry ZERO."""
+    n = m.rows
+    if n != m.cols:
+        return False
+    for i, r in enumerate(m._data):
+        if r[i] is not ONE or r.count(ZERO) != n - 1:
+            return False
+    return True
 
 
 def _column_index(sparse, cols):
@@ -529,8 +586,8 @@ def _rref_rows(rows, cols):
     unique for a fixed column order, so neither the row choice nor the
     order of the reductions changes the result, only the work.
     """
-    # most zero cells are the shared ZERO; the identity test skips Scalar.__bool__
-    sparse = [{j: x for j, x in enumerate(r) if x is not ZERO and x} for r in rows]
+    # every zero is the shared ZERO, so the identity test is the zero test
+    sparse = [{j: x for j, x in enumerate(r) if x is not ZERO} for r in rows]
     where = _column_index(sparse, cols)
     used = [False] * len(sparse)
     pivots = []
@@ -543,7 +600,7 @@ def _rref_rows(rows, cols):
         used[p] = True
         pr = sparse[p]
         a = pr[c]
-        if a != ONE:
+        if a is not ONE:
             inv = ONE / a
             for j, x in pr.items():
                 pr[j] = inv * x
@@ -577,7 +634,7 @@ def rref(m: Matrix):
 
 
 def rank(m: Matrix) -> int:
-    return _rank_rows([{j: x for j, x in enumerate(r) if x is not ZERO and x} for r in m._data], m.cols)
+    return _rank_rows([{j: x for j, x in enumerate(r) if x is not ZERO} for r in m._data], m.cols)
 
 
 def rank_rows(rows, cols: int) -> int:

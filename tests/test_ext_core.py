@@ -242,3 +242,16 @@ def test_a_vector_broken_outside_the_core_is_refused():
     for method in (space.class_coords, space.coboundary_ranks):
         with pytest.raises(ValueError, match="not a cocycle"):
             method(bad)
+
+
+def test_lazy_values_are_computed_once_and_kept_on_the_instance(monkeypatch):
+    calls = []
+    real = abcat.rank_rows
+    monkeypatch.setattr(abcat, "rank_rows", lambda rows, cols: calls.append(cols) or real(rows, cols))
+    space = ExtSpace(simple_rep(LABELS[0], 0, (-4, 4)), simple_rep(LABELS[0], -1, (-4, 4)))
+    assert "_core_dims" not in vars(space)
+    dims = space.dim(), space.hom_dim()
+    assert len(calls) == 2 and vars(space)["_core_dims"] == dims
+    assert (space.dim(), space.hom_dim()) == dims and len(calls) == 2
+    assert space.index is space.index and space.reps is space.reps
+    assert ExtSpace._core_dims.__doc__ == "(dim Ext^1, dim Hom) from the two ranks of the core complex."

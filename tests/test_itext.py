@@ -247,6 +247,46 @@ def test_deformation_nonsplit_length_two():
     assert abcat.are_isomorphic(back.x, ideal_quotient_rep(euler_power(HALF, 2), WINDOW))
 
 
+def scanned_psi_matrix(d, i, j, edge):
+    """psi[(i, j)][edge] by a scan in order: the first (i, j) block, and in it the first entry of the edge."""
+    for pair, entries in d.psi:
+        if pair == (i, j):
+            return next((m for e, m in entries if e == edge), None)
+    return None
+
+
+def test_psi_index_matches_the_scan_on_repeated_keys():
+    from uniserial.itext import DeformationModule
+    from uniserial.linalg import Matrix
+
+    d = to_deformation(realize_vector(("1/2@0", "1/2@0", "1/2@0"), weyl_family()))
+    mats = [Matrix(1, 1, [[Scalar(k)]]) for k in range(1, 8)]
+    # (4, 5) twice, its second block holding an edge the first lacks; an edge twice in one block;
+    # (5, 6) twice with one edge each; (1, 2) first in front of d's own (1, 2) block
+    psi = (
+        ((1, 2), (("a", mats[0]),)),
+        ((4, 5), (("a", mats[0]), ("a", mats[1]), ("b", mats[2]))),
+        ((4, 5), (("c", mats[3]), ("a", mats[4]))),
+        ((5, 6), (("a", mats[5]),)),
+        ((5, 6), (("a", mats[6]),)),
+    ) + d.psi
+    repeated = DeformationModule(d.gamma, d.factor_objects, psi)
+    edges = {e for _, entries in psi for e, _ in entries} | {"absent"}
+    for i in range(7):
+        for j in range(7):
+            for edge in edges:
+                assert repeated.psi_matrix(i, j, edge) is scanned_psi_matrix(repeated, i, j, edge)
+                assert d.psi_matrix(i, j, edge) is scanned_psi_matrix(d, i, j, edge)
+    assert repeated.psi_matrix(4, 5, "a") is mats[0] and repeated.psi_matrix(4, 5, "c") is None
+    assert repeated.psi_matrix(5, 6, "a") is mats[5] and repeated.psi_matrix(1, 2, "a") is mats[0]
+    assert any(d.psi_matrix(1, 2, e) is not None for e in edges) and all(
+        repeated.psi_matrix(1, 2, e) is None for e in edges - {"a"})
+    # the index is no field: equality and hash read gamma, factor_objects and psi
+    assert [f.name for f in dataclasses.fields(DeformationModule)] == ["gamma", "factor_objects", "psi"]
+    same = DeformationModule(d.gamma, d.factor_objects, d.psi)
+    assert same == d and hash(same) == hash(d) and same != repeated
+
+
 def test_deformation_split_zero_psi():
     fam = a3_family()
     e1 = realize_vector(("1",), fam)

@@ -19,6 +19,7 @@ from conftest import (
 from uniserial import abcat
 from uniserial.linalg import (
     I,
+    MINUS_ONE,
     ONE,
     ZERO,
     Matrix,
@@ -33,6 +34,7 @@ from uniserial.linalg import (
     inverse,
     kernel_basis,
     parse_int,
+    parse_matrix,
     parse_scalar,
     rank,
     rank_rows,
@@ -164,6 +166,56 @@ def test_scalar_triple_matches_fraction_pair_reference(x, y):
             s / t
         with pytest.raises(ZeroDivisionError):
             rs / rt
+
+
+UNITS = (ZERO, ONE, MINUS_ONE)
+# the shared units; the same values built other ways; reals; non-reals
+UNIT_POOL = [
+    ZERO, ONE, MINUS_ONE,
+    parse_scalar("0"), parse_scalar("1"), parse_scalar("-1"), Scalar(Fraction(2, 2)), Scalar(-1, 0),
+    Scalar(0, Fraction(0, 3)), ONE * ONE, -ONE, ONE - ONE, MINUS_ONE * MINUS_ONE,
+    S(2), S(Fraction(-1, 3)), S(Fraction(7, 2)),
+    I, -I, S(Fraction(1, 2), Fraction(-2, 3)), S(1, 1), S(-1, 1),
+]
+
+
+def assert_unit_is_shared(s):
+    # the invariant the kernels' identity tests read: every 0, 1 and -1 is the shared object
+    for unit in UNITS:
+        assert (s == unit) == (s is unit), (s, unit)
+
+
+def test_units_are_shared_and_every_operation_matches_the_fraction_pair_reference():
+    refs = [FractionPairScalar(s.re, s.im) for s in UNIT_POOL]
+    for s in UNIT_POOL:
+        assert_unit_is_shared(s)
+    for s, rs in zip(UNIT_POOL, refs):
+        assert_matches_reference(-s, -rs)
+        assert_unit_is_shared(-s)
+        for t, rt in zip(UNIT_POOL, refs):
+            for op in (operator.add, operator.sub, operator.mul):
+                assert_matches_reference(op(s, t), op(rs, rt))
+                assert_unit_is_shared(op(s, t))
+            assert (s == t) == (rs == rt)
+            if rt:
+                assert_matches_reference(s / t, rs / rt)
+                assert_unit_is_shared(s / t)
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    s / t
+
+
+def test_units_pass_an_operand_through():
+    for x in UNIT_POOL:
+        assert ONE * x is x and x * ONE is x and x + ZERO is x and ZERO + x is x and x - ZERO is x and x / ONE is x
+        assert x * ZERO is ZERO and ZERO * x is ZERO and x == x
+        assert ZERO - x == -x and x - x is ZERO
+    for zero in (ZERO, Scalar(0), parse_scalar("0"), ONE - ONE, Scalar(Fraction(0), Fraction(0))):
+        assert zero is ZERO
+        for x in UNIT_POOL:
+            with pytest.raises(ZeroDivisionError):
+                x / zero
+    assert Scalar(1)._t == (1, 0, 1) and MINUS_ONE._t == (-1, 0, 1) and ZERO._t == (0, 0, 1) and -MINUS_ONE is ONE
 
 
 def test_scalar_hashes_as_the_int_it_equals():
@@ -380,7 +432,7 @@ def test_nonzero_views_match_the_entries_and_are_kept():
 
 
 def test_matrix_product_matches_the_triple_loop():
-    # the shared ZERO and ONE (the product's shortcuts), fresh Scalar(0) and Scalar(1) (multiplied as any other),
+    # the shared units (the product's shortcuts), the same values built by Scalar(0) and Scalar(1),
     # -1 (sums that cancel) and Gaussian rationals, on seeded shapes with 0 x n and n x 0 factors
     rng = random.Random(29)
     pool = [ZERO, ZERO, ONE, ONE, S(0), S(1), S(-1), S(Fraction(2, 3), Fraction(-1, 2)), I, S(Fraction(-5, 4))]
@@ -390,6 +442,59 @@ def test_matrix_product_matches_the_triple_loop():
         assert a * b == reference_product(a, b), (a, b)
     with pytest.raises(ValueError):
         M([[1, 2]]) * M([[1, 2]])
+
+
+def permutation(perm):
+    n = len(perm)
+    return Matrix(n, n, [[ONE if j == perm[i] else ZERO for j in range(n)] for i in range(n)])
+
+
+def test_matrix_product_passes_identities_through():
+    rng = random.Random(48)
+    identities = [Matrix.identity(n) for n in range(5)]
+    identities += [Matrix.from_columns([[S(int(i == j)) for i in range(n)] for j in range(n)], n) for n in (1, 2, 3)]
+    identities += [parse_matrix("1x1 1"), parse_matrix("2x2 1,0;0,1"), parse_matrix("3x3 1,0,0;0,1,0;0,0,1"),
+                   M([[1, 0], [0, 1]]), Matrix.identity(3) * Matrix.identity(3), inverse(Matrix.identity(2))]
+    # square and unit-like, but no identity: each is multiplied
+    others = [Matrix.identity(2).scale(S(2)), -Matrix.identity(2), -Matrix.identity(3), M([[1, 1], [0, 1]]),
+              M([[1, 0], [1, 1]]), M([[1, 0, 0], [0, 1, 0], [0, 1, 1]]), M([[1, 0], [0, 0]]), M([[0, 0], [0, 1]]),
+              M([[1, 0], [0, -1]]), permutation((1, 0)), permutation((2, 0, 1)), permutation((0, 2, 1))]
+    others += [M([[v]]) for v in (0, 2, -1)] + [Matrix(1, 1, [[x]]) for x in (ZERO, MINUS_ONE, I, S(Fraction(2, 3), 1))]
+    pool = [ZERO, ONE, MINUS_ONE, S(2), I, S(Fraction(-1, 2), 3)]
+    for a in identities:
+        assert a == Matrix.identity(a.rows)
+    for a in others:
+        assert a.rows == a.cols and a != Matrix.identity(a.rows)
+    for a in identities + others:
+        n = a.rows
+        for k in (0, 1, 2, 3):
+            b = Matrix(n, k, [[rng.choice(pool) for _ in range(k)] for _ in range(n)])
+            c = Matrix(k, n, [[rng.choice(pool) for _ in range(n)] for _ in range(k)])
+            assert a * b == reference_product(a, b) and c * a == reference_product(c, a), (a, b, c)
+            # an identity factor passes the other through; a 1 x 1 by 1 x 1 product is one scalar product,
+            # and of two identities the right one is returned
+            if a in identities and n * k != 1:
+                assert a * b is b and (c * a is c or c == Matrix.identity(k))
+        for b in identities + others:
+            if b.rows == n:
+                assert a * b == reference_product(a, b), (a, b)
+    for a in others:
+        b = Matrix(a.rows, 2, [[S(3 * i + j + 1) for j in range(2)] for i in range(a.rows)])
+        assert a * b is not b and a * b == reference_product(a, b)
+    # the shape check runs before any pass-through
+    for a, b in ((Matrix.identity(2), Matrix.zero(3, 1)), (Matrix.zero(1, 3), Matrix.identity(2)),
+                 (Matrix.identity(0), Matrix.zero(1, 1)), (Matrix.identity(1), Matrix.identity(2)),
+                 (M([[1]]), M([[1, 2]]).transpose().transpose().transpose())):
+        with pytest.raises(ValueError):
+            a * b
+
+
+def test_full_range_submatrix_is_the_matrix():
+    for m in (M([[1, 2], [3, 4]]), Matrix.zero(0, 3), Matrix.zero(2, 0), Matrix.identity(3)):
+        assert m.submatrix(0, m.rows, 0, m.cols) is m
+        assert m.submatrix(0, m.rows, 0, m.cols) == Matrix(m.rows, m.cols, [m.row(i) for i in range(m.rows)])
+    m = M([[1, 2], [3, 4]])
+    assert m.submatrix(0, 2, 0, 1) == M([[1], [3]]) and m.submatrix(1, 2, 0, 2) == M([[3, 4]])
 
 
 def test_shortcut_constructors_build_the_checked_tables():
