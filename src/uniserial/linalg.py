@@ -14,14 +14,15 @@ submatrix is the matrix itself;
 zero, identity, from_columns, block and transpose build their row tuples
 without Matrix()'s checked copy, block by concatenating its blocks' row
 tuples once it has checked each block's shape against its grid cell.
-Both elimination kernels work on {column: Scalar} dict rows with
-Markowitz's pivot rule and eliminate forward,
-reducing only the rows not yet used as pivots: _rank_rows stops there and
-consumes fresh dict rows, and _rref_rows, which only reads its dense rows,
-then back-substitutes in reverse pivot order and returns the (pivot
-column, sparse row) pairs of the rref, which is unique, so the order of
-the reductions changes the work and not the result.  rank_rows ranks
-rows in that form, rank a Matrix.  solve, inverse (past 1x1) and in_span
+Both elimination kernels run one forward pass, _forward, on {column:
+Scalar} dict rows: Markowitz's pivot rule, and only the rows not yet used
+as pivots reduced, each by one _eliminate, the one row reduction.  A rank,
+_rank_rows, is the number of its pivots.  _rref_rows, which only reads its
+dense rows, then scales the pivot rows and back-substitutes through
+_eliminate in reverse pivot order, and returns the (pivot column, sparse
+row) pairs of the rref, which is unique, so the order of the reductions
+changes the work and not the result.  rank_rows ranks rows in that form,
+rank a Matrix.  solve, inverse (past 1x1) and in_span
 are each one solve_matrix.  No floating point anywhere: a scalar is one reduced
 triple of Python ints (a, b, d) meaning (a + b*i)/d, and its arithmetic
 is integer products and one gcd per result, or no arithmetic at all when
@@ -184,19 +185,20 @@ I = Scalar(0, 1)
 
 
 def format_scalar(s: Scalar) -> str:
-    """Canonical text form: 0, 1/2, -2, i, -i, 1/3*i, 1/2-1/3*i."""
-    if not s.im:
-        return str(s.re)
-    if s.im == 1:
+    """Canonical text form: 0, 1/2, -2, i, -i, 1/3*i, 1/2-1/3*i; it reads s.re and s.im once each."""
+    real, imag = s.re, s.im
+    if not imag:
+        return str(real)
+    if imag == 1:
         imtxt = "i"
-    elif s.im == -1:
+    elif imag == -1:
         imtxt = "-i"
     else:
-        imtxt = "%s*i" % s.im
-    if not s.re:
+        imtxt = "%s*i" % imag
+    if not real:
         return imtxt
     sign = "+" if not imtxt.startswith("-") else ""
-    return "%s%s%s" % (s.re, sign, imtxt)
+    return "%s%s%s" % (real, sign, imtxt)
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -493,24 +495,22 @@ def _is_identity(m):
     return True
 
 
-def _column_index(sparse, cols):
-    """where[j]: the set of dict rows with a nonzero in column j."""
+def _forward(sparse, cols):
+    """Forward elimination of fresh {column: Scalar} rows, which it consumes: [(column, row, pivot entry), ...].
+
+    The one elimination pass of both kernels.  An index maps each column to
+    the rows with a nonzero there.  Pivot columns are taken left to right;
+    for each, the pivot row is the unused row with the fewest nonzeros there
+    (Markowitz's rule, ties to the lowest index).  It leaves the index, its
+    pivot entry a is popped, nothing is scaled, and only the unused rows r
+    are reduced, by r[c] * (-1/a) times the pivot row.  So a pivot row keeps
+    only entries right of its pivot column.
+    """
     where = [set() for _ in range(cols)]
     for i, r in enumerate(sparse):
         for j in r:
             where[j].add(i)
-    return where
-
-
-def _rank_rows(sparse, cols):
-    """Rank of fresh {column: Scalar} rows by forward elimination, which consumes them.
-
-    The sparse form and the Markowitz pivot choice of _rref_rows, but a
-    pivot row leaves the column index once chosen, so only the rows not yet
-    used as pivots are reduced.  Nothing is scaled or back-substituted.
-    """
-    where = _column_index(sparse, cols)
-    found = 0
+    pivots = []
     for c in range(cols):
         here = where[c]
         if not here:
@@ -519,36 +519,25 @@ def _rank_rows(sparse, cols):
         pr = sparse[p]
         for j in pr:
             where[j].discard(p)
-        inv = -(ONE / pr.pop(c))
-        for i in here:
-            ri = sparse[i]
-            g = ri.pop(c) * inv
-            for j, x in pr.items():
-                y = ri.get(j)
-                if y is None:
-                    ri[j] = g * x
-                    where[j].add(i)
-                else:
-                    y = y + g * x
-                    if y:
-                        ri[j] = y
-                    else:
-                        del ri[j]
-                        where[j].discard(i)
-        found += 1
-        if found == len(sparse):
+        a = pr.pop(c)
+        if here:
+            inv = -(ONE / a)
+            for i in here:
+                ri = sparse[i]
+                _eliminate(ri, i, ri.pop(c) * inv, pr.items(), where)
+        pivots.append((c, p, a))
+        if len(pivots) == len(sparse):
             break
-    return found
+    return pivots
 
 
-def _eliminate(ri, i, c, tail, where):
-    """Take ri[c] times the pivot row out of the dict row ri, dropping entries that cancel.
+def _eliminate(ri, i, g, tail, where):
+    """Add g times the pivot row's entries tail to the dict row ri, dropping entries that cancel.
 
-    The one row reduction of _rref_rows: tail is the pivot row's entries
-    other than its 1 at column c, and where, the column index, follows
-    every entry row i gains or loses.
+    The one row reduction of both kernels.  The caller has popped ri's
+    entry at the pivot column, which tail leaves out, and where, the column
+    index, follows every entry row i gains or loses.
     """
-    g = -ri.pop(c)
     for j, x in tail:
         y = ri.get(j)
         if y is None:
@@ -563,6 +552,11 @@ def _eliminate(ri, i, c, tail, where):
                 where[j].discard(i)
 
 
+def _rank_rows(sparse, cols):
+    """Rank of fresh {column: Scalar} rows, which it consumes: the number of pivots of _forward."""
+    return len(_forward(sparse, cols))
+
+
 def _rref_rows(rows, cols):
     """Rref of a list of rows, which are only read: [(pivot column, row), ...].
 
@@ -570,59 +564,37 @@ def _rref_rows(rows, cols):
     {column: Scalar} dict of its nonzeros; zero rows are not returned, so
     len() of the result is the rank.
 
-    The work is sparse: an index maps each column to the rows with a
-    nonzero there.  Forward, pivot columns are taken left to right; for
-    each, the pivot row is the unused row with the fewest nonzeros there
-    (Markowitz's rule, ties to the lowest index), it is scaled to a leading
-    1, and only the rows not yet used as pivots are reduced, so a pivot row
-    is zero at every earlier pivot column.  The column's index then keeps
-    just the earlier pivot rows with a nonzero there.  Back, in reverse
-    pivot order, each pivot row, already clear of the later pivot columns,
-    is taken out of those earlier rows; that changes them only off the
-    pivot columns.  Every row is then reduced against every pivot, as
-    Gauss-Jordan would leave it, with each row reduced once per pivot that
-    meets it instead of at every step (Duff, Erisman and Reid, Direct
-    Methods for Sparse Matrices, ch. 5).  The rref and its pivots are
-    unique for a fixed column order, so neither the row choice nor the
+    Three steps on sparse dict rows: _forward; each pivot row scaled as if
+    its popped pivot entry were 1; then, in reverse pivot order, each pivot
+    row, already clear of the later pivot columns, taken out of the earlier
+    pivot rows with a nonzero at its column, and given its leading 1 back.
+    A pivot row has no entry left of its pivot, so back-substitution adds
+    fill only off the pivot columns, and the index of the pivot rows, built
+    once, stays exact there.  Each row is reduced once per pivot that meets
+    it instead of at every step of Gauss-Jordan (Duff, Erisman and Reid,
+    Direct Methods for Sparse Matrices, ch. 5).  The rref and its pivots
+    are unique for a fixed column order, so neither the row choice nor the
     order of the reductions changes the result, only the work.
     """
     # every zero is the shared ZERO, so the identity test is the zero test
     sparse = [{j: x for j, x in enumerate(r) if x is not ZERO} for r in rows]
-    where = _column_index(sparse, cols)
-    used = [False] * len(sparse)
-    pivots = []
-    for c in range(cols):
-        here = where[c]
-        candidates = [i for i in here if not used[i]]
-        if not candidates:
-            continue
-        p = min(candidates, key=lambda i: (len(sparse[i]), i)) if len(candidates) > 1 else candidates[0]
-        used[p] = True
+    pivots = _forward(sparse, cols)
+    where = [set() for _ in range(cols)]
+    for _, p, a in pivots:
         pr = sparse[p]
-        a = pr[c]
         if a is not ONE:
             inv = ONE / a
             for j, x in pr.items():
                 pr[j] = inv * x
-        if len(candidates) > 1:
-            tail = [(j, x) for j, x in pr.items() if j != c]
-            for i in candidates:
-                if i != p:
-                    _eliminate(sparse[i], i, c, tail, where)
-            # the reduced rows are zero at c now
-            here.difference_update(candidates)
-            here.add(p)
-        pivots.append((c, p))
-        if len(pivots) == len(sparse):
-            break
-    for c, p in reversed(pivots):
-        here = where[c]
-        if len(here) > 1:
-            tail = [(j, x) for j, x in sparse[p].items() if j != c]
-            for i in here:
-                if i != p:
-                    _eliminate(sparse[i], i, c, tail, where)
-    return [(c, sparse[p]) for c, p in pivots]
+        for j in pr:
+            where[j].add(p)
+    for c, p, _ in reversed(pivots):
+        pr = sparse[p]
+        for i in where[c]:
+            ri = sparse[i]
+            _eliminate(ri, i, -ri.pop(c), pr.items(), where)
+        pr[c] = ONE
+    return [(c, sparse[p]) for c, p, _ in pivots]
 
 
 def rref(m: Matrix):

@@ -459,18 +459,21 @@ def reference_flag_adapted_basis(x, spaces):
 
 
 def dense_rref_rows(rows, cols):
-    """Plain dense Gauss-Jordan: the first row with a nonzero in each column pivots.
+    """Plain dense Gauss-Jordan: of the rows with a nonzero in each column, the one with the fewest nonzeros pivots.
 
     The reference for the sparse kernel; it reduces in place and returns
     the pivot columns, leaving the rref rows first and the zero rows last.
+    The rref is unique, so any choice of pivot row gives the same rows; the
+    sparsest one keeps the fill, and the time, down on long pivot chains.
     """
     m = len(rows)
     piv = 0
     pivots = []
     for c in range(cols):
-        target = next((i for i in range(piv, m) if rows[i][c]), None)
-        if target is None:
+        candidates = [i for i in range(piv, m) if rows[i][c]]
+        if not candidates:
             continue
+        target = min(candidates, key=lambda i: sum(1 for x in rows[i] if x))
         rows[piv], rows[target] = rows[target], rows[piv]
         pr = rows[piv]
         inv = ONE / pr[c]

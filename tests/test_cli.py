@@ -1,4 +1,6 @@
+import ast
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -346,6 +348,58 @@ def test_deform_quiver_split_rep(tmp_path, capsys):
     _, payload = parse_report(out)
     assert payload["psi"] == []
     assert payload["ok"] is True
+
+
+def seeded_catalog_keys(rng):
+    """CLI flags of four catalog keys: Euler on a rational and on a non-real label, word 0 and word inf; n >= 2 and twist drawn."""
+    b = rng.randint(2, 7)
+    rational = "%d/%d" % (rng.randint(1, b - 1), b)
+    complex_label = "%s+%d/%d*i" % (rational, rng.randint(1, 5), rng.randint(2, 7))
+    kinds = [["--kind", "euler", "--alpha", rational], ["--kind", "euler", "--alpha", complex_label],
+             ["--kind", "word", "--beta", "0"], ["--kind", "word", "--beta", "inf"]]
+    return [kind + ["--n", str(rng.randint(2, 3)), "--twist", str(rng.randint(-2, 2))] for kind in kinds]
+
+
+def arrow_inside(arrow, window):
+    """Whether both ends of the arrow ("t", w): w -> w+1 or ("p", w): w -> w-1 lie in window."""
+    kind, w = arrow
+    lo, hi = window
+    return lo <= w <= hi and lo <= (w + 1 if kind == "t" else w - 1) <= hi
+
+
+def restricted(text, window):
+    """A graded module file cut down to window: its dims there, and the maps with both ends there."""
+    lines = []
+    for line in text.splitlines():
+        word = line.split()
+        if word[0] == "window":
+            line = "window %d %d" % window
+        elif word[0] == "dim" and not window[0] <= int(word[1]) <= window[1]:
+            continue
+        elif word[0] == "map" and not arrow_inside((word[1], int(word[2])), window):
+            continue
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def test_a_wider_window_leaves_weyl_module_and_deform_unchanged(capsys):
+    # classify's Euler objects agree only up to isomorphism across windows, so it is not compared here
+    for key in seeded_catalog_keys(random.Random(21)):
+        status, default, _ = run(capsys, "weyl-module", *key, "--format", "machine")
+        assert status == 0
+        lo, hi = window = tuple(int(w) for w in default.splitlines()[1].split()[1:])
+        wide = ["--window", str(lo - 2), str(hi + 2)]
+        status, out, _ = run(capsys, "weyl-module", *key, *wide, "--format", "machine")
+        assert status == 0 and restricted(out, window) == default, key
+        reports = []
+        for argv in ([], wide):
+            status, out, _ = run(capsys, "deform", *key, *argv, "--format", "machine")
+            assert status == 0
+            reports.append(parse_report(out)[1])
+        psi = [{(p["from"], p["to"], ast.literal_eval(p["edge"])): p["matrix"] for p in r.pop("psi")} for r in reports]
+        assert reports[0] == reports[1], key
+        # psi agrees at every edge both windows have; the wider window can only add entries outside the default one
+        assert psi[0] and {k: m for k, m in psi[1].items() if arrow_inside(k[2], window)} == psi[0], key
 
 
 def test_deform_needs_input(capsys):

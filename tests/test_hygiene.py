@@ -91,7 +91,7 @@ def test_only_rep_implements_the_backend_protocol():
     assert not found, "backend protocol defined outside Rep: %s" % ", ".join(found)
 
 
-KERNEL_NAMES = {"_rref_rows", "_rank_rows", "_column_index", "_data", "_nz_rows", "_nz_cols"}
+KERNEL_NAMES = {"_rref_rows", "_rank_rows", "_forward", "_eliminate", "_column_index", "_data", "_nz_rows", "_nz_cols"}
 
 
 def test_kernels_and_entry_tables_stay_behind_linalg():

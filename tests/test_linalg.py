@@ -686,17 +686,16 @@ def catalog_systems(pad):
     """The full-window δ¹ and δ⁰ systems of catalog pairs with n <= 4, and the [A | I] systems of their transport arrows.
 
     For each n, on the default window widened by pad: an Euler module
-    against a word module, a word module against itself, for n <= 3 a word
-    module against an Euler module, and for n <= 2 an Euler module against
-    the other label's.  The larger pairs are left out because the dense
-    reference, pivoting on the first row it meets, takes seconds on them.
-    The rows are dense lists, as the kernel's callers hand them over.
+    against a word module, a word module against itself and a word module
+    against an Euler module, and for n <= 2 an Euler module against the
+    other label's.  The rows are dense lists, as the kernel's callers hand
+    them over.
     """
     systems = []
     for n in range(1, 5):
         lo, hi = default_window(n)
         euler, mixed, word0, word_inf = [catalog_module(key, (lo - pad, hi + pad)) for key in catalog_keys(n)[-4:]]
-        pairs = [(euler, word0), (word_inf, word_inf)] + [(word_inf, euler)] * (n <= 3) + [(euler, mixed)] * (n <= 2)
+        pairs = [(euler, word0), (word_inf, word_inf), (word_inf, euler)] + [(euler, mixed)] * (n <= 2)
         for x, y in pairs:
             edges = abcat._edge_layout(x, y, x.edge_ids())
             slots = abcat._slot_layout(x, y, x.slot_ids())
@@ -712,7 +711,7 @@ def catalog_systems(pad):
 
 @pytest.mark.parametrize("pad", [0, 6])
 def test_sparse_kernel_matches_dense_gauss_jordan_on_the_catalog_systems(pad):
-    # long pivot chains, which the small random systems never build: back substitution runs over many pivots
+    # long pivot chains, which the small random systems never build: the forward pass and back substitution run over many pivots
     ranks = []
     for rows, cols in catalog_systems(pad):
         expected = [list(r) for r in rows]
@@ -720,5 +719,7 @@ def test_sparse_kernel_matches_dense_gauss_jordan_on_the_catalog_systems(pad):
         got = _rref_rows(rows, cols)
         assert [p for p, _ in got] == pivots
         assert [row for _, row in got] == [{j: x for j, x in enumerate(r) if x} for r in expected[: len(pivots)]]
+        sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
+        assert rank_rows(sparse, cols) == _rank_rows(sparse, cols) == len(pivots)
         ranks.append(len(pivots))
     assert max(ranks) >= 120 and any(0 < r < 5 for r in ranks)

@@ -9,7 +9,7 @@ would, with no argument parser built.
 Each count is taken by wrapping a function for the length of one run:
 Matrix products (Matrix.__mul__), the systems handed to the two
 elimination kernels (linalg._rref_rows and linalg._rank_rows calls, and
-their rows * cols cells), the row reductions of _rref_rows (its one
+their rows * cols cells), the row reductions of both kernels (their one
 reduction step, linalg._eliminate), the hom_basis and is_uniserial calls,
 the ExtSpaces built, the core windows built (GradedRep._find_core), the
 trace_product calls of the End certificate, the cli.build_parser calls
@@ -43,7 +43,7 @@ COUNTS = (
     "Matrix products",
     "_rref_rows calls",
     "_rref_rows cells",
-    "_rref_rows row reductions",
+    "row reductions",
     "_rank_rows calls",
     "_rank_rows cells",
     "hom_basis calls",
@@ -116,11 +116,11 @@ WORKLOADS = {
 }
 
 PINNED = {
-    "verify_theorem(4) pad 0": (1478, 140, 26227, 831, 889, 3470, 0, 0, 138, 86, 160, 0, 32),
-    "verify_theorem(4) pad 12": (4166, 140, 135067, 1383, 1993, 8366, 0, 0, 138, 86, 160, 0, 32),
-    "ext_table 160 dims": (0, 0, 0, 0, 354, 288, 0, 0, 160, 8, 0, 0, 0),
-    "bench verify seed 1": (852, 78, 6573, 306, 522, 1230, 0, 0, 96, 58, 80, 0, 24),
-    "bench cli_session seed 1": (2407, 399, 1633, 108, 607, 335, 21, 0, 177, 39, 86, 1, 89),
+    "verify_theorem(4) pad 0": (1478, 140, 26227, 952, 889, 3470, 0, 0, 138, 86, 160, 0, 32),
+    "verify_theorem(4) pad 12": (4166, 140, 135067, 1504, 1993, 8366, 0, 0, 138, 86, 160, 0, 32),
+    "ext_table 160 dims": (0, 0, 0, 56, 354, 288, 0, 0, 160, 8, 0, 0, 0),
+    "bench verify seed 1": (852, 78, 6573, 360, 522, 1230, 0, 0, 96, 58, 80, 0, 24),
+    "bench cli_session seed 1": (2407, 399, 1633, 117, 607, 335, 21, 0, 177, 39, 86, 1, 89),
     "splice six seeded": (1838, 670, 9254, 145, 618, 2939, 0, 0, 9, 24, 0, 0, 6),
 }
 
@@ -151,7 +151,7 @@ def count_work(run):
         mp.setattr(abcat, "trace_product", counted("trace_product calls", abcat.trace_product))
         mp.setattr(cli, "build_parser", counted("build_parser calls", cli.build_parser))
         mp.setattr(cli, "_PARSER", [])
-        mp.setattr(linalg, "_eliminate", counted("_rref_rows row reductions", linalg._eliminate))
+        mp.setattr(linalg, "_eliminate", counted("row reductions", linalg._eliminate))
         mp.setattr(quiverrep.Rep, "_evaluate_relations", counted("relation checks", quiverrep.Rep._evaluate_relations))
         run()
     return tuple(counts[name] for name in COUNTS)
