@@ -409,13 +409,31 @@ def find_isomorphism(x, y):
     map is one even where a relation breaks, so only a negative answer
     guards the relations, and hom_basis then decides.  _isomorphic answers
     whether x ≅ y without carrying the map.
+
+    An object's isomorphism to itself.  When x == y and the core solve
+    gives exactly one map, the answer is identity_morphism(x), with no
+    carry.  Proof: the transport arrows are invertible, so restriction to
+    the core is injective on Hom(x, x) with no relation assumed (the
+    hom_basis statement), and the identity restricts to the identity of
+    the core, which is nonzero since the core solve has a variable.  The
+    core solution space holds that restriction and is one-dimensional, so
+    it is k times the core identity, and kernel_basis's map, with 1 at its
+    first free column, is the core identity itself.  It is invertible, the
+    carry h_v = X_e h_u X_e⁻¹ keeps it the identity and passes every
+    check, and _kernel_form rescales the carried identity's last nonzero
+    entry, already 1, to 1: the identity, which is what the general path
+    returns.  With more than one core map the first invertible one need
+    not be the identity, so the shortcut waits for exactly one.
     """
     _check_pair(x, y)
     if not _same_shape(x, y):
         return None
     slots = x.slot_ids()
     inner, edges, _, _, transport = window = x.core_window()
-    for h in _core_maps(x, y, inner, edges):
+    maps = _core_maps(x, y, inner, edges)
+    if len(maps) == 1 and x == y:
+        return identity_morphism(x)
+    for h in maps:
         if all(rank(h[s]) == x.slot_dim(s) for s in inner):
             if not transport:
                 return Morphism(x, y, h, check=False)
@@ -448,8 +466,13 @@ def _isomorphic(x, y) -> bool:
     c. Otherwise a core map may not extend, and find_isomorphism decides.
     The relation answers are the ones the objects keep (Rep.violations),
     so where a caller has already checked both, b reads them for free.
+    An equal pair answers True before any solve: an indecomposable x is
+    nonzero, and identity_morphism(x) is an isomorphism x -> x whatever
+    the relations.
     """
     _check_pair(x, y)
+    if x == y:
+        return True
     if not _same_shape(x, y):
         return False
     inner, edges, _, _, transport = x.core_window()
@@ -478,19 +501,40 @@ def glue(parts, correction):
     coordinates into part i's rows, None being a zero block.  The parts
     must share one space; the relations are the backend's or the caller's
     to check.
+
+    Each part's slot dimensions are read once.  An edge's rows are written
+    part by part in one pass: block row i starts as part i's height of
+    empty rows, and each of its blocks, checked against its cell (part
+    i's height at v, part j's width at u) as Matrix.block checks it, is
+    appended to every row, a zero block as one shared row of ZEROs.  An
+    empty block appends nothing.
     """
     first = parts[0]
     for p in parts[1:]:
         _check_pair(first, p)
+    slots = first.slot_ids()
+    dims = [{s: p.slot_dim(s) for s in slots} for p in parts]
     mats = {}
     for e in first.edge_ids():
         u, v = first.edge_ends(e)
-        grid = [
-            [p.edge_matrix(e) if i == j else correction(i, j, e) for j in range(len(parts))]
-            for i, p in enumerate(parts)
-        ]
-        mats[e] = Matrix.block(grid, [p.slot_dim(v) for p in parts], [p.slot_dim(u) for p in parts])
-    return first.with_matrices({s: sum(p.slot_dim(s) for p in parts) for s in first.slot_ids()}, mats)
+        widths = [d[u] for d in dims]
+        data = []
+        for i, p in enumerate(parts):
+            h = dims[i][v]
+            rows = [()] * h
+            for j, w in enumerate(widths):
+                b = p.edge_matrix(e) if i == j else correction(i, j, e)
+                if b is not None and (b.rows != h or b.cols != w):
+                    raise ValueError("block is %dx%d, its grid cell %dx%d" % (b.rows, b.cols, h, w))
+                if h and w:
+                    if b is None:
+                        z = (ZERO,) * w
+                        rows = [r + z for r in rows]
+                    else:
+                        rows = [r + b.row(k) for k, r in enumerate(rows)]
+            data += rows
+        mats[e] = _matrix(len(data), sum(widths), tuple(data))
+    return first.with_matrices({s: sum(d[s] for d in dims) for s in slots}, mats)
 
 
 def unglue(x, bases, sizes):

@@ -269,8 +269,9 @@ def cmd_ext_table(args):
     check_window(window, (-args.max_offset, args.max_offset), 1, margin)
     offsets = list(range(-args.max_offset, args.max_offset + 1))
     bases = _parse_interior_labels(args.labels) + ["0", "inf"]
-    base_family = weyl_simple_family(bases, [0], window)
     targets = dict(weyl_simple_family(bases, offsets, window))
+    # argparse keeps --max-offset >= 0, so the offset-0 simples are among the targets
+    base_family = [(la, targets[la]) for la in (weyl_label(b, 0) for b in bases)]
     entries = []
     all_match = True
     boundary = {("0", "inf"), ("inf", "0")}

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .linalg import Matrix, ONE, Scalar, ZERO, format_matrix, parse_int, parse_matrix, rank
+from .linalg import Matrix, ONE, Scalar, ZERO, _matrix, format_matrix, parse_int, parse_matrix, rank
 from .quiverrep import QuiverPresentation, Rep
 from .weyl import WeylElement, theta_product, to_theta_form
 
@@ -151,7 +151,9 @@ def ideal_quotient_rep(p: WeylElement, window) -> GradedRep:
     same rule moves t and d past theta_w: t * theta_w = theta_(w+1) *
     c_(1,w)(E) and d * theta_w = theta_(w-1) * c_(-1,w)(E), so column j of
     the t (d) matrix is c * E^j modulo the neighbouring q, and column j+1
-    is E times column j reduced once by that monic q.
+    is E times column j reduced once by that monic q.  A 1x1 action is the
+    one scalar of c = c_0 + c_1 E modulo E + q_0, c_0 - c_1 q_0, written
+    with no column lists.
     """
     if p.is_zero():
         raise ValueError("zero element generates the unit ideal quotient ambiguously")
@@ -167,15 +169,18 @@ def ideal_quotient_rep(p: WeylElement, window) -> GradedRep:
     dims = {w: q.degree() for w, q in qs.items()}
 
     def action(w_src, w_dst, step) -> Matrix:
-        rows = dims[w_dst]
+        rows, width = dims[w_dst], dims[w_src]
         if not rows:
-            return Matrix(0, dims[w_src], ())
+            return Matrix(0, width, ())
+        c = theta_product(step, w_src).coeffs
         q = qs[w_dst].coeffs[:-1]
+        if rows == width == 1:
+            return _matrix(1, 1, ((c[0] - c[1] * q[0] if len(c) == 2 else c[0],),))
         # c * E^j with a slot for E^rows: c = c_(step,w_src) has degree <= 1 <= rows
-        col = list(theta_product(step, w_src).coeffs)
+        col = list(c)
         col += [ZERO] * (rows + 1 - len(col))
         cols = []
-        for _ in range(dims[w_src]):
+        for _ in range(width):
             # one subtraction of the monic q takes off the E^rows term
             lead = col.pop()
             if lead:

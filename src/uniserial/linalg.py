@@ -22,12 +22,16 @@ dense rows, then scales the pivot rows and back-substitutes through
 _eliminate in reverse pivot order, and returns the (pivot column, sparse
 row) pairs of the rref, which is unique, so the order of the reductions
 changes the work and not the result.  rank_rows ranks rows in that form,
-rank a Matrix.  solve, inverse (past 1x1) and in_span
-are each one solve_matrix.  No floating point anywhere: a scalar is one reduced
-triple of Python ints (a, b, d) meaning (a + b*i)/d, and its arithmetic
-is integer products and one gcd per result, or no arithmetic at all when
-an operand is a unit that passes the other through.  fractions.Fraction appears only at the edges, in
-parsing and in the re and im components handed to formatting.
+rank a Matrix; the rank of a one-row or one-column matrix is a nonzero
+test, with no kernel call.  solve, inverse and in_span are each one
+solve_matrix, except the inverse of a 1x1 matrix, one division built
+without the checked copy.  No floating point anywhere: a scalar is one
+reduced triple of Python ints (a, b, d) meaning (a + b*i)/d, and its
+arithmetic is integer products and one gcd per result, or no arithmetic
+at all when an operand is a unit that passes the other through.
+fractions.Fraction appears only at the edges, in parsing a literal that
+is not an integer and in the re and im components; format_scalar reads a
+Scalar's triple.
 """
 
 from __future__ import annotations
@@ -185,20 +189,36 @@ I = Scalar(0, 1)
 
 
 def format_scalar(s: Scalar) -> str:
-    """Canonical text form: 0, 1/2, -2, i, -i, 1/3*i, 1/2-1/3*i; it reads s.re and s.im once each."""
-    real, imag = s.re, s.im
-    if not imag:
-        return str(real)
-    if imag == 1:
-        imtxt = "i"
-    elif imag == -1:
-        imtxt = "-i"
+    """Canonical text form: 0, 1/2, -2, i, -i, 1/3*i, 1/2-1/3*i.
+
+    A Scalar is formatted from its triple (a, b, d), each nonzero
+    component the text fractions.Fraction gives a/d or b/d; anything else
+    reads s.re and s.im once each.
+    """
+    if type(s) is Scalar:
+        a, b, d = s._t
+        if not b:
+            return _ratio(a, d)
+        real, imag = (_ratio(a, d) if a else ""), _ratio(b, d)
     else:
-        imtxt = "%s*i" % imag
+        re_q, im_q = s.re, s.im
+        if not im_q:
+            return str(re_q)
+        real, imag = (str(re_q) if re_q else ""), str(im_q)
+    imtxt = "i" if imag == "1" else "-i" if imag == "-1" else imag + "*i"
     if not real:
         return imtxt
-    sign = "+" if not imtxt.startswith("-") else ""
-    return "%s%s%s" % (real, sign, imtxt)
+    sign = "" if imtxt.startswith("-") else "+"
+    return real + sign + imtxt
+
+
+def _ratio(n, d):
+    """The text of the Fraction n/d for ints n and d > 0: reduced by one gcd, 'n' when the denominator is 1."""
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return str(n) if d == 1 else "%d/%d" % (n, d)
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -206,11 +226,14 @@ def parse_scalar(text: str) -> Scalar:
 
     Accepts rationals (``2``, ``-1/3``), pure imaginaries (``i``, ``-i``,
     ``2*i``, ``i/3``) and sums such as ``1/2+1/3*i`` or ``1/2-i``.
-    Raises ValueError on anything else; no floats.
+    Raises ValueError on anything else; no floats.  An integer literal is
+    read by int() alone, with no Fraction.
     """
     t = text.strip().replace(" ", "")
     if not t:
         raise ValueError("empty scalar literal")
+    if _INT_LITERAL.fullmatch(t):
+        return Scalar(int(t))
     # split into at most two signed terms at a top-level + or - (not the leading sign)
     terms = []
     start = 0
@@ -606,6 +629,11 @@ def rref(m: Matrix):
 
 
 def rank(m: Matrix) -> int:
+    """The rank; of a one-row or one-column matrix, whether it has a nonzero entry."""
+    if m.rows == 1 or m.cols == 1:
+        # every zero is the shared ZERO, so the identity test is the zero test
+        entries = m._data[0] if m.rows == 1 else (r[0] for r in m._data)
+        return 0 if all(x is ZERO for x in entries) else 1
     return _rank_rows([{j: x for j, x in enumerate(r) if x is not ZERO} for r in m._data], m.cols)
 
 
@@ -689,13 +717,14 @@ def in_span(vectors, v) -> bool:
 def inverse(m: Matrix):
     """Inverse of a square matrix, or None if singular (a pivot then falls in the I of [m | I]).
 
-    A 1x1 matrix is inverted by one division.
+    A 1x1 matrix is inverted by one division, its Matrix built without
+    the checked copy.
     """
     if m.rows != m.cols:
         raise ValueError("inverse of non-square matrix")
     if m.rows == 1:
-        a = m[0, 0]
-        return Matrix(1, 1, ((ONE / a,),)) if a else None
+        a = m._data[0][0]
+        return None if a is ZERO else _matrix(1, 1, ((ONE / a,),))
     return solve_matrix(m, Matrix.identity(m.rows))
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import signal
 from dataclasses import replace
 from functools import cached_property
 
@@ -30,6 +31,27 @@ from uniserial.weylcat import CatalogKey, catalog_module, weyl_simple_family
 LABELS = (parse_scalar("1/2"), parse_scalar("1/3+1/2*i"))
 HALF = parse_scalar("1/2")
 WINDOW = (-5, 5)
+TEST_SECONDS = 60
+
+
+@pytest.fixture(autouse=True)
+def time_limit(request):
+    """Fail a test by name once it has run TEST_SECONDS of wall time, so a defect that loops fails instead of hanging.
+
+    The limit is about 15 times the slowest test.  It arms the real-time
+    timer (ITIMER_REAL, SIGALRM), which no test uses, and disarms it after.
+    """
+
+    def expire(signum, frame):
+        pytest.fail("%s ran past the %d s limit of one test" % (request.node.nodeid, TEST_SECONDS), pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def rewrite_oracle(word, coef=1):
@@ -625,6 +647,20 @@ def reference_cofiltration_from_filtration(filt):
 
 
 # -- the hand-rolled block builders that abcat.glue replaced ---------------------
+
+
+def reference_glue(parts, correction):
+    """abcat.glue by a grid of blocks per edge, every correction taken first, then one Matrix.block."""
+    first = parts[0]
+    mats = {}
+    for e in first.edge_ids():
+        u, v = first.edge_ends(e)
+        grid = [
+            [p.edge_matrix(e) if i == j else correction(i, j, e) for j in range(len(parts))]
+            for i, p in enumerate(parts)
+        ]
+        mats[e] = Matrix.block(grid, [p.slot_dim(v) for p in parts], [p.slot_dim(u) for p in parts])
+    return first.with_matrices({s: sum(p.slot_dim(s) for p in parts) for s in first.slot_ids()}, mats)
 
 
 def reference_direct_sum(x, y):

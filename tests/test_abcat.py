@@ -9,6 +9,7 @@ from conftest import (
     graded_dual,
     reference_direct_sum,
     reference_extension_cocycle,
+    reference_glue,
     reference_hom_basis,
     reference_quotient_object,
     reference_realize_extension,
@@ -40,7 +41,7 @@ from uniserial.abcat import (
     total_dim,
     zero_like,
 )
-from uniserial.gradedrep import ideal_quotient_rep, simple_rep, validate
+from uniserial.gradedrep import GradedRep, ideal_quotient_rep, simple_rep, validate
 from uniserial.linalg import ZERO, Matrix, ONE, Scalar, algebra_radical, inverse, parse_scalar, rank
 from uniserial.quiverrep import KRONECKER, QuiverPresentation, QuiverRep, parse_presentation, simple_at
 from uniserial.species import species_of
@@ -787,6 +788,65 @@ def test_glue_builders_match_reference_builders():
                     assert realize_extension(xi) == reference_realize_extension(xi)
                     nonzero += not xi.is_zero()
     assert nonzero >= 20
+
+
+def random_glue_input(rng, nparts):
+    """(parts, corrections): GradedReps on (-2, 2) with dimensions 0..2, and a block or None per (i, j, edge), i != j."""
+    parts = []
+    for _ in range(nparts):
+        dims = {w: rng.choice((0, 0, 1, 2)) for w in range(-2, 3)}
+        tm = {w: random_matrix(rng, dims[w + 1], dims[w]) for w in range(-2, 2)}
+        pm = {w: random_matrix(rng, dims[w - 1], dims[w]) for w in range(-1, 3)}
+        parts.append(GradedRep((-2, 2), dims, tm, pm))
+    corrections = {}
+    for e in parts[0].edge_ids():
+        u, v = parts[0].edge_ends(e)
+        for i in range(nparts):
+            for j in range(nparts):
+                if i != j and rng.random() < 0.6:
+                    corrections[i, j, e] = random_matrix(rng, parts[i].slot_dim(v), parts[j].slot_dim(u))
+    return parts, corrections
+
+
+def random_matrix(rng, rows, cols):
+    return Matrix(rows, cols, [[Scalar(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(cols)] for _ in range(rows)])
+
+
+def test_glue_matches_the_grid_of_blocks_on_one_to_five_parts():
+    # zero-dimensional slots, None and nonzero corrections on both sides of the diagonal
+    rng = random.Random(50)
+    seen = {"zero height": 0, "zero width": 0, "above": 0, "below": 0}
+    for nparts in range(1, 6):
+        for _ in range(8):
+            parts, corrections = random_glue_input(rng, nparts)
+            z = abcat.glue(parts, lambda i, j, e: corrections.get((i, j, e)))
+            assert z == reference_glue(parts, lambda i, j, e: corrections.get((i, j, e))), nparts
+            for e in z.edge_ids():
+                u, v = z.edge_ends(e)
+                seen["zero height"] += any(not p.slot_dim(v) and p.slot_dim(u) for p in parts)
+                seen["zero width"] += any(p.slot_dim(v) and not p.slot_dim(u) for p in parts)
+            seen["above"] += any(i < j and m.rows and m.cols for (i, j, _), m in corrections.items())
+            seen["below"] += any(i > j and m.rows and m.cols for (i, j, _), m in corrections.items())
+    assert min(seen.values()) > 0, seen
+
+
+def test_glue_raises_the_grid_of_blocks_error_on_a_wrong_shaped_correction():
+    rng = random.Random(51)
+    raised = 0
+    for nparts in range(2, 6):
+        for _ in range(6):
+            parts, corrections = random_glue_input(rng, nparts)
+            # one cell gets a block one row too tall, or one column too wide
+            (i, j, e), m = rng.choice(sorted(corrections.items(), key=lambda kv: repr(kv[0])))
+            taller = rng.random() < 0.5
+            corrections[i, j, e] = random_matrix(rng, m.rows + taller, m.cols + (not taller))
+            with pytest.raises(ValueError) as ref:
+                reference_glue(parts, lambda i, j, e: corrections.get((i, j, e)))
+            with pytest.raises(ValueError) as got:
+                abcat.glue(parts, lambda i, j, e: corrections.get((i, j, e)))
+            assert str(got.value) == str(ref.value) and str(got.value).startswith("block is ")
+            raised += 1
+    assert raised == 24
 
 
 def test_part_map_of_a_middle_part_reads_its_offset_at_every_slot():

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from uniserial import weylcat
 from uniserial.cli import main, parse_report
 from uniserial.gradedrep import from_text as gradedrep_from_text, ideal_quotient_rep, to_text as gradedrep_to_text
 from uniserial.linalg import parse_scalar
@@ -208,6 +209,17 @@ def test_ext_table_matches(capsys):
     assert ("0@0", "inf@0") in nonzero
     assert ("inf@0", "0@0") in nonzero
     assert len(nonzero) == 4
+
+
+def test_ext_table_builds_each_simple_once(capsys, monkeypatch):
+    # the offset-0 targets are the base family, so each (base, twist) is built once, in weyl_simple_family's order
+    built = []
+    real = weylcat.simple_rep
+    monkeypatch.setattr(weylcat, "simple_rep", lambda *args: built.append(args[:2]) or real(*args))
+    status, out, _ = run(capsys, "ext-table", "--labels", "1/2,1/3+1/2*i", "--max-offset", "1", "--format", "machine")
+    assert status == 0 and parse_report(out)[1]["matches_expected"] is True
+    bases = [parse_scalar("1/2"), parse_scalar("1/3+1/2*i"), "0", "inf"]
+    assert built == [(b, off) for off in (-1, 0, 1) for b in bases]
 
 
 def test_ext_table_emit_species_feeds_check_uc(tmp_path, capsys):

@@ -202,6 +202,65 @@ def test_ideal_quotient_takes_one_theta_form_and_no_weyl_product(monkeypatch):
     assert m == reference_ideal_quotient_rep(p, (-9, 9))
 
 
+SIMPLE_LABELS = tuple(parse_scalar(a) for a in ("1/2", "2/3", "1/3", "1/3+1/2*i", "1/3+1/3*i")) + ("0", "inf")
+
+
+def reference_shifted(gen, offset, window):
+    """reference_ideal_quotient_rep of gen on the window moved down by offset, twisted back up by it."""
+    return twist_rep(reference_ideal_quotient_rep(gen, (window[0] - offset, window[1] - offset)), offset)
+
+
+def reference_simple(label, twist, window):
+    """simple_rep through reference_ideal_quotient_rep: t d - alpha, d or t, 'inf' one weight lower."""
+    if label == "0":
+        return reference_shifted(WeylElement.gen_d(), twist, window)
+    if label == "inf":
+        return reference_shifted(WeylElement.gen_t(), twist - 1, window)
+    return reference_shifted(WeylElement.monomial(1, 1) - WeylElement.monomial(0, 0, label), twist, window)
+
+
+def shapes(m):
+    """(rows, cols) of every arrow matrix of m."""
+    return {(a.rows, a.cols) for a in m.mats.values()}
+
+
+@pytest.mark.parametrize("window", [(-7, 7), (-9, -3), (3, 9), (0, 0), (-1, -1), (-1, 0)])
+def test_simples_match_the_reference_builder_on_every_window(window):
+    # every label at twists -2..2; off their support the boundary simples have zero-dimensional weights
+    seen = set()
+    for label in SIMPLE_LABELS:
+        for twist in range(-2, 3):
+            m = simple_rep(label, twist, window)
+            assert m == reference_simple(label, twist, window), (label, twist)
+            seen |= shapes(m)
+    if window[0] < window[1]:
+        assert (1, 1) in seen
+    if window[0] < 0 <= window[1]:
+        # a one-row map out of a zero-dimensional weight, and a one-column map into one
+        assert {(1, 0), (0, 1)} <= seen
+
+
+@pytest.mark.parametrize("window", [(-9, 9), (-2, 2), (0, 0), (4, 4)])
+def test_generators_up_to_length_5_match_the_reference_builder(window):
+    gens = [euler_power(a, n) for a in SIMPLE_LABELS[:5] for n in range(1, 6)]
+    gens += [alternating_word(beta, n) for beta in ("0", "inf") for n in range(1, 6)]
+    for p in gens:
+        assert ideal_quotient_rep(p, window) == reference_ideal_quotient_rep(p, window), p
+
+
+def test_catalog_modules_up_to_length_5_match_the_reference_builder():
+    for n in range(1, 6):
+        window = default_window(n)
+        for twist in (-1, 0, 1):
+            keys = [CatalogKey("euler", a, None, n, twist) for a in SIMPLE_LABELS[:5]]
+            keys += [CatalogKey("word", None, beta, n, twist) for beta in ("0", "inf")]
+            for key in keys:
+                wide = (window[0] - 1, window[1] + 1)
+                gen = euler_power(key.alpha, n) if key.kind == "euler" else alternating_word(key.beta, n)
+                offset = twist - 1 if key.beta == "inf" else twist
+                assert catalog_module(key, wide) == reference_shifted(gen, offset, wide), key
+
+
 def test_validate_zero_rep():
     z = GradedRep((-2, 2), {}, {}, {})
     assert validate(z) == []

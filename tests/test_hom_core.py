@@ -332,21 +332,70 @@ def test_a_pair_where_one_side_breaks_a_relation_has_no_isomorphism_without_hom_
 
 
 def test_the_isomorphism_of_a_verify_key_pair_carries_one_map_and_guards_no_relation(monkeypatch):
-    # both objects of verify_key satisfy their relations, so the answer needs neither hom_basis nor violations()
+    # both objects of verify_key satisfy their relations, so the answer needs neither hom_basis nor violations();
+    # the Euler key's built object is not its catalog module and carries one map, the word key's equals it and
+    # is answered by its identity, with no carry
     window = default_window(3)
-    for key in (CatalogKey("euler", LABELS[1], None, 3), CatalogKey("word", None, "inf", 2)):
+    for key, equal in ((CatalogKey("euler", LABELS[1], None, 3), False), (CatalogKey("word", None, "inf", 2), True)):
         bases = [key.alpha, "0", "inf"] if key.kind == "euler" else ["0", "inf"]
         family = weyl_simple_family(bases, [key.twist], window)
         built, = species.classify(species.species_of(family), family, key.n, start=key.start_label())
         cat = catalog_module(key, window)
         assert validate(cat) == [] and cat.core_window()[4]
+        assert (built.obj == cat) is equal, key
         calls = []
         for module, name in ((abcat, "hom_basis"), (abcat, "_carry"), (quiverrep.Rep, "violations")):
             real = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
         iso = abcat.find_isomorphism(built.obj, cat)
         monkeypatch.undo()
-        assert iso is not None and calls == ["_carry"], (key, calls)
+        assert iso is not None and calls == ([] if equal else ["_carry"]), (key, calls)
+        assert (iso == abcat.identity_morphism(cat)) is equal, key
+
+
+def self_map_objects():
+    """The catalog with n <= 4, the simples at twists -1..1, the graded duals of both, and one S ⊕ S: 57 objects."""
+    window = default_window(4)
+    cat = [catalog_module(key, window) for key in catalog_keys(4)]
+    simples = [simple_rep(base, twist, window) for base in LABELS + ("0", "inf") for twist in (-1, 0, 1)]
+    return cat + simples + [graded_dual(m) for m in cat + simples] + [direct_sum(simples[0], simples[0]).obj]
+
+
+def core_map_count(m):
+    inner, edges, _, _, _ = m.core_window()
+    return len(abcat._core_maps(m, m, inner, edges))
+
+
+def test_an_objects_isomorphism_to_itself_is_its_identity_when_the_core_solve_gives_one_map(monkeypatch):
+    objs = self_map_objects()
+    one = [core_map_count(m) == 1 for m in objs]
+    assert len(objs) == 57 and one.count(True) == 36
+    refs = [reference_find_isomorphism(m, m) for m in objs]
+    shortcuts = []
+    real = abcat.identity_morphism
+    monkeypatch.setattr(abcat, "identity_morphism", lambda x: shortcuts.append(x) or real(x))
+    got = [abcat.find_isomorphism(m, m) for m in objs]
+    monkeypatch.undo()
+    # the shortcut is taken on exactly the one-map objects, and every answer is the reference's
+    assert shortcuts == [m for m, k in zip(objs, one) if k]
+    assert got == refs
+    assert all(g == abcat.identity_morphism(m) for g, m, k in zip(got, objs, one) if k)
+    # without the one-map condition the shortcut would be wrong: most of the others find another isomorphism
+    others = [g == abcat.identity_morphism(m) for g, m, k in zip(got, objs, one) if not k]
+    assert others.count(False) > others.count(True) > 0
+
+
+def test_an_equal_pair_is_isomorphic_before_any_solve(monkeypatch):
+    objs = self_map_objects()
+    refs = [reference_find_isomorphism(m, m) is not None for m in objs]
+    calls = []
+    real = abcat._core_maps
+    monkeypatch.setattr(abcat, "_core_maps", lambda *args: calls.append(args) or real(*args))
+    assert [abcat._isomorphic(m, m) for m in objs] == [True] * len(objs) and calls == []
+    monkeypatch.undo()
+    # the decider's contract is an indecomposable x; S ⊕ S is the one decomposable object, with no invertible basis map
+    assert refs == [True] * (len(objs) - 1) + [False]
+    assert [abcat.is_indecomposable(m)[0] for m in objs] == refs
 
 
 def assert_decides_as_the_basis_search(pairs):

@@ -16,7 +16,7 @@ from conftest import (
     reference_product,
     reference_solve,
 )
-from uniserial import abcat
+from uniserial import abcat, linalg
 from uniserial.linalg import (
     I,
     MINUS_ONE,
@@ -254,6 +254,42 @@ def test_scalar_parse_format_roundtrip(text):
 def test_scalar_parse_rejects(bad):
     with pytest.raises(ValueError):
         parse_scalar(bad)
+
+
+def test_integer_literals_and_scalar_triples_take_no_fraction(monkeypatch):
+    # the plain path builds the literal's Fraction; the fast one reads int() alone, and formats from the triple
+    texts = ["0", "-0", "+7", " 12 ", "1 2", "007", "-" + "9" * 40, " - 3"]
+    expected = [Scalar(Fraction(t.strip().replace(" ", ""))) for t in texts]
+    scalars = [S(3), S(-4), S(Fraction(6, 4)), S(Fraction(-1, 3), 2), S(0, Fraction(-3, 6)), S(Fraction(1, 6), Fraction(3, 4))]
+    texts_out = [format_scalar(FractionPairScalar(x.re, x.im)) for x in scalars]
+    monkeypatch.setattr(linalg, "_Q", lambda *args: pytest.fail("a Fraction was built"))
+    assert [parse_scalar(t) for t in texts] == expected
+    assert [format_scalar(x) for x in scalars] == texts_out == ["3", "-4", "3/2", "-1/3+2*i", "-1/2*i", "1/6+3/4*i"]
+
+
+def test_rank_of_one_row_or_one_column_is_the_rank_of_its_rows():
+    pool = [ZERO, ZERO, ONE, MINUS_ONE, I, S(Fraction(1, 2), 1), S(-3)]
+    rng = random.Random(50)
+    shapes = [(1, 0), (0, 1), (1, 1)] + [(1, n) for n in range(2, 6)] + [(n, 1) for n in range(2, 6)]
+    seen = set()
+    for rows, cols in shapes:
+        for _ in range(12):
+            m = Matrix(rows, cols, [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)])
+            sparse = [{j: x for j, x in enumerate(r) if x is not ZERO} for r in (m.row(i) for i in range(rows))]
+            expected = _rank_rows(sparse, cols)
+            assert rank(m) == expected, (rows, cols)
+            # a column with two nonzeros has rank 1, not 2
+            seen.add((expected, sum(x is not ZERO for i in range(rows) for x in m.row(i)) > 1))
+    assert seen == {(0, False), (1, False), (1, True)}
+
+
+def test_inverse_of_a_1x1_matrix_is_one_division():
+    for a in (ONE, MINUS_ONE, I, S(Fraction(1, 2), 1)):
+        m = Matrix(1, 1, [[a]])
+        inv = inverse(m)
+        assert inv == reference_inverse(m) == Matrix(1, 1, [[ONE / a]]) and m * inv == Matrix.identity(1)
+    assert inverse(Matrix(1, 1, [[ZERO]])) is None and reference_inverse(Matrix(1, 1, [[ZERO]])) is None
+    assert inverse(Matrix(1, 1, [[MINUS_ONE]]))[0, 0] is MINUS_ONE
 
 
 def test_parse_int_takes_only_signed_ascii_digits():

@@ -116,12 +116,12 @@ WORKLOADS = {
 }
 
 PINNED = {
-    "verify_theorem(4) pad 0": (1478, 140, 26227, 952, 889, 3470, 0, 0, 138, 86, 160, 0, 32),
-    "verify_theorem(4) pad 12": (4166, 140, 135067, 1504, 1993, 8366, 0, 0, 138, 86, 160, 0, 32),
+    "verify_theorem(4) pad 0": (1478, 134, 26213, 949, 842, 3430, 0, 0, 138, 80, 160, 0, 32),
+    "verify_theorem(4) pad 12": (4166, 134, 135053, 1501, 1922, 8326, 0, 0, 138, 80, 160, 0, 32),
     "ext_table 160 dims": (0, 0, 0, 56, 354, 288, 0, 0, 160, 8, 0, 0, 0),
-    "bench verify seed 1": (852, 78, 6573, 360, 522, 1230, 0, 0, 96, 58, 80, 0, 24),
-    "bench cli_session seed 1": (2407, 399, 1633, 117, 607, 335, 21, 0, 177, 39, 86, 1, 89),
-    "splice six seeded": (1838, 670, 9254, 145, 618, 2939, 0, 0, 9, 24, 0, 0, 6),
+    "bench verify seed 1": (852, 72, 6559, 357, 487, 1206, 0, 0, 96, 52, 80, 0, 24),
+    "bench cli_session seed 1": (1987, 367, 1529, 116, 436, 211, 21, 0, 177, 36, 86, 1, 89),
+    "splice six seeded": (1154, 624, 9078, 145, 312, 2512, 0, 0, 9, 24, 0, 0, 6),
 }
 
 
